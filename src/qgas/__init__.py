@@ -2,8 +2,8 @@
 
 The library stack, bottom to top:
 
-* :mod:`qgas.linalg` -- small dense Hermitian linear algebra with a Jacobi
-  eigensolver and a deterministic phase convention.
+* :mod:`qgas.linalg` -- small dense Hermitian linear algebra, with numpy's
+  LAPACK eigensolver and a deterministic phase convention.
 * :mod:`qgas.statistics` -- density matrices, POVMs, projective instruments,
   and the one-shot-distinguishability/orthogonality equivalence, executable
   in both directions.

@@ -33,10 +33,6 @@ class DimFactorMismatchError(QuantumGasError):
     """Factor dimensions do not multiply to the matrix dimension."""
 
 
-class ConvergenceFailureError(QuantumGasError):
-    """Eigensolver sweep cap exceeded before the off-diagonal norm converged."""
-
-
 class NotNormalizedError(QuantumGasError):
     """State vector norm differs from 1 beyond tolerance."""
 

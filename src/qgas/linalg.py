@@ -2,9 +2,9 @@
 
 Everything in the library ultimately reduces to operations on Hermitian
 matrices of dimension 2-8: construction, traces, tensor products, partial
-traces, and spectral decomposition.  The eigensolver is a cyclic Jacobi
-iteration, which at these sizes converges in a handful of sweeps and lets
-us pin a deterministic eigenvector phase convention for reproducible runs.
+traces, and spectral decomposition.  The eigensolver is numpy's LAPACK
+``eigh``; on top of it this module pins a descending eigenvalue order and a
+deterministic eigenvector phase convention for reproducible runs.
 
 Tolerance policy: inputs are validated at 1e-12 (HERMITIAN_TOL) while
 derived quantities are trusted to 1e-9 (DERIVED_TOL), two decades of slack
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    ConvergenceFailureError,
     DimFactorMismatchError,
     DimMismatchError,
     NonFiniteError,
@@ -30,9 +29,6 @@ from .errors import (
 HERMITIAN_TOL = 1e-12
 DERIVED_TOL = 1e-9
 DEGENERACY_GAP = 1e-9
-
-_JACOBI_OFFDIAG_THRESHOLD = 1e-13
-_JACOBI_MAX_SWEEPS = 100
 
 
 def _as_complex_array(entries) -> np.ndarray:
@@ -236,45 +232,6 @@ def projector_from_vector(v: StateVector) -> HermitianMatrix:
     return HermitianMatrix((outer + outer.conj().T) / 2)
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Annihilate a[p,q] with a complex Givens rotation, in place."""
-    apq = a[p, q]
-    mag = abs(apq)
-    if mag == 0.0:
-        return
-    u = apq / mag  # phase, so that apq*conj(u) is real positive
-    app = a[p, p].real
-    aqq = a[q, q].real
-    tau = (aqq - app) / (2.0 * mag)
-    if tau >= 0.0:
-        t = 1.0 / (tau + np.hypot(1.0, tau))
-    else:
-        t = -1.0 / (-tau + np.hypot(1.0, tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-
-    # Column update A <- A J with J[p,p]=c, J[p,q]=s, J[q,p]=-s*conj(u),
-    # J[q,q]=c*conj(u); then row update A <- J+ A.  V accumulates J.
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * np.conj(u) * col_q
-    a[:, q] = s * col_p + c * np.conj(u) * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * u * row_q
-    a[q, :] = s * row_p + c * u * row_q
-
-    vcol_p = v[:, p].copy()
-    vcol_q = v[:, q].copy()
-    v[:, p] = c * vcol_p - s * np.conj(u) * vcol_q
-    v[:, q] = s * vcol_p + c * np.conj(u) * vcol_q
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
     """Rotate a global phase so the first non-negligible component is real positive."""
     for x in vec:
@@ -284,52 +241,18 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
 
 
 def eig_hermitian(h: HermitianMatrix) -> SpectralDecomposition:
-    """Spectral decomposition by cyclic Jacobi sweeps.
+    """Spectral decomposition by LAPACK (``numpy.linalg.eigh``).
 
-    Eigenvalues are sorted in descending order.  Within a degenerate cluster
-    (gap below 1e-9) the eigenvectors are re-orthonormalized by Gram-Schmidt,
-    so tests must not assert a particular basis inside a cluster.  Each
-    eigenvector's phase is fixed by making its first non-negligible component
-    real positive.
+    Eigenvalues are sorted in descending order (stable, so ties keep the
+    solver's order).  The basis inside a degenerate cluster (gap below 1e-9)
+    is whatever orthonormal basis the solver returns, so tests must not
+    assert a particular basis inside a cluster.  Each eigenvector's phase is
+    fixed by making its first non-negligible component real positive.
     """
-    n = h.dim
-    a = np.array(h.entries, dtype=complex)
-    v = np.eye(n, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if _offdiag_norm(a) <= _JACOBI_OFFDIAG_THRESHOLD * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) > 0.0:
-                    _jacobi_rotate(a, v, p, q)
-    else:
-        raise ConvergenceFailureError(
-            f"off-diagonal norm {_offdiag_norm(a):.3e} after "
-            f"{_JACOBI_MAX_SWEEPS} sweeps"
-        )
-
-    values = np.real(np.diag(a))
+    values, vectors = np.linalg.eigh(h.entries)
     order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = v[:, order]
-
-    # Re-orthonormalize degenerate clusters; Jacobi already gives an
-    # orthonormal basis, Gram-Schmidt just removes residual mixing.
-    k = 0
-    while k < n:
-        j = k + 1
-        while j < n and abs(values[j - 1] - values[j]) < DEGENERACY_GAP:
-            j += 1
-        if j - k > 1:
-            block, _ = np.linalg.qr(vectors[:, k:j])
-            vectors[:, k:j] = block
-        k = j
-
-    kets = tuple(
-        StateVector(_fix_phase(vectors[:, k]).copy()) for k in range(n)
-    )
-    return SpectralDecomposition(tuple(float(x) for x in values), kets)
+    kets = tuple(StateVector(_fix_phase(vectors[:, k])) for k in order)
+    return SpectralDecomposition(tuple(float(values[k]) for k in order), kets)
 
 
 def two_state_rotation(a: StateVector, b: StateVector) -> np.ndarray:

@@ -56,7 +56,7 @@ class DensityMatrix:
         tr = self.matrix.trace()
         if abs(tr - 1.0) > ZERO_TOL:
             raise NotDensityMatrixError(f"trace {tr!r} differs from 1")
-        smallest = eig_hermitian(self.matrix).eigenvalues[-1]
+        smallest = float(np.linalg.eigvalsh(self.matrix.entries)[0])
         if smallest < -ZERO_TOL:
             raise NotDensityMatrixError(f"negative eigenvalue {smallest!r}")
 
@@ -85,7 +85,7 @@ class Povm:
         for label, mat in self.elements:
             if mat.dim != dim:
                 raise DimMismatchError(f"element {label} has dim {mat.dim} != {dim}")
-            smallest = eig_hermitian(mat).eigenvalues[-1]
+            smallest = float(np.linalg.eigvalsh(mat.entries)[0])
             if smallest < -ZERO_TOL:
                 raise NotPovmError(f"element {label} is not PSD ({smallest!r})")
             total += mat.entries

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import P_MINUS, P_PLUS, random_hermitian
+from conftest import P_MINUS, P_PLUS, random_hermitian, random_unitary
 from qgas import linalg, spin
 from qgas.errors import (
-    ConvergenceFailureError,
     DimFactorMismatchError,
     DimMismatchError,
     NonFiniteError,
@@ -25,6 +24,7 @@ from qgas.linalg import (
     trace_product,
     two_state_rotation,
 )
+from qgas.statistics import DensityMatrix, mixture_eigen_instrument
 
 
 def tau_matrix() -> linalg.HermitianMatrix:
@@ -146,6 +146,22 @@ class TestEig:
         basis = np.column_stack([v.amplitudes for v in decomp.eigenvectors])
         assert np.allclose(basis.conj().T @ basis, np.eye(2), atol=1e-9)
 
+        # A 2-fold cluster in a non-diagonal d = 4 matrix.
+        u = random_unitary(np.random.default_rng(13), 4)
+        rho = make_hermitian(u @ np.diag([0.4, 0.3, 0.3, 0.0]) @ u.conj().T)
+        decomp = eig_hermitian(rho)
+        assert np.allclose(decomp.eigenvalues, [0.4, 0.3, 0.3, 0.0], atol=1e-12)
+        assert decomp.clusters() == [[0], [1, 2], [3]]
+        basis = np.column_stack([v.amplitudes for v in decomp.eigenvectors])
+        assert np.allclose(basis.conj().T @ basis, np.eye(4), atol=1e-9)
+        for vec in decomp.eigenvectors[1:3]:
+            leading = next(x for x in vec.amplitudes if abs(x) > 1e-6)
+            assert abs(leading.imag) < 1e-9
+            assert leading.real > 0
+        _, instrument = mixture_eigen_instrument([1.0], [DensityMatrix(rho)])
+        ranks = [round(p.trace()) for _, p in instrument.projectors]
+        assert ranks == [1, 2, 1]
+
     def test_phase_convention(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -162,21 +178,6 @@ class TestEig:
             h = random_hermitian(rng, dim)
             expected = np.sort(np.linalg.eigvalsh(h.entries))[::-1]
             assert np.allclose(eig_hermitian(h).eigenvalues, expected, atol=1e-10)
-
-    def test_convergence_failure_is_reported_not_silent(self):
-        # The cap is generous for dims <= 8; only a pathological cap of our
-        # own making can trip it, so patch the sweep limit down.
-        import qgas.linalg as module
-
-        rng = np.random.default_rng(5)
-        h = random_hermitian(rng, 8)
-        original = module._JACOBI_MAX_SWEEPS
-        module._JACOBI_MAX_SWEEPS = 0
-        try:
-            with pytest.raises(ConvergenceFailureError):
-                eig_hermitian(h)
-        finally:
-            module._JACOBI_MAX_SWEEPS = original
 
 
 class TestProjector:

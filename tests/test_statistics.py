@@ -46,6 +46,16 @@ class TestTypes:
     def test_density_needs_psd(self):
         with pytest.raises(NotDensityMatrixError):
             DensityMatrix(linalg.make_hermitian(np.diag([1.5, -0.5])))
+        # ZERO_TOL = 1e-10 bounds the smallest eigenvalue in any basis.
+        u = random_unitary(np.random.default_rng(17), 3)
+
+        def rotated(smallest):
+            spectrum = np.diag([0.6 - smallest, 0.4, smallest])
+            return linalg.make_hermitian(u @ spectrum @ u.conj().T)
+
+        DensityMatrix(rotated(-5e-11))
+        with pytest.raises(NotDensityMatrixError):
+            DensityMatrix(rotated(-2e-10))
 
     def test_povm_completeness(self):
         with pytest.raises(NotPovmError):
@@ -56,6 +66,17 @@ class TestTypes:
         good = linalg.identity(2) - bad
         with pytest.raises(NotPovmError):
             Povm((("a", bad), ("b", good)))
+        # ZERO_TOL = 1e-10 bounds each element's smallest eigenvalue in any basis.
+        u = random_unitary(np.random.default_rng(19), 2)
+
+        def rotated(smallest):
+            e = u @ np.diag([0.7, smallest]) @ u.conj().T
+            return (("a", linalg.make_hermitian(e)),
+                    ("b", linalg.make_hermitian(np.eye(2) - e)))
+
+        Povm(rotated(-5e-11))
+        with pytest.raises(NotPovmError):
+            Povm(rotated(-2e-10))
 
     def test_instrument_orthogonality(self):
         with pytest.raises(NotProjectiveError):
