@@ -7,7 +7,7 @@ of every step is a partial trace of it.  Heats are shared -- they are
 measured, not inferred -- but the verdicts differ.
 """
 
-from qgas import run_scenario
+from qgas.protocol.engine import run_protocol
 from qgas.protocol.parser import parse
 from qgas.scenarios import scenario_text
 
@@ -32,13 +32,13 @@ def describe(run, title):
 
 print(__doc__)
 
-run = run_scenario(parse(scenario_text("peres_tatiana")))
+run = run_protocol(parse(scenario_text("peres_tatiana")))
 describe(run, "Run 1: up to the point where Tatiana declares the cycle closed")
 print("Tatiana's ledger shows Q = +0.277 NkT over what she books as a cycle;")
 print("Willard's description says the path never closed, so the cyclic form")
 print("of the second law does not apply. No law was broken.\n")
 
-run = run_scenario(parse(scenario_text("peres_willard_completed")))
+run = run_protocol(parse(scenario_text("peres_willard_completed")))
 describe(run, "Run 2: Willard completes the cycle")
 print("Closing the cycle costs the ln 2 that the hidden factor still held;")
 print("the completed cycle absorbs -0.416 NkT <= 0, as it must.")

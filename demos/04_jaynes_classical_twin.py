@@ -8,7 +8,7 @@ containers' final half/half blends differ from the initial pure chambers,
 and closing the cycle costs the work back.
 """
 
-from qgas import run_scenario
+from qgas.protocol.engine import run_protocol
 from qgas.protocol.parser import parse
 from qgas.scenarios import scenario_text
 
@@ -20,7 +20,7 @@ def bag(contents):
 
 
 for name in ("jaynes_johann", "jaynes_marie_completed"):
-    run = run_scenario(parse(scenario_text(name)))
+    run = run_protocol(parse(scenario_text(name)))
     print("=" * 72)
     print(name)
     print("=" * 72)

@@ -10,8 +10,8 @@ The library stack, bottom to top:
 * :mod:`qgas.thermo` -- isothermal heat accounting, heat ledgers, and the
   cyclic second-law audit.
 * :mod:`qgas.diaphragm` -- semi-permeable diaphragms: measurement-driven
-  separation of gases into chambers, and mixing (reversible only for
-  orthogonal gases).
+  separation of gases into chambers, and one mixing operation for quantum
+  and classical gases (reversible only for distinguishable gases).
 * :mod:`qgas.observers` -- observer-relative views of the same run (partial
   traces, species merges) and per-observer cycle verdicts.
 * :mod:`qgas.protocol` -- the .qg scenario language: parser, interpreter,
@@ -58,8 +58,8 @@ from .thermo import (
     contents_equal,
     isothermal_heat,
 )
-from .diaphragm import SeparationResult, classical_mix, classical_separate, mix, separate
-from .observers import Observer, ObserverView, build_willard_povm, run_scenario, view_contents
+from .diaphragm import SeparationResult, classical_separate, mix, separate
+from .observers import Observer, ObserverView, build_willard_povm, view_contents
 
 __all__ = [
     "QuantumGasError",
@@ -74,9 +74,8 @@ __all__ = [
     "mixture_eigen_instrument", "mix_states",
     "QuantumContents", "ClassicalContents", "GasChamber", "HeatLedger",
     "CycleVerdict", "isothermal_heat", "contents_equal", "audit_cycle",
-    "SeparationResult", "separate", "mix", "classical_separate", "classical_mix",
-    "Observer", "ObserverView", "view_contents", "run_scenario",
-    "build_willard_povm",
+    "SeparationResult", "separate", "classical_separate", "mix",
+    "Observer", "ObserverView", "view_contents", "build_willard_povm",
 ]
 
 __version__ = "0.1.0"

@@ -16,6 +16,11 @@ request asserts one-shot distinguishability of preparations already assumed
 indistinguishable, and no device can be built from a contradiction.
 Removing a wall without separating diaphragms is free mixing: irreversible,
 and it extracts nothing (Q = 0).
+
+Quantum and classical gases share every step.  Separation takes either a
+projective instrument (:func:`separate`) or a species permeability map
+(:func:`classical_separate`); one :func:`mix` serves both variants, asking
+the contents type whether two gases are distinguishable and how they pool.
 """
 
 from __future__ import annotations
@@ -31,16 +36,10 @@ from .errors import (
     UnknownSpeciesError,
     VariantMismatchError,
 )
-from .statistics import (
-    DensityMatrix,
-    Outcome,
-    ProjectiveInstrument,
-    apply_instrument,
-)
-from .thermo import ClassicalContents, GasChamber, QuantumContents
+from .statistics import Outcome, ProjectiveInstrument, apply_instrument
+from .thermo import ClassicalContents, GasChamber, GasContents, QuantumContents
 
 PROBABILITY_FLOOR = 1e-12
-ORTHOGONALITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -68,49 +67,34 @@ def separate(chamber: GasChamber, instrument: ProjectiveInstrument) -> Separatio
             f"contents dim {chamber.contents.dim} vs instrument dim {instrument.dim}"
         )
     distribution = apply_instrument(chamber.contents.assembled(), instrument)
+    parts = [
+        (o.label, o.probability, QuantumContents(((1.0, o.post_state),)))
+        for o in distribution.outcomes
+        if o.probability >= PROBABILITY_FLOOR and o.post_state is not None
+    ]
+    return _split(chamber, parts, distribution.outcomes)
+
+
+def _split(
+    parent: GasChamber, parts: list[tuple[str, float, GasContents]],
+    per_outcome: tuple[Outcome, ...],
+) -> SeparationResult:
+    """One chamber per (outcome label, probability p, contents) part, with
+    volume p*V and amount p*N; the gas absorbs N T sum p ln p."""
     chambers = []
     heat = 0.0
-    for outcome in distribution.outcomes:
-        p = outcome.probability
-        if p < PROBABILITY_FLOOR or outcome.post_state is None:
-            continue
-        heat += chamber.particles * chamber.temperature * p * math.log(p)
+    for outcome, p, contents in parts:
+        heat += parent.particles * parent.temperature * p * math.log(p)
         chambers.append(
             GasChamber(
-                volume=p * chamber.volume,
-                temperature=chamber.temperature,
-                particles=p * chamber.particles,
-                contents=QuantumContents(((1.0, outcome.post_state),)),
-                label=_child_label(chamber.label, outcome.label),
+                volume=p * parent.volume,
+                temperature=parent.temperature,
+                particles=p * parent.particles,
+                contents=contents,
+                label=f"{parent.label}/{outcome}" if parent.label else outcome,
             )
         )
-    return SeparationResult(tuple(chambers), heat, distribution.outcomes)
-
-
-def _child_label(parent: str, outcome: str) -> str:
-    return f"{parent}/{outcome}" if parent else outcome
-
-
-def _merged_quantum(chambers: list[GasChamber]) -> QuantumContents:
-    total_n = sum(c.particles for c in chambers)
-    mixture = []
-    for c in chambers:
-        assert isinstance(c.contents, QuantumContents)
-        share = c.particles / total_n
-        for w, state in c.contents.mixture:
-            mixture.append((share * w, state))
-    return QuantumContents(tuple(mixture))
-
-
-def _merged_classical(chambers: list[GasChamber]) -> ClassicalContents:
-    total_n = sum(c.particles for c in chambers)
-    merged: dict[str, float] = {}
-    for c in chambers:
-        assert isinstance(c.contents, ClassicalContents)
-        share = c.particles / total_n
-        for name, w in c.contents.weight_map().items():
-            merged[name] = merged.get(name, 0.0) + share * w
-    return ClassicalContents(tuple((w, name) for name, w in merged.items()))
+    return SeparationResult(tuple(chambers), heat, per_outcome)
 
 
 def _check_same_temperature(chambers: list[GasChamber]) -> float:
@@ -126,24 +110,30 @@ def _check_same_temperature(chambers: list[GasChamber]) -> float:
 def mix(
     chambers: list[GasChamber], distinguishing: bool, label: str = ""
 ) -> tuple[GasChamber, float]:
-    """Merge quantum chambers into one of the total volume and particle count.
+    """Merge chambers of one gas variant into one of the total volume and
+    particle count.
 
     distinguishing=True models separating diaphragms run in reverse and
-    requires the chamber states to be pairwise orthogonal; the gases then
-    absorb Q = sum_i N_i k T ln(V_total/V_i) >= 0.  distinguishing=False is
-    free mixing: Q = 0.
+    requires the gases to be pairwise distinguishable (orthogonal states,
+    or disjoint species bags); the gases then absorb
+    Q = sum_i N_i k T ln(V_total/V_i) >= 0.  distinguishing=False is free
+    mixing: Q = 0.
     """
     if not chambers:
         raise ValueError("nothing to mix")
-    for c in chambers:
-        if not isinstance(c.contents, QuantumContents):
-            raise NotQuantumError("mix acts on quantum contents; see classical_mix")
+    variant = type(chambers[0].contents)
+    if any(type(c.contents) is not variant for c in chambers):
+        raise VariantMismatchError("cannot mix quantum with classical contents")
     if len(chambers) == 1:
         only = chambers[0]
         return (only if not label else only.relabel(label)), 0.0
     t = _check_same_temperature(chambers)
     if distinguishing:
-        _require_pairwise_orthogonal(chambers)
+        for i, a in enumerate(chambers):
+            for b in chambers[i + 1:]:
+                reason = a.contents.orthogonal_to(b.contents)
+                if reason is not None:
+                    raise NotOrthogonalError(f"chambers {a.label!r} and {b.label!r} {reason}")
     total_v = sum(c.volume for c in chambers)
     total_n = sum(c.particles for c in chambers)
     heat = 0.0
@@ -155,30 +145,10 @@ def mix(
         volume=total_v,
         temperature=t,
         particles=total_n,
-        contents=_merged_quantum(chambers),
+        contents=variant.merge([(c.particles / total_n, c.contents) for c in chambers]),
         label=label or chambers[0].label,
     )
     return merged, heat
-
-
-def _require_pairwise_orthogonal(chambers: list[GasChamber]) -> None:
-    states = [c.contents.assembled() for c in chambers]
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            overlap = _overlap(states[i], states[j])
-            if overlap > ORTHOGONALITY_TOL:
-                raise NotOrthogonalError(
-                    f"chambers {chambers[i].label!r} and {chambers[j].label!r} hold "
-                    f"non-orthogonal gases (overlap {overlap:.6f}); a diaphragm "
-                    "separating them would distinguish preparations assumed "
-                    "indistinguishable"
-                )
-
-
-def _overlap(a: DensityMatrix, b: DensityMatrix) -> float:
-    from .linalg import trace_product
-
-    return trace_product(a.matrix, b.matrix)
 
 
 def classical_separate(
@@ -196,77 +166,17 @@ def classical_separate(
     for verdict in permeability.values():
         if verdict not in ("transmitted", "reflected"):
             raise UnknownSpeciesError(f"permeability verdict {verdict!r}")
-    weights = chamber.contents.weight_map()
     groups: dict[str, dict[str, float]] = {"transmitted": {}, "reflected": {}}
-    for name, w in weights.items():
+    for name, w in chamber.contents.weight_map().items():
         if name not in permeability:
             raise UnknownSpeciesError(f"species {name!r} missing from permeability map")
         groups[permeability[name]][name] = w
-    chambers = []
     outcomes = []
-    heat = 0.0
-    for outcome_label in ("transmitted", "reflected"):
-        bag = groups[outcome_label]
+    parts = []
+    for verdict, bag in groups.items():
         p = sum(bag.values())
-        outcomes.append(Outcome(outcome_label, p, None))
-        if p < PROBABILITY_FLOOR:
-            continue
-        heat += chamber.particles * chamber.temperature * p * math.log(p)
-        contents = ClassicalContents(tuple((w / p, name) for name, w in bag.items()))
-        chambers.append(
-            GasChamber(
-                volume=p * chamber.volume,
-                temperature=chamber.temperature,
-                particles=p * chamber.particles,
-                contents=contents,
-                label=_child_label(chamber.label, outcome_label),
-            )
-        )
-    return SeparationResult(tuple(chambers), heat, tuple(outcomes))
-
-
-def classical_mix(
-    chambers: list[GasChamber], distinguishing: bool, label: str = ""
-) -> tuple[GasChamber, float]:
-    """Classical counterpart of :func:`mix`.
-
-    distinguishing=True requires pairwise disjoint species bags (there must
-    exist a diaphragm that tells the chambers apart); mixing one gas with
-    itself extracts nothing and is rejected.
-    """
-    if not chambers:
-        raise ValueError("nothing to mix")
-    for c in chambers:
-        if not isinstance(c.contents, ClassicalContents):
-            raise VariantMismatchError("classical_mix needs classical contents")
-    if len(chambers) == 1:
-        only = chambers[0]
-        return (only if not label else only.relabel(label)), 0.0
-    t = _check_same_temperature(chambers)
-    if distinguishing:
-        for i in range(len(chambers)):
-            for j in range(i + 1, len(chambers)):
-                shared = set(chambers[i].contents.weight_map()) & set(
-                    chambers[j].contents.weight_map()
-                )
-                if shared:
-                    raise NotOrthogonalError(
-                        f"chambers {chambers[i].label!r} and {chambers[j].label!r} "
-                        f"share species {sorted(shared)}; no diaphragm separates a "
-                        "gas from itself"
-                    )
-    total_v = sum(c.volume for c in chambers)
-    total_n = sum(c.particles for c in chambers)
-    heat = 0.0
-    if distinguishing:
-        heat = math.fsum(
-            c.particles * t * math.log(total_v / c.volume) for c in chambers
-        )
-    merged = GasChamber(
-        volume=total_v,
-        temperature=t,
-        particles=total_n,
-        contents=_merged_classical(chambers),
-        label=label or chambers[0].label,
-    )
-    return merged, heat
+        outcomes.append(Outcome(verdict, p, None))
+        if p >= PROBABILITY_FLOOR:
+            bag_contents = ClassicalContents(tuple((w / p, name) for name, w in bag.items()))
+            parts.append((verdict, p, bag_contents))
+    return _split(chamber, parts, tuple(outcomes))

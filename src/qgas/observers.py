@@ -29,8 +29,7 @@ from .thermo import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .protocol.ast import ObserverDecl, Protocol
-    from .protocol.engine import RunResult
+    from .protocol.ast import ObserverDecl
 
 
 @dataclass(frozen=True)
@@ -126,24 +125,3 @@ def build_willard_povm() -> Povm:
         )
     )
 
-
-def run_scenario(
-    protocol: "Protocol",
-    observers: list[Observer] | None = None,
-    ground_truth_dim: int | None = None,
-) -> "RunResult":
-    """Execute a parsed protocol once on ground truth and render it through
-    every observer: per-step chamber views, per-observer cycle verdicts, and
-    the shared heat ledger.
-
-    ``observers`` defaults to the protocol header's declarations;
-    ``ground_truth_dim``, when given, must agree with the header.
-    """
-    from .protocol.engine import run_protocol
-
-    if ground_truth_dim is not None and protocol.header.dim != ground_truth_dim:
-        raise IncompatibleReductionError(
-            f"requested dimension {ground_truth_dim} but the scenario "
-            f"declares {protocol.header.dim}"
-        )
-    return run_protocol(protocol, observers)

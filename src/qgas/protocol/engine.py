@@ -10,7 +10,8 @@ Operations rewrite the list:
 * PARTITION replaces one chamber by its fragments, in place.
 
 Every step appends one entry to the shared heat ledger and one per-observer
-snapshot of the chamber list.
+snapshot of the chamber list.  Statements dispatch through one handler table;
+quantum and classical statements share their handlers.
 """
 
 from __future__ import annotations
@@ -114,6 +115,11 @@ class _Engine:
             if not self.chambers:
                 raise ExecutionError("no chambers exist yet", stmt.line, stmt.col)
             return list(range(len(self.chambers)))
+        for i, position in enumerate(positions):
+            if position in positions[:i]:
+                raise ExecutionError(
+                    f"position {position!r} is selected twice", stmt.line, stmt.col
+                )
         return [self._find(p, stmt) for p in positions]
 
     def _insert(self, chamber: GasChamber, stmt, at: int | None = None) -> None:
@@ -163,42 +169,20 @@ class _Engine:
         )
 
     def _dispatch(self, index: int, stmt: ast.Statement) -> None:
-        if isinstance(stmt, ast.DefineState):
-            self.scope[stmt.name] = semantics.eval_value(stmt.expr, self.scope)
-            return
-        if isinstance(stmt, ast.DefineInstrument):
-            self.instruments[stmt.name] = semantics.eval_instrument(stmt, self.scope)
-            return
-        if isinstance(stmt, (ast.ExpectTotalHeat, ast.ExpectVerdict)):
-            return  # checked by the interpreter after the run
-        if isinstance(stmt, ast.ChamberStmt):
-            self._do_chamber(stmt)
-            return
-        if isinstance(stmt, ast.ClassicalChamberStmt):
-            self._do_classical_chamber(stmt)
-            return
-
-        # Operational statements: freeze the initial configuration first.
-        self._freeze_initial()
-        if isinstance(stmt, ast.SeparateStmt):
-            description, heat = self._do_separate(stmt)
-        elif isinstance(stmt, ast.ClassicalSeparateStmt):
-            description, heat = self._do_classical_separate(stmt)
-        elif isinstance(stmt, ast.MixStmt):
-            description, heat = self._do_mix(stmt)
-        elif isinstance(stmt, ast.RotateStmt):
-            description, heat = self._do_rotate(stmt)
-        elif isinstance(stmt, ast.PartitionStmt):
-            description, heat = self._do_partition(stmt)
-        elif isinstance(stmt, ast.RemovePartitionStmt):
-            description, heat = self._do_remove_partition(stmt)
-        elif isinstance(stmt, ast.ClaimCycleStmt):
-            self.ledger.claim_cycle()
-            description, heat = "claim cycle", 0.0
-        else:
+        entry = _HANDLERS.get(type(stmt))
+        if entry is None:
             raise ExecutionError(
                 f"unsupported statement {type(stmt).__name__}", stmt.line, stmt.col
             )
+        handler, is_step, keyword = entry
+        if keyword is not None:
+            self._check_variant(keyword, stmt)
+        if not is_step:
+            handler(self, stmt)
+            return
+        # Operational statements: freeze the initial configuration first.
+        self._freeze_initial()
+        description, heat = handler(self, stmt)
         self.ledger.record(description, heat)
         self.steps.append(
             StepTrace(
@@ -213,26 +197,45 @@ class _Engine:
             )
         )
 
-    def _do_chamber(self, stmt: ast.ChamberStmt) -> None:
-        if self.header.dim is None:
+    def _check_variant(self, keyword: str, stmt) -> None:
+        """CLASSICAL_* statements need a classical header, the others a quantum one."""
+        if isinstance(stmt, ast.MixStmt) and stmt.classical:
+            keyword = "CLASSICAL_" + keyword
+        classical = keyword.startswith("CLASSICAL_")
+        if classical != (self.header.dim is None):
+            variant = "classical" if classical else "quantum"
             raise ExecutionError(
-                "CHAMBER needs a quantum scenario; use CLASSICAL_CHAMBER",
-                stmt.line, stmt.col,
+                f"{keyword} needs a {variant} scenario", stmt.line, stmt.col
             )
-        value = self.scope[stmt.state]
-        if not isinstance(value, semantics.StateValue):
-            raise ExecutionError(
-                f"{stmt.state!r} is a ket; chamber contents must be a state "
-                "(wrap it in proj())",
-                stmt.line, stmt.col,
-            )
-        contents = value.contents()
-        if contents.dim != self.header.dim:
-            raise ExecutionError(
-                f"state {stmt.state!r} has dimension {contents.dim}, "
-                f"scenario declares {self.header.dim}",
-                stmt.line, stmt.col,
-            )
+
+    def _define_state(self, stmt: ast.DefineState) -> None:
+        self.scope[stmt.name] = semantics.eval_value(stmt.expr, self.scope)
+
+    def _define_instrument(self, stmt: ast.DefineInstrument) -> None:
+        self.instruments[stmt.name] = semantics.eval_instrument(stmt, self.scope)
+
+    def _expect(self, stmt) -> None:
+        """Expectations are checked by the interpreter after the run."""
+
+    def _do_chamber(self, stmt: ast.ChamberStmt | ast.ClassicalChamberStmt) -> None:
+        if isinstance(stmt, ast.ClassicalChamberStmt):
+            total = sum(w for _, w in stmt.species)
+            contents = ClassicalContents(tuple((w / total, name) for name, w in stmt.species))
+        else:
+            value = self.scope[stmt.state]
+            if not isinstance(value, semantics.StateValue):
+                raise ExecutionError(
+                    f"{stmt.state!r} is a ket; chamber contents must be a state "
+                    "(wrap it in proj())",
+                    stmt.line, stmt.col,
+                )
+            contents = value.contents()
+            if contents.dim != self.header.dim:
+                raise ExecutionError(
+                    f"state {stmt.state!r} has dimension {contents.dim}, "
+                    f"scenario declares {self.header.dim}",
+                    stmt.line, stmt.col,
+                )
         self._insert(
             GasChamber(
                 volume=stmt.fraction * CONTAINER_VOLUME,
@@ -244,32 +247,19 @@ class _Engine:
             stmt,
         )
 
-    def _do_classical_chamber(self, stmt: ast.ClassicalChamberStmt) -> None:
-        if self.header.dim is not None:
-            raise ExecutionError(
-                "CLASSICAL_CHAMBER needs a classical scenario", stmt.line, stmt.col
-            )
-        total = sum(w for _, w in stmt.species)
-        contents = ClassicalContents(
-            tuple((w / total, name) for name, w in stmt.species)
-        )
-        self._insert(
-            GasChamber(
-                volume=stmt.fraction * CONTAINER_VOLUME,
-                temperature=self.header.temperature,
-                particles=stmt.fraction * self.header.particles,
-                contents=contents,
-                label=stmt.position,
-            ),
-            stmt,
-        )
-
-    def _do_separate(self, stmt: ast.SeparateStmt) -> tuple[str, float]:
-        instrument = self.instruments[stmt.instrument]
+    def _do_separate(
+        self, stmt: ast.SeparateStmt | ast.ClassicalSeparateStmt
+    ) -> tuple[str, float]:
+        if isinstance(stmt, ast.SeparateStmt):
+            split, diaphragms = diaphragm.separate, self.instruments[stmt.instrument]
+            description = f"separate with {stmt.instrument}"
+        else:
+            split, diaphragms = diaphragm.classical_separate, dict(stmt.permeability)
+            description = "separate by species"
         heat = 0.0
         rebuilt: list[GasChamber] = []
         for chamber in self.chambers:
-            result = diaphragm.separate(chamber, instrument)
+            result = split(chamber, diaphragms)
             heat += result.heat
             rebuilt.extend(result.chambers)
         labels = [c.label for c in rebuilt]
@@ -279,42 +269,41 @@ class _Engine:
                 stmt.line, stmt.col,
             )
         self.chambers = rebuilt
-        return f"separate with {stmt.instrument}", heat
-
-    def _do_classical_separate(self, stmt: ast.ClassicalSeparateStmt) -> tuple[str, float]:
-        permeability = dict(stmt.permeability)
-        heat = 0.0
-        rebuilt: list[GasChamber] = []
-        for chamber in self.chambers:
-            result = diaphragm.classical_separate(chamber, permeability)
-            heat += result.heat
-            rebuilt.extend(result.chambers)
-        labels = [c.label for c in rebuilt]
-        if len(set(labels)) != len(labels):
-            raise ExecutionError(
-                f"separation produced duplicate positions {labels}",
-                stmt.line, stmt.col,
-            )
-        self.chambers = rebuilt
-        return "separate by species", heat
+        return description, heat
 
     def _do_mix(self, stmt: ast.MixStmt) -> tuple[str, float]:
+        names, heat = self._merge(stmt, stmt.distinguishing)
+        mode = "distinguishing" if stmt.distinguishing else "free"
+        return f"{mode} mix of {names}", heat
+
+    def _do_remove_partition(self, stmt: ast.RemovePartitionStmt) -> tuple[str, float]:
+        names, _ = self._merge(stmt, distinguishing=False, same_gas=True)
+        return f"remove partition between {names}", 0.0
+
+    def _merge(self, stmt, distinguishing: bool, same_gas: bool = False) -> tuple[str, float]:
+        """Select, merge, remove the selected chambers and append the merged
+        one; returns the selected positions and the heat."""
         indices = self._select(stmt.chambers, stmt)
         selected = [self.chambers[i] for i in indices]
+        if same_gas:
+            for other in selected[1:]:
+                if not contents_equal(selected[0].contents, other.contents):
+                    raise ExecutionError(
+                        f"chambers {selected[0].label!r} and {other.label!r} hold "
+                        "different gases; removing the wall would be an irreversible "
+                        "mixing (use MIX free if that is intended)",
+                        stmt.line, stmt.col,
+                    )
         label = stmt.into or selected[0].label
-        mixer = diaphragm.classical_mix if stmt.classical else diaphragm.mix
-        merged, heat = mixer(selected, stmt.distinguishing, label=label)
-        self.chambers = [c for i, c in enumerate(self.chambers) if i not in set(indices)]
+        merged, heat = diaphragm.mix(selected, distinguishing, label=label)
+        dropped = set(indices)
+        self.chambers = [c for i, c in enumerate(self.chambers) if i not in dropped]
         self._insert(merged, stmt)
-        mode = "distinguishing" if stmt.distinguishing else "free"
-        names = ", ".join(c.label for c in selected)
-        return f"{mode} mix of {names}", heat
+        return ", ".join(c.label for c in selected), heat
 
     def _do_rotate(self, stmt: ast.RotateStmt) -> tuple[str, float]:
         index = self._find(stmt.chamber, stmt)
         chamber = self.chambers[index]
-        if not isinstance(chamber.contents, QuantumContents):
-            raise ExecutionError("ROTATE acts on quantum chambers", stmt.line, stmt.col)
         unitary = semantics.eval_unitary(stmt.unitary, self.scope)
         if unitary.shape[0] != chamber.contents.dim:
             raise ExecutionError(
@@ -348,26 +337,28 @@ class _Engine:
             )
         return f"partition {parent.label}", 0.0
 
-    def _do_remove_partition(self, stmt: ast.RemovePartitionStmt) -> tuple[str, float]:
-        indices = self._select(stmt.chambers, stmt)
-        selected = [self.chambers[i] for i in indices]
-        for other in selected[1:]:
-            if not contents_equal(selected[0].contents, other.contents):
-                raise ExecutionError(
-                    f"chambers {selected[0].label!r} and {other.label!r} hold "
-                    "different gases; removing the wall would be an irreversible "
-                    "mixing (use MIX free if that is intended)",
-                    stmt.line, stmt.col,
-                )
-        label = stmt.into or selected[0].label
-        if isinstance(selected[0].contents, QuantumContents):
-            merged, _ = diaphragm.mix(selected, distinguishing=False, label=label)
-        else:
-            merged, _ = diaphragm.classical_mix(selected, distinguishing=False, label=label)
-        self.chambers = [c for i, c in enumerate(self.chambers) if i not in set(indices)]
-        self._insert(merged, stmt)
-        names = ", ".join(c.label for c in selected)
-        return f"remove partition between {names}", 0.0
+    def _claim_cycle(self, stmt: ast.ClaimCycleStmt) -> tuple[str, float]:
+        self.ledger.claim_cycle()
+        return "claim cycle", 0.0
+
+
+# Statement type -> (handler, is a ledger step, keyword bound to a gas variant).
+# A step freezes the initial configuration, then books a ledger entry.
+_HANDLERS = {
+    ast.DefineState: (_Engine._define_state, False, None),
+    ast.DefineInstrument: (_Engine._define_instrument, False, None),
+    ast.ExpectTotalHeat: (_Engine._expect, False, None),
+    ast.ExpectVerdict: (_Engine._expect, False, None),
+    ast.ChamberStmt: (_Engine._do_chamber, False, "CHAMBER"),
+    ast.ClassicalChamberStmt: (_Engine._do_chamber, False, "CLASSICAL_CHAMBER"),
+    ast.SeparateStmt: (_Engine._do_separate, True, "SEPARATE"),
+    ast.ClassicalSeparateStmt: (_Engine._do_separate, True, "CLASSICAL_SEPARATE"),
+    ast.MixStmt: (_Engine._do_mix, True, "MIX"),
+    ast.RotateStmt: (_Engine._do_rotate, True, "ROTATE"),
+    ast.PartitionStmt: (_Engine._do_partition, True, None),
+    ast.RemovePartitionStmt: (_Engine._do_remove_partition, True, None),
+    ast.ClaimCycleStmt: (_Engine._claim_cycle, True, None),
+}
 
 
 def run_protocol(

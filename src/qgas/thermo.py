@@ -9,8 +9,11 @@ law simply does not apply, whatever the sign of Q.
 
 Gas contents come in two variants: a quantum mixture (weighted density
 matrices on the particles' internal degree of freedom) or a classical bag
-of named species.  Boltzmann's constant defaults to 1 so that every heat
-reads directly in units of N k T.
+of named species.  The variants differ in two behaviours only: how
+contents pool when chambers merge (``merge``) and what makes two gases
+one-shot distinguishable (``orthogonal_to``: orthogonal states, or
+disjoint species bags).  Boltzmann's constant defaults to 1 so that
+every heat reads directly in units of N k T.
 """
 
 from __future__ import annotations
@@ -23,11 +26,13 @@ from .errors import (
     NotConvexError,
     VariantMismatchError,
 )
+from .linalg import trace_product
 from .statistics import DensityMatrix, mix_states
 
 WEIGHT_TOL = 1e-12
 VOLUME_REL_TOL = 1e-9
 SECOND_LAW_TOL = 1e-9
+ORTHOGONALITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,22 @@ class QuantumContents:
         """The mixture as a single density matrix."""
         return mix_states([w for w, _ in self.mixture], [s for _, s in self.mixture])
 
+    @classmethod
+    def merge(cls, parts) -> "QuantumContents":
+        """Pool (particle share, contents) pairs, keeping every component."""
+        return cls(tuple((share * w, s) for share, c in parts for w, s in c.mixture))
+
+    def orthogonal_to(self, other: "QuantumContents") -> str | None:
+        """None if the gases are orthogonal, else why no diaphragm separates them."""
+        overlap = trace_product(self.assembled().matrix, other.assembled().matrix)
+        if overlap > ORTHOGONALITY_TOL:
+            return (
+                f"hold non-orthogonal gases (overlap {overlap:.6f}); a diaphragm "
+                "separating them would distinguish preparations assumed "
+                "indistinguishable"
+            )
+        return None
+
 
 @dataclass(frozen=True)
 class ClassicalContents:
@@ -77,6 +98,22 @@ class ClassicalContents:
         for w, name in self.species:
             merged[name] = merged.get(name, 0.0) + w
         return merged
+
+    @classmethod
+    def merge(cls, parts) -> "ClassicalContents":
+        """Pool (particle share, contents) pairs, summing each species."""
+        merged: dict[str, float] = {}
+        for share, contents in parts:
+            for name, w in contents.weight_map().items():
+                merged[name] = merged.get(name, 0.0) + share * w
+        return cls(tuple((w, name) for name, w in merged.items()))
+
+    def orthogonal_to(self, other: "ClassicalContents") -> str | None:
+        """None if the bags share no species, else the shared species."""
+        shared = set(self.weight_map()) & set(other.weight_map())
+        if shared:
+            return f"share species {sorted(shared)}; no diaphragm separates a gas from itself"
+        return None
 
 
 GasContents = QuantumContents | ClassicalContents

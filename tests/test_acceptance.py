@@ -20,7 +20,6 @@ from conftest import (
 from qgas import linalg, spin
 from qgas.diaphragm import mix, separate
 from qgas.errors import NotOrthogonalError
-from qgas.observers import run_scenario
 from qgas.protocol.interpreter import execute
 from qgas.protocol.parser import parse
 from qgas.scenarios import scenario_text

@@ -5,12 +5,13 @@ import pytest
 
 from conftest import BLEND_SEPARATION_HEAT, LN2, P_MINUS, P_PLUS
 from qgas import linalg, spin
-from qgas.diaphragm import classical_mix, classical_separate, mix, separate
+from qgas.diaphragm import classical_separate, mix, separate
 from qgas.errors import (
     NotOrthogonalError,
     NotQuantumError,
     TemperatureMismatchError,
     UnknownSpeciesError,
+    VariantMismatchError,
 )
 from qgas.statistics import DensityMatrix, ProjectiveInstrument, mixture_eigen_instrument
 from qgas.thermo import ClassicalContents, GasChamber, QuantumContents, contents_equal
@@ -142,6 +143,13 @@ class TestMix:
         with pytest.raises(TemperatureMismatchError):
             mix([a, b], distinguishing=True)
 
+    def test_quantum_and_classical_chambers_do_not_mix(self):
+        quantum = quantum_chamber(0.5, [(1.0, spin.z_plus())], label="upper")
+        classical = classical_chamber(0.5, [(1.0, "argon")], label="lower")
+        for distinguishing in (True, False):
+            with pytest.raises(VariantMismatchError):
+                mix([quantum, classical], distinguishing)
+
     def test_round_trip_is_heat_neutral(self):
         # Separating along the mixture's own eigenbasis and re-mixing with the
         # same diaphragms restores the chamber at zero net heat.
@@ -176,7 +184,7 @@ class TestClassical:
     def test_mixing_separated_species(self):
         a = classical_chamber(0.5, [(1.0, "argon_a")], label="upper")
         b = classical_chamber(0.5, [(1.0, "argon_b")], label="lower")
-        merged, heat = classical_mix([a, b], distinguishing=True)
+        merged, heat = mix([a, b], distinguishing=True)
         assert heat == pytest.approx(LN2, abs=1e-12)
         assert merged.contents.weight_map() == pytest.approx(
             {"argon_a": 0.5, "argon_b": 0.5}
@@ -198,7 +206,7 @@ class TestClassical:
         a = classical_chamber(0.5, [(1.0, "argon")], label="upper")
         b = classical_chamber(0.5, [(1.0, "argon")], label="lower")
         with pytest.raises(NotOrthogonalError):
-            classical_mix([a, b], distinguishing=True)
-        merged, heat = classical_mix([a, b], distinguishing=False)
+            mix([a, b], distinguishing=True)
+        merged, heat = mix([a, b], distinguishing=False)
         assert heat == 0.0
         assert merged.contents.weight_map() == pytest.approx({"argon": 1.0})

@@ -3,7 +3,8 @@
 import pytest
 
 from qgas.errors import ExecutionError, IncompatibleReductionError
-from qgas.observers import Observer, run_scenario
+from qgas.observers import Observer
+from qgas.protocol.engine import run_protocol
 from qgas.protocol.interpreter import execute
 from qgas.protocol.parser import parse
 
@@ -97,7 +98,7 @@ def test_quantum_observer_on_classical_scenario_rejected():
         "CLASSICAL_CHAMBER main 1.0 argon=1\n"
     )
     with pytest.raises(IncompatibleReductionError):
-        run_scenario(parse(text), observers=[Observer.quantum("lab")])
+        run_protocol(parse(text), observers=[Observer.quantum("lab")])
 
 
 def test_expect_verdict_for_absent_observer_fails_cleanly():
@@ -121,3 +122,46 @@ def test_mix_unknown_position_lists_available():
         execute(parse(text))
     assert "missing" in str(err.value)
     assert "lower" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "operation",
+    ["REMOVE_PARTITION u u -> w", "MIX distinguishing u u l"],
+    ids=["remove-partition", "mix"],
+)
+def test_repeated_position_rejected(operation):
+    text = PRELUDE + (
+        "CHAMBER u 0.5 zs\n"
+        "CHAMBER l 0.5 ms\n"
+        f"{operation}\n"
+    )
+    with pytest.raises(ExecutionError) as err:
+        execute(parse(text))
+    assert "'u'" in str(err.value)
+    assert "twice" in str(err.value)
+    assert (err.value.line, err.value.column) == (9, 1)
+
+
+CLASSICAL_PRELUDE = (
+    "HEADER classical temperature=1.0 particles=1.0\n"
+    "OBSERVER lab classical\n"
+    "CLASSICAL_CHAMBER upper 0.5 argon_a=1\n"
+    "CLASSICAL_CHAMBER lower 0.5 argon_b=1\n"
+)
+QUANTUM_CHAMBERS = PRELUDE + "CHAMBER upper 0.5 zs\nCHAMBER lower 0.5 ms\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        CLASSICAL_PRELUDE + "MIX distinguishing -> whole\n",
+        CLASSICAL_PRELUDE + "MIX free -> whole\n",
+        QUANTUM_CHAMBERS + "CLASSICAL_MIX distinguishing -> whole\n",
+        QUANTUM_CHAMBERS + "CLASSICAL_SEPARATE zp=transmitted\n",
+    ],
+    ids=["mix-distinguishing", "mix-free", "classical-mix", "classical-separate"],
+)
+def test_keyword_needs_matching_scenario_variant(text):
+    with pytest.raises(ExecutionError) as err:
+        execute(parse(text))
+    assert err.value.line == text.count("\n")

@@ -4,12 +4,8 @@ import pytest
 from conftest import BLEND_SEPARATION_HEAT, LN2, P_MINUS, P_PLUS, random_density
 from qgas import linalg, spin
 from qgas.errors import IncompatibleReductionError
-from qgas.observers import (
-    Observer,
-    build_willard_povm,
-    run_scenario,
-    view_contents,
-)
+from qgas.observers import Observer, build_willard_povm, view_contents
+from qgas.protocol.engine import run_protocol
 from qgas.protocol.parser import parse
 from qgas.scenarios import scenario_text
 from qgas.statistics import DensityMatrix, mix_states, outcome_probability
@@ -118,7 +114,7 @@ class TestWillardPovm:
 
 @pytest.fixture(scope="module")
 def run():
-    return run_scenario(parse(scenario_text("peres_tatiana")))
+    return run_protocol(parse(scenario_text("peres_tatiana")))
 
 
 class TestPeresRun:
@@ -197,7 +193,7 @@ class TestPeresRun:
         assert not contents_equal(union, tau_contents(), tol=1e-6)
 
     def test_completed_run_closes_for_everyone(self):
-        run = run_scenario(parse(scenario_text("peres_willard_completed")))
+        run = run_protocol(parse(scenario_text("peres_willard_completed")))
         assert run.total_heat == pytest.approx(BLEND_SEPARATION_HEAT, abs=1e-12)
         for name in ("tatiana", "willard"):
             verdict = run.views[name].verdict
@@ -207,7 +203,7 @@ class TestPeresRun:
 
 class TestJaynesRun:
     def test_johann_books_a_violation(self):
-        run = run_scenario(parse(scenario_text("jaynes_johann")))
+        run = run_protocol(parse(scenario_text("jaynes_johann")))
         assert run.total_heat == pytest.approx(LN2, abs=1e-12)
         johann = run.views["johann"].verdict
         assert johann.is_cycle_actual
@@ -217,7 +213,7 @@ class TestJaynesRun:
         assert marie.apparent_violation_explained
 
     def test_marie_completion_satisfies_everyone(self):
-        run = run_scenario(parse(scenario_text("jaynes_marie_completed")))
+        run = run_protocol(parse(scenario_text("jaynes_marie_completed")))
         assert run.total_heat == pytest.approx(0.0, abs=1e-12)
         for name in ("johann", "marie"):
             verdict = run.views[name].verdict
@@ -226,12 +222,6 @@ class TestJaynesRun:
 
     def test_observer_override_list(self):
         protocol = parse(scenario_text("jaynes_johann"))
-        run = run_scenario(protocol, observers=[Observer.classical("marie")])
+        run = run_protocol(protocol, observers=[Observer.classical("marie")])
         assert set(run.views) == {"marie"}
 
-    def test_dim_argument_validated(self):
-        protocol = parse(scenario_text("peres_tatiana"))
-        with pytest.raises(IncompatibleReductionError):
-            run_scenario(protocol, ground_truth_dim=2)
-        run = run_scenario(protocol, ground_truth_dim=4)
-        assert run.total_heat == pytest.approx(LN2 + BLEND_SEPARATION_HEAT, abs=1e-12)
