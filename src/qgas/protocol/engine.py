@@ -9,9 +9,10 @@ Operations rewrite the list:
   at the end of the list;
 * PARTITION replaces one chamber by its fragments, in place.
 
-Every step appends one entry to the shared heat ledger and one per-observer
-snapshot of the chamber list.  Statements dispatch through one handler table;
-quantum and classical statements share their handlers.
+Every step appends one entry to the shared heat ledger and one snapshot of
+the ground-truth chamber list; observers are views applied when a snapshot
+is read.  Statements dispatch through one handler table; quantum and
+classical statements share their handlers.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class StepTrace:
     line: int
     description: str
     heat: float
-    chambers_by_observer: dict[str, tuple[GasChamber, ...]]
+    chambers: tuple[GasChamber, ...]
 
 
 @dataclass(frozen=True)
@@ -184,18 +185,7 @@ class _Engine:
         self._freeze_initial()
         description, heat = handler(self, stmt)
         self.ledger.record(description, heat)
-        self.steps.append(
-            StepTrace(
-                index=index,
-                line=stmt.line,
-                description=description,
-                heat=heat,
-                chambers_by_observer={
-                    obs.name: tuple(view_chamber(obs, c) for c in self.chambers)
-                    for obs in self.observers
-                },
-            )
-        )
+        self.steps.append(StepTrace(index, stmt.line, description, heat, tuple(self.chambers)))
 
     def _check_variant(self, keyword: str, stmt) -> None:
         """CLASSICAL_* statements need a classical header, the others a quantum one."""
@@ -222,14 +212,13 @@ class _Engine:
             total = sum(w for _, w in stmt.species)
             contents = ClassicalContents(tuple((w / total, name) for name, w in stmt.species))
         else:
-            value = self.scope[stmt.state]
-            if not isinstance(value, semantics.StateValue):
+            contents = self.scope[stmt.state]
+            if not isinstance(contents, QuantumContents):
                 raise ExecutionError(
                     f"{stmt.state!r} is a ket; chamber contents must be a state "
                     "(wrap it in proj())",
                     stmt.line, stmt.col,
                 )
-            contents = value.contents()
             if contents.dim != self.header.dim:
                 raise ExecutionError(
                     f"state {stmt.state!r} has dimension {contents.dim}, "

@@ -2,9 +2,11 @@
 
 Heats are reported in units of N k T of the scenario header unless an
 absolute-units configuration is supplied.  The report is deterministic:
-floats are rounded to 12 decimals, keys are sorted, and state digests use
-the eigenvalue list plus a hash of the rounded matrix, which the
-eigenvector phase convention of the solver makes reproducible.
+floats are rounded to 12 decimals, keys are sorted, and a state digest is
+the eigenvalue list plus a hash of the rounded matrix.  The eigenvalues are
+the spectrum the density matrix kept when it was validated; the hash reads
+matrix entries only, so no eigenvector phase convention plays a part.
+Observers view each step's ground-truth chambers while the report renders.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import linalg
-from ..observers import Observer
+from ..observers import Observer, view_chamber
 from ..thermo import ClassicalContents, GasChamber, QuantumContents
 from . import ast
 from .engine import RunResult, run_protocol
@@ -138,11 +139,9 @@ def _canonical_bytes(entries: np.ndarray) -> bytes:
 def _contents_digest(chamber: GasChamber) -> dict:
     contents = chamber.contents
     if isinstance(contents, QuantumContents):
-        matrix = contents.assembled().matrix
-        eigenvalues = [
-            _round(v) for v in linalg.eig_hermitian(matrix).eigenvalues
-        ]
-        digest = hashlib.sha256(_canonical_bytes(matrix.entries)).hexdigest()[:16]
+        rho = contents.assembled()
+        eigenvalues = [_round(v) for v in rho.eigenvalues]
+        digest = hashlib.sha256(_canonical_bytes(rho.matrix.entries)).hexdigest()[:16]
         return {"kind": "quantum", "eigenvalues": eigenvalues, "hash": digest}
     assert isinstance(contents, ClassicalContents)
     bag = {name: _round(w) for name, w in sorted(contents.weight_map().items())}
@@ -186,7 +185,7 @@ def _report_dict(report: RunReport, units: UnitsConfig) -> dict:
                     "description": step.description,
                     "Q": _round(scale(step.heat)),
                     "chambers": [
-                        _chamber_dict(c) for c in step.chambers_by_observer[obs.name]
+                        _chamber_dict(view_chamber(obs, c)) for c in step.chambers
                     ],
                 }
             )

@@ -246,10 +246,22 @@ def _key_value(cur: _Cursor, key: str) -> Token:
     return name
 
 
+def _positions_and_target(cur: _Cursor) -> tuple[tuple[str, ...], str | None]:
+    """The ``[<position> ...] [-> <name>]`` tail of MIX and REMOVE_PARTITION."""
+    chambers = []
+    while not cur.at_end():
+        if cur.peek().kind == "->":
+            cur.next()
+            return tuple(chambers), cur.expect_name("a chamber name").text
+        chambers.append(cur.expect_name("a chamber position").text)
+    return tuple(chambers), None
+
+
 _OPERATIONAL = (
     ast.SeparateStmt, ast.ClassicalSeparateStmt, ast.MixStmt, ast.RotateStmt,
     ast.PartitionStmt, ast.RemovePartitionStmt, ast.ClaimCycleStmt,
 )
+_CHAMBERS = (ast.ChamberStmt, ast.ClassicalChamberStmt)
 
 
 class _Parser:
@@ -290,14 +302,24 @@ class _Parser:
             raise ScenarioSyntaxError(keyword.line, keyword.col, "a known statement keyword")
         statement = handler(cur, keyword)
         cur.expect_end()
-        if isinstance(statement, (ast.ChamberStmt, ast.ClassicalChamberStmt)) and self.saw_operation:
+        if isinstance(statement, _CHAMBERS) and self.saw_operation:
             raise ScenarioSyntaxError(
                 keyword.line, keyword.col,
                 "chamber declarations before the first operation",
             )
-        if isinstance(statement, _OPERATIONAL):
+        if isinstance(statement, _OPERATIONAL) and not self.saw_operation:
+            self.check_container_filled(keyword)
             self.saw_operation = True
         self.statements.append(statement)
+
+    def check_container_filled(self, at: Token | None = None) -> None:
+        """Declared chambers fill the container: their fractions sum to 1.
+        A failure is reported at ``at`` or else at the last chamber."""
+        chambers = [s for s in self.statements if isinstance(s, _CHAMBERS)]
+        total = sum(c.fraction for c in chambers)
+        if chambers and abs(total - 1.0) > 1e-9:
+            at = at or chambers[-1]
+            raise ScenarioSyntaxError(at.line, at.col, f"fractions summing to 1, not {total!r}")
 
     # -- header and observers ------------------------------------------------
 
@@ -336,6 +358,11 @@ class _Parser:
                 f"observer {name.text!r} already declared", name.line, name.col
             )
         mode = cur.expect_name("full, reduce, or classical")
+        dim = self.header.dim
+        classical = mode.text == "classical"
+        if mode.text in ("full", "reduce", "classical") and classical != (dim is None):
+            fits = "classical in a classical" if dim is None else "full or reduce in a quantum"
+            raise ScenarioSyntaxError(mode.line, mode.col, f"{fits} scenario")
         if mode.text == "full":
             return ast.ObserverDecl(name.text, "quantum", None, (), line=name.line, col=name.col)
         if mode.text == "reduce":
@@ -346,6 +373,8 @@ class _Parser:
                 raise ScenarioSyntaxError(keep.line, keep.col, "first or second")
             if any(t.imaginary or t.value != int(t.value) or t.value < 1 for t in (d1, d2)):
                 raise ScenarioSyntaxError(d1.line, d1.col, "positive integer factor dims")
+            if int(d1.value) * int(d2.value) != dim:
+                raise ScenarioSyntaxError(d1.line, d1.col, f"factor dims multiplying to {dim}")
             return ast.ObserverDecl(
                 name.text, "quantum", (int(d1.value), int(d2.value), keep.text), (),
                 line=name.line, col=name.col,
@@ -470,16 +499,9 @@ class _Parser:
         mode = cur.expect_name("distinguishing or free")
         if mode.text not in ("distinguishing", "free"):
             raise ScenarioSyntaxError(mode.line, mode.col, "distinguishing or free")
-        chambers = []
-        into = None
-        while not cur.at_end():
-            if cur.peek().kind == "->":
-                cur.next()
-                into = cur.expect_name("a chamber name").text
-                break
-            chambers.append(cur.expect_name("a chamber position").text)
+        chambers, into = _positions_and_target(cur)
         return ast.MixStmt(
-            mode.text == "distinguishing", tuple(chambers), into, classical,
+            mode.text == "distinguishing", chambers, into, classical,
             line=keyword.line, col=keyword.col,
         )
 
@@ -518,17 +540,8 @@ class _Parser:
         )
 
     def parse_remove_partition(self, cur: _Cursor, keyword: Token) -> ast.RemovePartitionStmt:
-        chambers = []
-        into = None
-        while not cur.at_end():
-            if cur.peek().kind == "->":
-                cur.next()
-                into = cur.expect_name("a chamber name").text
-                break
-            chambers.append(cur.expect_name("a chamber position").text)
-        return ast.RemovePartitionStmt(
-            tuple(chambers), into, line=keyword.line, col=keyword.col
-        )
+        chambers, into = _positions_and_target(cur)
+        return ast.RemovePartitionStmt(chambers, into, line=keyword.line, col=keyword.col)
 
     def parse_claim_cycle(self, cur: _Cursor, keyword: Token) -> ast.ClaimCycleStmt:
         return ast.ClaimCycleStmt(line=keyword.line, col=keyword.col)
@@ -569,6 +582,8 @@ def parse(text: str) -> ast.Protocol:
         parser.parse_line(_tokenize_line(line.rstrip("\r"), line_no))
     if parser.header is None:
         raise HeaderMissingError("the script must contain a HEADER line", 1, 1)
+    if not parser.saw_operation:
+        parser.check_container_filled()
     header = ast.Header(
         parser.header.dim,
         parser.header.temperature,

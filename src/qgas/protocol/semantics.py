@@ -1,10 +1,11 @@
 """Evaluation of scenario expressions into library values.
 
-A DEFINE_STATE expression evaluates to either a ket or a state; states keep
-their mixture decomposition (weights and component matrices) so that gas
-contents preserve the narrative decomposition even though all physics is
-computed on the assembled matrix.  Unitary expressions evaluate to raw
-complex arrays.
+A DEFINE_STATE expression evaluates to either a ket or gas contents.  A
+state is a :class:`QuantumContents`, which keeps the mixture decomposition
+(weights and component matrices) it was written with, so gas contents
+preserve the narrative decomposition even though all physics is computed
+on the assembled matrix.  One evaluated state serves every statement that
+names it.  Unitary expressions evaluate to raw complex arrays.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .. import linalg
 from ..errors import ExecutionError, QuantumGasError
-from ..statistics import DensityMatrix, ProjectiveInstrument, mixture_eigen_instrument
+from ..statistics import DensityMatrix, ProjectiveInstrument, eigen_instrument
 from ..thermo import QuantumContents
 from . import ast
 
@@ -25,20 +26,7 @@ class KetValue:
     ket: linalg.StateVector
 
 
-@dataclass(frozen=True)
-class StateValue:
-    """A density matrix remembering the decomposition it was written with."""
-
-    components: tuple[tuple[float, DensityMatrix], ...]
-
-    def assembled(self) -> DensityMatrix:
-        return QuantumContents(self.components).assembled()
-
-    def contents(self) -> QuantumContents:
-        return QuantumContents(self.components)
-
-
-Value = KetValue | StateValue
+Value = KetValue | QuantumContents
 
 Scope = dict[str, Value]
 
@@ -48,7 +36,7 @@ def _fail(node, message: str) -> ExecutionError:
 
 
 def eval_value(expr: ast.Expr, scope: Scope) -> Value:
-    """Evaluate a state expression to a ket or a (decomposed) state."""
+    """Evaluate a state expression to a ket or to (decomposed) gas contents."""
     if isinstance(expr, ast.NameRef):
         try:
             return scope[expr.name]
@@ -64,31 +52,30 @@ def eval_value(expr: ast.Expr, scope: Scope) -> Value:
         if not isinstance(inner, KetValue):
             raise _fail(expr, "proj(...) needs a ket argument")
         matrix = linalg.projector_from_vector(inner.ket)
-        return StateValue(((1.0, DensityMatrix(matrix)),))
+        return QuantumContents(((1.0, DensityMatrix(matrix)),))
     if isinstance(expr, ast.MixExpr):
         components: list[tuple[float, DensityMatrix]] = []
         for weight, term in expr.terms:
             value = eval_value(term, scope)
-            if not isinstance(value, StateValue):
+            if not isinstance(value, QuantumContents):
                 raise _fail(expr, "mix(...) terms must be states; wrap kets in proj()")
-            for w, state in value.components:
+            for w, state in value.mixture:
                 components.append((weight * w, state))
         total = sum(w for w, _ in components)
         if abs(total - 1.0) > 1e-10 or any(w <= 0 for w, _ in components):
             raise _fail(expr, f"mixture weights must be convex (sum {total!r})")
-        return StateValue(tuple(components))
+        return QuantumContents(tuple(components))
     if isinstance(expr, ast.TensorExpr):
         left = eval_value(expr.left, scope)
         right = eval_value(expr.right, scope)
         if isinstance(left, KetValue) and isinstance(right, KetValue):
             return KetValue(linalg.tensor_vector(left.ket, right.ket))
-        if isinstance(left, StateValue) and isinstance(right, StateValue):
-            components = tuple(
+        if isinstance(left, QuantumContents) and isinstance(right, QuantumContents):
+            return QuantumContents(tuple(
                 (wl * wr, DensityMatrix(linalg.tensor(sl.matrix, sr.matrix)))
-                for wl, sl in left.components
-                for wr, sr in right.components
-            )
-            return StateValue(components)
+                for wl, sl in left.mixture
+                for wr, sr in right.mixture
+            ))
         raise _fail(expr, "tensor(...) needs two kets or two states, not a mix of kinds")
     if isinstance(expr, (ast.IdentityExpr, ast.RotateToExpr)):
         raise _fail(expr, "unitary expressions are only valid in ROTATE statements")
@@ -144,15 +131,12 @@ def _as_ket(expr: ast.Expr, scope: Scope) -> linalg.StateVector:
 def eval_instrument(stmt: ast.DefineInstrument, scope: Scope) -> ProjectiveInstrument:
     if stmt.eigenbasis is not None:
         value = eval_value(stmt.eigenbasis.arg, scope)
-        if not isinstance(value, StateValue):
+        if not isinstance(value, QuantumContents):
             raise _fail(stmt, "eigenbasis-of(...) needs a state argument")
-        weights = [w for w, _ in value.components]
-        states = [s for _, s in value.components]
         try:
-            _, instrument = mixture_eigen_instrument(weights, states)
+            return eigen_instrument(value.assembled())
         except QuantumGasError as exc:
             raise _fail(stmt, f"bad eigenbasis instrument: {exc}") from exc
-        return instrument
     projectors = tuple(
         (label, eval_projector(expr, scope)) for label, expr in stmt.elements
     )

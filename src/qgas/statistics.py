@@ -18,7 +18,7 @@ and orthogonality executable in both directions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -48,17 +48,24 @@ Grouping = tuple[Sequence[str], Sequence[str]]
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Positive semidefinite Hermitian matrix with unit trace."""
+    """Positive semidefinite Hermitian matrix with unit trace.
+
+    Construction checks the trace and the spectrum; the spectrum that the
+    positivity check computes is kept as ``eigenvalues`` (descending, not
+    part of equality or repr), so no reader decomposes the matrix again.
+    """
 
     matrix: HermitianMatrix
+    eigenvalues: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tr = self.matrix.trace()
         if abs(tr - 1.0) > ZERO_TOL:
             raise NotDensityMatrixError(f"trace {tr!r} differs from 1")
-        smallest = float(np.linalg.eigvalsh(self.matrix.entries)[0])
-        if smallest < -ZERO_TOL:
-            raise NotDensityMatrixError(f"negative eigenvalue {smallest!r}")
+        spectrum = np.linalg.eigvalsh(self.matrix.entries)
+        if spectrum[0] < -ZERO_TOL:
+            raise NotDensityMatrixError(f"negative eigenvalue {float(spectrum[0])!r}")
+        object.__setattr__(self, "eigenvalues", tuple(spectrum[::-1].tolist()))
 
     @property
     def dim(self) -> int:
@@ -205,14 +212,6 @@ class OrthogonalityProof:
     steps: tuple[ProofStep, ...]
     overlap: float
     passed: bool
-
-
-def density_from_entries(entries) -> DensityMatrix:
-    return DensityMatrix(linalg.make_hermitian(entries))
-
-
-def pure_state(ket: linalg.StateVector) -> DensityMatrix:
-    return DensityMatrix(linalg.projector_from_vector(ket))
 
 
 def mix_states(weights: Sequence[float], states: Sequence[DensityMatrix]) -> DensityMatrix:
@@ -450,24 +449,27 @@ def distinguishing_povm_from_orthogonal(
     return povm, (("F",), ("E",))
 
 
-def mixture_eigen_instrument(
-    weights: Sequence[float], states: Sequence[DensityMatrix]
-) -> tuple[DensityMatrix, ProjectiveInstrument]:
-    """Mix the states and build the instrument of the mixture's eigenprojectors.
+def eigen_instrument(rho: DensityMatrix) -> ProjectiveInstrument:
+    """The instrument of rho's eigenprojectors.
 
     Degenerate eigenvalue clusters (gap below 1e-9) are merged into a single
     projector, so the projectors always sum to the identity; projector labels
     are e0, e1, ... in descending eigenvalue order.
     """
-    mixture = mix_states(weights, states)
-    decomp = eig_hermitian(mixture.matrix)
+    decomp = eig_hermitian(rho.matrix)
     projectors = []
     for index, cluster in enumerate(decomp.clusters()):
-        acc = np.zeros((mixture.dim, mixture.dim), dtype=complex)
+        acc = np.zeros((rho.dim, rho.dim), dtype=complex)
         for k in cluster:
             v = decomp.eigenvectors[k].amplitudes
             acc += np.outer(v, v.conj())
-        projectors.append(
-            (f"e{index}", HermitianMatrix((acc + acc.conj().T) / 2))
-        )
-    return mixture, ProjectiveInstrument(tuple(projectors))
+        projectors.append((f"e{index}", HermitianMatrix((acc + acc.conj().T) / 2)))
+    return ProjectiveInstrument(tuple(projectors))
+
+
+def mixture_eigen_instrument(
+    weights: Sequence[float], states: Sequence[DensityMatrix]
+) -> tuple[DensityMatrix, ProjectiveInstrument]:
+    """Mix the states; return the mixture and its :func:`eigen_instrument`."""
+    mixture = mix_states(weights, states)
+    return mixture, eigen_instrument(mixture)

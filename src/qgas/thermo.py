@@ -40,6 +40,7 @@ class QuantumContents:
     """Weighted mixture of internal-state density matrices."""
 
     mixture: tuple[tuple[float, DensityMatrix], ...]
+    _assembled: DensityMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.mixture:
@@ -58,8 +59,11 @@ class QuantumContents:
         return self.mixture[0][1].dim
 
     def assembled(self) -> DensityMatrix:
-        """The mixture as a single density matrix."""
-        return mix_states([w for w, _ in self.mixture], [s for _, s in self.mixture])
+        """The mixture as a single density matrix, built on first use."""
+        if self._assembled is None:
+            mixed = mix_states([w for w, _ in self.mixture], [s for _, s in self.mixture])
+            object.__setattr__(self, "_assembled", mixed)
+        return self._assembled
 
     @classmethod
     def merge(cls, parts) -> "QuantumContents":

@@ -7,6 +7,7 @@ from qgas.observers import Observer
 from qgas.protocol.engine import run_protocol
 from qgas.protocol.interpreter import execute
 from qgas.protocol.parser import parse
+from qgas.scenarios import scenario_text
 
 PRELUDE = (
     "HEADER dim=2 temperature=1.0 particles=1.0\n"
@@ -165,3 +166,17 @@ def test_keyword_needs_matching_scenario_variant(text):
     with pytest.raises(ExecutionError) as err:
         execute(parse(text))
     assert err.value.line == text.count("\n")
+
+
+def test_chambers_naming_one_state_share_its_contents():
+    result = run_protocol(parse(PRELUDE + "CHAMBER upper 0.5 zs\nCHAMBER lower 0.5 zs\n"))
+    upper, lower = result.final_chambers
+    assert upper.contents is lower.contents
+
+
+def test_steps_keep_ground_truth_snapshots():
+    result = run_protocol(parse(scenario_text("peres_tatiana")))
+    last = result.steps[-1].chambers
+    assert len(last) == len(result.final_chambers)
+    for snapshot, final in zip(last, result.final_chambers):
+        assert snapshot is final

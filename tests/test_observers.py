@@ -4,7 +4,7 @@ import pytest
 from conftest import BLEND_SEPARATION_HEAT, LN2, P_MINUS, P_PLUS, random_density
 from qgas import linalg, spin
 from qgas.errors import IncompatibleReductionError
-from qgas.observers import Observer, build_willard_povm, view_contents
+from qgas.observers import Observer, build_willard_povm, view_chamber, view_contents
 from qgas.protocol.engine import run_protocol
 from qgas.protocol.parser import parse
 from qgas.scenarios import scenario_text
@@ -140,27 +140,42 @@ class TestPeresRun:
         steps = {s.description: s for s in run.steps}
         lam = quantum((0.5, spin.z_plus()), (0.5, spin.x_plus()))
 
-        mixed = steps["distinguishing mix of upper, lower"].chambers_by_observer["tatiana"]
+        mixed = [
+            view_chamber(run.views["tatiana"].observer, c)
+            for c in steps["distinguishing mix of upper, lower"].chambers
+        ]
         assert len(mixed) == 1
         assert contents_equal(mixed[0].contents, lam, tol=1e-9)
 
-        separated = steps["separate with alpha_diaphragms"].chambers_by_observer["tatiana"]
+        separated = [
+            view_chamber(run.views["tatiana"].observer, c)
+            for c in steps["separate with alpha_diaphragms"].chambers
+        ]
         assert [c.volume for c in separated] == pytest.approx([P_PLUS, P_MINUS], abs=1e-6)
         assert contents_equal(separated[0].contents, quantum((1.0, spin.alpha_plus())), 1e-9)
         assert contents_equal(separated[1].contents, quantum((1.0, spin.alpha_minus())), 1e-9)
 
-        halves = steps["partition whole"].chambers_by_observer["tatiana"]
+        halves = [
+            view_chamber(run.views["tatiana"].observer, c)
+            for c in steps["partition whole"].chambers
+        ]
         assert [c.volume for c in halves] == pytest.approx([0.5, 0.5], abs=1e-12)
         for half in halves:
             assert contents_equal(half.contents, quantum((1.0, spin.z_plus())), 1e-9)
 
-        final = steps["rotate lower"].chambers_by_observer["tatiana"]
+        final = [
+            view_chamber(run.views["tatiana"].observer, c)
+            for c in steps["rotate lower"].chambers
+        ]
         assert contents_equal(final[0].contents, quantum((1.0, spin.z_plus())), 1e-9)
         assert contents_equal(final[1].contents, quantum((1.0, spin.x_plus())), 1e-9)
 
     def test_willard_post_mix_chamber_is_tau(self, run):
         steps = {s.description: s for s in run.steps}
-        mixed = steps["distinguishing mix of upper, lower"].chambers_by_observer["willard"]
+        mixed = [
+            view_chamber(run.views["willard"].observer, c)
+            for c in steps["distinguishing mix of upper, lower"].chambers
+        ]
         assert len(mixed) == 1
         assert contents_equal(mixed[0].contents, tau_contents(), tol=1e-9)
 
@@ -171,7 +186,10 @@ class TestPeresRun:
         # that blend is NOT the pre-measurement state: the separation is the
         # irreversible step.
         steps = {s.description: s for s in run.steps}
-        separated = steps["separate with alpha_diaphragms"].chambers_by_observer["willard"]
+        separated = [
+            view_chamber(run.views["willard"].observer, c)
+            for c in steps["separate with alpha_diaphragms"].chambers
+        ]
         assert len(separated) == 2
         union = quantum(
             *[

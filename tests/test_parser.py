@@ -150,6 +150,37 @@ class TestErrors:
         with pytest.raises(ScenarioSyntaxError):
             parse(text)
 
+    def test_chamber_fractions_must_fill_container(self):
+        chambers = (
+            "HEADER dim=2 temperature=1.0 particles=1.0\n"
+            "DEFINE_STATE a proj(ket(1, 0))\n"
+            "DEFINE_STATE b proj(ket(0, 1))\n"
+            "CHAMBER u 0.7 a\n"
+            "CHAMBER l 0.7 b\n"
+        )
+        # Reported at the first operation, or at the last chamber if none.
+        for text, line in ((chambers + "MIX distinguishing u l\n", 6), (chambers, 5)):
+            with pytest.raises(ScenarioSyntaxError) as err:
+                parse(text)
+            assert err.value.line == line
+            assert "fractions summing to 1" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "header, observer",
+        [
+            ("dim=4", "OBSERVER t reduce 2 3 first"),
+            ("classical", "OBSERVER lab full"),
+            ("classical", "OBSERVER lab reduce 2 2 first"),
+            ("dim=2", "OBSERVER marie classical"),
+        ],
+        ids=["reduction-misfit", "full-on-classical", "reduce-on-classical", "classical-on-quantum"],
+    )
+    def test_observer_must_fit_header(self, header, observer):
+        text = f"HEADER {header} temperature=1.0 particles=1.0\n{observer}\n"
+        with pytest.raises(ScenarioSyntaxError) as err:
+            parse(text)
+        assert err.value.line == 2
+
     def test_expect_verdict_requires_declared_observer(self):
         text = (
             "HEADER dim=2 temperature=1.0 particles=1.0\n"

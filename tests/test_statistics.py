@@ -57,6 +57,18 @@ class TestTypes:
         with pytest.raises(NotDensityMatrixError):
             DensityMatrix(rotated(-2e-10))
 
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_density_keeps_its_validated_spectrum(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(10):
+            rho = random_density(rng, dim)
+            assert list(rho.eigenvalues) == sorted(rho.eigenvalues, reverse=True)
+            np.testing.assert_allclose(
+                rho.eigenvalues, linalg.eig_hermitian(rho.matrix).eigenvalues,
+                rtol=0, atol=1e-12,
+            )
+            assert "eigenvalues" not in repr(rho)
+
     def test_povm_completeness(self):
         with pytest.raises(NotPovmError):
             Povm((("only", spin.z_plus()),))

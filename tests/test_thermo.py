@@ -92,6 +92,14 @@ class TestContentsEqual:
             QuantumContents(((0.0, DensityMatrix(spin.z_plus())),))
 
 
+class TestQuantumContents:
+    def test_assembled_once_per_object(self):
+        blend = quantum((0.5, spin.z_plus()), (0.5, spin.x_plus()))
+        assert blend.assembled() is blend.assembled()
+        # The kept mixture takes no part in equality.
+        assert blend == quantum((0.5, spin.z_plus()), (0.5, spin.x_plus()))
+
+
 def chamber(volume, contents, particles=None, label="") -> GasChamber:
     return GasChamber(volume, 1.0, particles if particles is not None else volume, contents, label)
 
