@@ -6,7 +6,17 @@ floats are rounded to 12 decimals, keys are sorted, and a state digest is
 the eigenvalue list plus a hash of the rounded matrix.  The eigenvalues are
 the spectrum the density matrix kept when it was validated; the hash reads
 matrix entries only, so no eigenvector phase convention plays a part.
+
 Observers view each step's ground-truth chambers while the report renders.
+A view changes only a chamber's contents, and chambers share contents
+objects (PARTITION siblings, a chamber left unchanged between steps), so
+each observer's view of one contents object is digested once and that
+digest dict is shared by every chamber holding it: the dicts that
+``to_json_dict`` returns are read-only.  ``to_json`` writes them with a
+small writer that reproduces ``json.dumps(..., sort_keys=True,
+separators=(",", ": "), indent=1)`` byte for byte and renders each
+shared digest once; with ``indent`` set, that call takes the pure-Python
+encoder (Python 3.10 and 3.11 at least).
 """
 
 from __future__ import annotations
@@ -17,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..observers import Observer, view_chamber
-from ..thermo import ClassicalContents, GasChamber, QuantumContents
+from ..observers import Observer, view_contents
+from ..thermo import ClassicalContents, GasChamber, GasContents, QuantumContents
 from . import ast
 from .engine import RunResult, run_protocol
 
@@ -62,12 +72,11 @@ class RunReport:
         return self.result.total_heat / (header.particles * header.temperature)
 
     def to_json_dict(self, units: UnitsConfig | None = None) -> dict:
-        return _report_dict(self, units or UnitsConfig())
+        return _report_dict(self, units or UnitsConfig())[0]
 
     def to_json(self, units: UnitsConfig | None = None) -> str:
-        return json.dumps(
-            self.to_json_dict(units), sort_keys=True, separators=(",", ": "), indent=1
-        )
+        payload, digests = _report_dict(self, units or UnitsConfig())
+        return _dumps(payload, {id(d) for d in digests})
 
 
 def execute(protocol: ast.Protocol, observers: list[Observer] | None = None) -> RunReport:
@@ -136,8 +145,7 @@ def _canonical_bytes(entries: np.ndarray) -> bytes:
     return re.tobytes() + im.tobytes()
 
 
-def _contents_digest(chamber: GasChamber) -> dict:
-    contents = chamber.contents
+def _contents_digest(contents: GasContents) -> dict:
     if isinstance(contents, QuantumContents):
         rho = contents.assembled()
         eigenvalues = [_round(v) for v in rho.eigenvalues]
@@ -148,16 +156,17 @@ def _contents_digest(chamber: GasChamber) -> dict:
     return {"kind": "classical", "species": bag}
 
 
-def _chamber_dict(chamber: GasChamber) -> dict:
+def _chamber_dict(chamber: GasChamber, digest: dict) -> dict:
     return {
         "position": chamber.label,
         "volume": _round(chamber.volume),
         "particles": _round(chamber.particles),
-        "contents_digest": _contents_digest(chamber),
+        "contents_digest": digest,
     }
 
 
-def _report_dict(report: RunReport, units: UnitsConfig) -> dict:
+def _report_dict(report: RunReport, units: UnitsConfig) -> tuple[dict, list[dict]]:
+    """The report payload, and the digest dicts that its chambers share."""
     result = report.result
     header = result.header
     nkt = header.particles * header.temperature  # kB = 1 in ledger units
@@ -174,21 +183,29 @@ def _report_dict(report: RunReport, units: UnitsConfig) -> dict:
     else:
         raise ValueError(f"unknown units mode {units.mode!r}")
 
-    observers_payload = []
+    observers_payload, all_digests = [], []
     for obs in result.observers:
         view = result.views[obs.name]
+        # id of a ground-truth contents object -> digest of this observer's view
+        digests: dict[int, dict] = {}
         steps_payload = []
         for step in result.steps:
+            chambers = []
+            for chamber in step.chambers:
+                digest = digests.get(id(chamber.contents))
+                if digest is None:
+                    digest = _contents_digest(view_contents(obs, chamber.contents))
+                    digests[id(chamber.contents)] = digest
+                chambers.append(_chamber_dict(chamber, digest))
             steps_payload.append(
                 {
                     "index": step.index,
                     "description": step.description,
                     "Q": _round(scale(step.heat)),
-                    "chambers": [
-                        _chamber_dict(view_chamber(obs, c)) for c in step.chambers
-                    ],
+                    "chambers": chambers,
                 }
             )
+        all_digests.extend(digests.values())
         verdict = view.verdict
         observers_payload.append(
             {
@@ -203,7 +220,7 @@ def _report_dict(report: RunReport, units: UnitsConfig) -> dict:
                 },
             }
         )
-    return {
+    payload = {
         "schema": SCHEMA_VERSION,
         "units": "NkT" if units.mode == "nkt" else "absolute",
         "observers": observers_payload,
@@ -218,3 +235,90 @@ def _report_dict(report: RunReport, units: UnitsConfig) -> dict:
             for e in report.expectations
         ],
     }
+    return payload, all_digests
+
+
+# -- JSON writer ---------------------------------------------------------------
+
+_escape = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar(value) -> str:
+    """One JSON scalar, tested in the order and spelled the way ``json`` does."""
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _dumps(obj, shared: set[int] = frozenset()) -> str:
+    """``json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)``
+    for dicts with str keys, lists, tuples, str, int, float, bool and None.
+
+    Chunks stream into one list.  A dict whose id is in ``shared`` is
+    rendered once per nesting depth, and that text is spliced in wherever
+    the dict appears again at that depth.
+    """
+    out: list[str] = []
+    append = out.append
+    memo: dict[tuple[int, int], str] = {}
+
+    def write(value, depth: int, prefix: str) -> None:
+        """Append ``prefix`` followed by the text of ``value``."""
+        kind = type(value)
+        if kind is float:
+            text = float.__repr__(value)
+            append(prefix + _NON_FINITE.get(text, text))
+        elif kind is str:
+            append(prefix + _escape(value))
+        elif isinstance(value, dict):
+            if id(value) not in shared:
+                write_dict(value, depth, prefix)
+                return
+            text = memo.get((id(value), depth))
+            if text is None:
+                start = len(out)
+                write_dict(value, depth, "")
+                text = memo[id(value), depth] = "".join(out[start:])
+                del out[start:]
+            append(prefix)
+            append(text)
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                append(prefix + "[]")
+                return
+            inner = "\n" + " " * (depth + 1)
+            sep = prefix + "[" + inner
+            for item in value:
+                write(item, depth + 1, sep)
+                sep = "," + inner
+            append("\n" + " " * depth + "]")
+        else:
+            append(prefix + _scalar(value))
+
+    def write_dict(value: dict, depth: int, prefix: str) -> None:
+        if not value:
+            append(prefix + "{}")
+            return
+        inner = "\n" + " " * (depth + 1)
+        sep = prefix + "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            write(value[key], depth + 1, sep + _escape(key) + ": ")
+            sep = "," + inner
+        append("\n" + " " * depth + "}")
+
+    write(obj, 0, "")
+    return "".join(out)

@@ -17,7 +17,7 @@ import numpy as np
 from .. import linalg
 from ..errors import ExecutionError, QuantumGasError
 from ..statistics import DensityMatrix, ProjectiveInstrument, eigen_instrument
-from ..thermo import QuantumContents
+from ..thermo import WEIGHT_TOL, QuantumContents
 from . import ast
 
 
@@ -62,7 +62,7 @@ def eval_value(expr: ast.Expr, scope: Scope) -> Value:
             for w, state in value.mixture:
                 components.append((weight * w, state))
         total = sum(w for w, _ in components)
-        if abs(total - 1.0) > 1e-10 or any(w <= 0 for w, _ in components):
+        if abs(total - 1.0) > WEIGHT_TOL or any(w <= 0 for w, _ in components):
             raise _fail(expr, f"mixture weights must be convex (sum {total!r})")
         return QuantumContents(tuple(components))
     if isinstance(expr, ast.TensorExpr):

@@ -59,9 +59,13 @@ class QuantumContents:
         return self.mixture[0][1].dim
 
     def assembled(self) -> DensityMatrix:
-        """The mixture as a single density matrix, built on first use."""
+        """The mixture as a single density matrix, built on first use; a
+        single component of weight 1.0 is that density matrix itself."""
         if self._assembled is None:
-            mixed = mix_states([w for w, _ in self.mixture], [s for _, s in self.mixture])
+            if len(self.mixture) == 1 and self.mixture[0][0] == 1.0:
+                mixed = self.mixture[0][1]
+            else:
+                mixed = mix_states([w for w, _ in self.mixture], [s for _, s in self.mixture])
             object.__setattr__(self, "_assembled", mixed)
         return self._assembled
 

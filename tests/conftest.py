@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -13,6 +16,15 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def subprocess_env() -> dict[str, str]:
+    """Environment for a child Python process that imports qgas from this checkout."""
+    inherited = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": SRC + (os.pathsep + inherited if inherited else "")}
+
 
 SQRT2 = np.sqrt(2.0)
 P_PLUS = (2.0 + SQRT2) / 4.0   # 0.8535533905932737

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import subprocess_env
 from qgas.protocol.cli import main
 from qgas.scenarios import BUNDLED, scenario_text
 
@@ -78,7 +79,7 @@ class TestRunCommand:
             subprocess.run(
                 [sys.executable, "-m", "qgas.protocol.cli", "run",
                  "peres_willard_completed", "--json", str(out)],
-                check=True, capture_output=True,
+                check=True, capture_output=True, env=subprocess_env(),
             )
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]

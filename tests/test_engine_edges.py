@@ -180,3 +180,23 @@ def test_steps_keep_ground_truth_snapshots():
     assert len(last) == len(result.final_chambers)
     for snapshot, final in zip(last, result.final_chambers):
         assert snapshot is final
+
+
+def test_pure_state_assembles_to_its_own_matrix():
+    result = run_protocol(parse(PRELUDE + "CHAMBER main 1.0 zs\n"))
+    contents = result.final_chambers[0].contents
+    assert contents.assembled() is contents.mixture[0][1]
+
+
+@pytest.mark.parametrize("weight", ["0.50000000001", "0.5000000002"])
+def test_mixture_weights_checked_once_at_the_mix(weight):
+    text = (
+        "HEADER dim=2 temperature=1.0 particles=1.0\n"
+        "DEFINE_STATE a ket(1, 0)\n"
+        "DEFINE_STATE b ket(0, 1)\n"
+        f"DEFINE_STATE m mix(0.5*proj(a) + {weight}*proj(b))\n"
+    )
+    with pytest.raises(ExecutionError) as err:
+        execute(parse(text))
+    assert "mixture weights must be convex" in str(err.value)
+    assert (err.value.line, err.value.column) == (4, 16)

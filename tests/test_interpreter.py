@@ -1,12 +1,16 @@
 import json
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import BLEND_SEPARATION_HEAT, LN2, P_MINUS, P_PLUS
 from qgas.errors import ExecutionError, NotOrthogonalError
+from qgas.protocol import interpreter
 from qgas.protocol.interpreter import UnitsConfig, execute
 from qgas.protocol.parser import parse
-from qgas.scenarios import scenario_text
+from qgas.scenarios import BUNDLED, scenario_text
 
 
 def run_bundled(name: str):
@@ -173,3 +177,86 @@ class TestJsonReport:
         assert absolute["observers"][0]["total_Q"] == pytest.approx(
             nkt["observers"][0]["total_Q"] * 2.0 * 3.0 * 5.0
         )
+
+
+def reference_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
+
+
+ABSOLUTE = UnitsConfig(
+    mode="absolute", boltzmann_constant=1.380649e-23, particles=6.02e23, temperature=300.0
+)
+
+_text = st.text(
+    st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'), st.characters())
+)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf]),
+    _text,
+)
+_trees = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_text, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestWriter:
+    @given(_trees)
+    def test_matches_json_dumps(self, tree):
+        assert interpreter._dumps(tree) == reference_json(tree)
+
+    @given(st.dictionaries(_text, _trees, max_size=4), _trees)
+    def test_shared_dict_rendered_per_depth(self, sub, tree):
+        # One object at depths 1, 2 and 4: its memoised text must follow
+        # the indentation of each place it appears.
+        doc = {"shallow": sub, "deep": [[{"x": sub}]], "again": [sub], "other": tree}
+        assert interpreter._dumps(doc, {id(sub)}) == reference_json(doc)
+
+    @pytest.mark.parametrize("value", [object(), 1j, b"bytes", {1, 2}, {1: "int key"}])
+    def test_unsupported_type_raises(self, value):
+        with pytest.raises(TypeError):
+            interpreter._dumps({"value": [value]})
+
+    @pytest.mark.parametrize("units", [UnitsConfig(), ABSOLUTE], ids=["nkt", "absolute"])
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_report_bytes_match_json_dumps(self, name, units):
+        report = run_bundled(name)
+        assert report.to_json(units) == reference_json(report.to_json_dict(units))
+
+
+@pytest.mark.parametrize("name", ["peres_tatiana", "jaynes_marie_completed"])
+def test_each_view_of_a_contents_object_is_digested_once(name, monkeypatch):
+    report = run_bundled(name)
+    calls = []
+    view_contents = interpreter.view_contents
+
+    def counting(observer, contents):
+        calls.append((observer.name, id(contents)))
+        return view_contents(observer, contents)
+
+    monkeypatch.setattr(interpreter, "view_contents", counting)
+    payload = report.to_json_dict()
+    steps = report.result.steps
+    distinct = {id(c.contents) for step in steps for c in step.chambers}
+    assert len(distinct) < sum(len(step.chambers) for step in steps)
+    assert len(calls) == len(set(calls)) == len(report.result.observers) * len(distinct)
+
+    # PARTITION siblings hold one contents object, so they share one digest.
+    (k,) = [i for i, step in enumerate(steps) if step.description.startswith("partition")]
+    siblings = [
+        i for i, c in enumerate(steps[k].chambers)
+        if sum(d.contents is c.contents for d in steps[k].chambers) > 1
+    ]
+    assert len(siblings) >= 2
+    for observer in payload["observers"]:
+        digests = [observer["steps"][k]["chambers"][i]["contents_digest"] for i in siblings]
+        assert all(d is digests[0] for d in digests)

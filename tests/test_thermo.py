@@ -99,6 +99,13 @@ class TestQuantumContents:
         # The kept mixture takes no part in equality.
         assert blend == quantum((0.5, spin.z_plus()), (0.5, spin.x_plus()))
 
+    def test_single_component_of_weight_one_is_its_own_mixture(self):
+        state = DensityMatrix(spin.z_plus())
+        assert QuantumContents(((1.0, state),)).assembled() is state
+        nearly_one = QuantumContents(((1.0 - 5e-13, state),)).assembled()
+        assert nearly_one is not state
+        assert nearly_one.isclose(state)
+
 
 def chamber(volume, contents, particles=None, label="") -> GasChamber:
     return GasChamber(volume, 1.0, particles if particles is not None else volume, contents, label)
