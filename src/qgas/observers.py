@@ -73,7 +73,8 @@ class ObserverView:
 
 
 def view_contents(observer: Observer, truth: GasContents) -> GasContents:
-    """Reduce ground-truth contents to what the observer can resolve."""
+    """Reduce ground-truth contents to what the observer can resolve; an
+    observer that resolves everything gets the truth object itself."""
     if isinstance(truth, QuantumContents):
         if observer.kind != "quantum":
             raise IncompatibleReductionError(
@@ -93,6 +94,8 @@ def view_contents(observer: Observer, truth: GasContents) -> GasContents:
             raise IncompatibleReductionError(
                 f"quantum observer {observer.name!r} cannot view classical contents"
             )
+        if not observer.species_map:
+            return truth
         mapping = dict(observer.species_map)
         merged: dict[str, float] = {}
         for weight, name in truth.species:

@@ -2,9 +2,12 @@
 
 One statement per line, `#` starts a comment, tokens are separated by
 whitespace or punctuation.  Every diagnostic carries the 1-based line and
-column of the offending token.
+column of the offending token.  Statement keywords are matched exactly, in
+uppercase; a number must be finite (`1e999` is rejected where it is
+written); chamber and partition fractions must exceed 1e-9, the tolerance
+within which chamber fractions must sum to 1.
 
-Grammar sketch (keywords uppercase, one per line):
+Grammar sketch (one statement per line):
 
     HEADER dim=<int> temperature=<num> particles=<num>
     HEADER classical temperature=<num> particles=<num>
@@ -33,8 +36,11 @@ identity(n), rotate_to(e, e), eigenbasis-of(e), or a defined name.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
+import string
+from dataclasses import replace
+from typing import NamedTuple
 
 from ..errors import (
     DuplicateNameError,
@@ -45,12 +51,25 @@ from ..errors import (
 from . import ast
 
 _CONSTRUCTORS = {"ket", "proj", "mix", "tensor", "identity", "rotate_to"}
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?i?")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_/]*")
+# Splitting a line on this pattern gives [gap, token, gap, ..., token, gap],
+# where every gap is whitespace.  The alternatives, in priority order: `#`
+# (the rest is a comment), eigenbasis-of, ->, ~= or ≈, a NUMBER, a NAME, and
+# any other single character, which is a punctuation token or an error.
+_TOKEN_RE = re.compile(
+    r"(#|eigenbasis-of|->|~=|≈|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?i?"
+    r"|[A-Za-z_][A-Za-z0-9_/]*|\S)"
+)
+# Kinds of the tokens that are spelled one way; punctuation is its own kind.
+_FIXED_KINDS = {"eigenbasis-of": "EIG", "->": "->", "~=": "~", "≈": "~"}
+_FIXED_KINDS.update((c, c) for c in "(),*+-=")
+_NAME_START = frozenset(string.ascii_letters + "_")
+_tuple_new = tuple.__new__
+# Volume fractions must exceed this, and fractions must sum to 1 within it.
+_FRACTION_TOL = 1e-9
+_FLOOR = f"a fraction above {_FRACTION_TOL:g}"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NAME NUMBER ( ) , * + - = -> ~ EIG EOL
     text: str
     line: int
@@ -60,52 +79,29 @@ class Token:
 
 
 def _tokenize_line(text: str, line_no: int) -> list[Token]:
+    # tuple.__new__ builds each Token without the NamedTuple's Python-level __new__.
     tokens: list[Token] = []
-    pos = 0
-    limit = len(text)
-    while pos < limit:
-        ch = text[pos]
-        if ch == "#":
+    col = 1
+    parts = iter(_TOKEN_RE.split(text))
+    for gap, raw in zip(parts, parts):
+        col += len(gap)
+        kind = _FIXED_KINDS.get(raw)
+        if kind is None and raw[0] in _NAME_START:
+            kind = "NAME"
+        if kind is not None:
+            tokens.append(_tuple_new(Token, (kind, raw, line_no, col, 0.0, False)))
+        elif raw == "#":
             break
-        if ch.isspace():
-            pos += 1
-            continue
-        col = pos + 1
-        if text.startswith("eigenbasis-of", pos):
-            tokens.append(Token("EIG", "eigenbasis-of", line_no, col))
-            pos += len("eigenbasis-of")
-            continue
-        if text.startswith("->", pos):
-            tokens.append(Token("->", "->", line_no, col))
-            pos += 2
-            continue
-        if text.startswith("~=", pos):
-            tokens.append(Token("~", "~=", line_no, col))
-            pos += 2
-            continue
-        if ch == "≈":  # the ≈ glyph
-            tokens.append(Token("~", ch, line_no, col))
-            pos += 1
-            continue
-        m = _NUMBER_RE.match(text, pos)
-        if m:
-            raw = m.group(0)
-            imaginary = raw.endswith("i")
+        elif len(raw) > 1 or raw.isdecimal():  # NUMBER, the only other multi-char kind
+            imaginary = raw[-1] == "i"
             value = float(raw[:-1] if imaginary else raw)
-            tokens.append(Token("NUMBER", raw, line_no, col, value, imaginary))
-            pos = m.end()
-            continue
-        m = _NAME_RE.match(text, pos)
-        if m:
-            tokens.append(Token("NAME", m.group(0), line_no, col))
-            pos = m.end()
-            continue
-        if ch in "(),*+-=":
-            tokens.append(Token(ch, ch, line_no, col))
-            pos += 1
-            continue
-        raise ScenarioSyntaxError(line_no, col, f"a token, not {ch!r}")
-    tokens.append(Token("EOL", "", line_no, len(text) + 1))
+            if value == math.inf:
+                raise ScenarioSyntaxError(line_no, col, "a finite number")
+            tokens.append(_tuple_new(Token, ("NUMBER", raw, line_no, col, value, imaginary)))
+        else:
+            raise ScenarioSyntaxError(line_no, col, f"a token, not {raw!r}")
+        col += len(raw)
+    tokens.append(_tuple_new(Token, ("EOL", "", line_no, len(text) + 1, 0.0, False)))
     return tokens
 
 
@@ -117,23 +113,26 @@ class _Cursor:
     def peek(self) -> Token:
         return self.tokens[self.index]
 
-    def next(self) -> Token:
+    def accept(self, *kinds: str) -> Token | None:
+        """Consume and return the next token if it is of one of ``kinds``."""
         token = self.tokens[self.index]
-        if token.kind != "EOL":
+        if token.kind in kinds:
             self.index += 1
-        return token
+            return token
+        return None
 
     def expect(self, kind: str, what: str | None = None) -> Token:
-        token = self.peek()
+        token = self.tokens[self.index]
         if token.kind != kind:
             raise ScenarioSyntaxError(token.line, token.col, what or kind)
-        return self.next()
+        self.index += 1  # kind is never EOL: expect_end() checks the end
+        return token
 
     def expect_name(self, what: str = "a name") -> Token:
         return self.expect("NAME", what)
 
     def at_end(self) -> bool:
-        return self.peek().kind == "EOL"
+        return self.tokens[self.index].kind == "EOL"
 
     def expect_end(self) -> None:
         token = self.peek()
@@ -141,12 +140,14 @@ class _Cursor:
             raise ScenarioSyntaxError(token.line, token.col, "end of line")
 
 
+def _sign(cur: _Cursor) -> float:
+    """Consume an optional + or -, and return it as 1.0 or -1.0."""
+    token = cur.accept("+", "-")
+    return -1.0 if token is not None and token.kind == "-" else 1.0
+
+
 def _signed_number(cur: _Cursor, what: str = "a number") -> tuple[float, Token]:
-    sign = 1.0
-    token = cur.peek()
-    if token.kind in ("+", "-"):
-        cur.next()
-        sign = -1.0 if token.kind == "-" else 1.0
+    sign = _sign(cur)
     number = cur.expect("NUMBER", what)
     if number.imaginary:
         raise ScenarioSyntaxError(number.line, number.col, "a real number")
@@ -155,18 +156,13 @@ def _signed_number(cur: _Cursor, what: str = "a number") -> tuple[float, Token]:
 
 def _complex_literal(cur: _Cursor) -> complex:
     """[sign] NUMBER [(+|-) NUMBER-with-i] with either part optional-imaginary."""
-    sign = 1.0
-    token = cur.peek()
-    if token.kind in ("+", "-"):
-        cur.next()
-        sign = -1.0 if token.kind == "-" else 1.0
+    sign = _sign(cur)
     first = cur.expect("NUMBER", "a number")
     if first.imaginary:
         return complex(0.0, sign * first.value)
     value = complex(sign * first.value, 0.0)
-    connector = cur.peek()
-    if connector.kind in ("+", "-"):
-        cur.next()
+    connector = cur.accept("+", "-")
+    if connector is not None:
         second = cur.expect("NUMBER", "an imaginary part like 0.5i")
         if not second.imaginary:
             raise ScenarioSyntaxError(
@@ -178,23 +174,19 @@ def _complex_literal(cur: _Cursor) -> complex:
 
 
 def _parse_expr(cur: _Cursor, names: dict[str, str]) -> ast.Expr:
-    token = cur.peek()
-    if token.kind == "EIG":
-        cur.next()
+    eig = cur.accept("EIG")
+    if eig is not None:
         cur.expect("(")
         inner = _parse_expr(cur, names)
         cur.expect(")")
-        return ast.EigenbasisExpr(inner, line=token.line, col=token.col)
-    if token.kind != "NAME":
-        raise ScenarioSyntaxError(token.line, token.col, "an expression")
-    cur.next()
+        return ast.EigenbasisExpr(inner, line=eig.line, col=eig.col)
+    token = cur.expect("NAME", "an expression")
     word = token.text
     if word in _CONSTRUCTORS:
         cur.expect("(")
         if word == "ket":
             amplitudes = [_complex_literal(cur)]
-            while cur.peek().kind == ",":
-                cur.next()
+            while cur.accept(","):
                 amplitudes.append(_complex_literal(cur))
             cur.expect(")")
             return ast.KetExpr(tuple(amplitudes), line=token.line, col=token.col)
@@ -204,8 +196,7 @@ def _parse_expr(cur: _Cursor, names: dict[str, str]) -> ast.Expr:
             return ast.ProjExpr(inner, line=token.line, col=token.col)
         if word == "mix":
             terms = [_parse_mix_term(cur, names)]
-            while cur.peek().kind == "+":
-                cur.next()
+            while cur.accept("+"):
                 terms.append(_parse_mix_term(cur, names))
             cur.expect(")")
             return ast.MixExpr(tuple(terms), line=token.line, col=token.col)
@@ -250,8 +241,7 @@ def _positions_and_target(cur: _Cursor) -> tuple[tuple[str, ...], str | None]:
     """The ``[<position> ...] [-> <name>]`` tail of MIX and REMOVE_PARTITION."""
     chambers = []
     while not cur.at_end():
-        if cur.peek().kind == "->":
-            cur.next()
+        if cur.accept("->"):
             return tuple(chambers), cur.expect_name("a chamber name").text
         chambers.append(cur.expect_name("a chamber position").text)
     return tuple(chambers), None
@@ -275,8 +265,7 @@ class _Parser:
         self.saw_body = False
 
     def parse_line(self, tokens: list[Token]) -> None:
-        first = tokens[0]
-        if first.kind == "EOL":
+        if tokens[0].kind == "EOL":
             return
         cur = _Cursor(tokens)
         keyword = cur.expect_name("a statement keyword")
@@ -297,10 +286,10 @@ class _Parser:
             cur.expect_end()
             return
         self.saw_body = True
-        handler = getattr(self, f"parse_{word.lower()}", None)
-        if handler is None:
+        parse_rest = _STATEMENTS.get(word)
+        if parse_rest is None:
             raise ScenarioSyntaxError(keyword.line, keyword.col, "a known statement keyword")
-        statement = handler(cur, keyword)
+        statement = parse_rest(self, cur, keyword)
         cur.expect_end()
         if isinstance(statement, _CHAMBERS) and self.saw_operation:
             raise ScenarioSyntaxError(
@@ -317,7 +306,7 @@ class _Parser:
         A failure is reported at ``at`` or else at the last chamber."""
         chambers = [s for s in self.statements if isinstance(s, _CHAMBERS)]
         total = sum(c.fraction for c in chambers)
-        if chambers and abs(total - 1.0) > 1e-9:
+        if chambers and abs(total - 1.0) > _FRACTION_TOL:
             at = at or chambers[-1]
             raise ScenarioSyntaxError(at.line, at.col, f"fractions summing to 1, not {total!r}")
 
@@ -438,25 +427,24 @@ class _Parser:
 
     # -- chambers and operations ----------------------------------------------
 
-    def parse_chamber(self, cur: _Cursor, keyword: Token) -> ast.ChamberStmt:
+    def parse_chamber(
+        self, cur: _Cursor, keyword: Token
+    ) -> ast.ChamberStmt | ast.ClassicalChamberStmt:
         position = cur.expect_name("a chamber position")
         fraction, f_token = _signed_number(cur, "a volume fraction")
         if not 0 < fraction <= 1:
             raise ScenarioSyntaxError(f_token.line, f_token.col, "a fraction in (0, 1]")
-        state = cur.expect_name("a defined state name")
-        if self.names.get(state.text) != "state":
-            raise UndefinedNameError(
-                f"state {state.text!r} is not defined", state.line, state.col
+        if fraction <= _FRACTION_TOL:
+            raise ScenarioSyntaxError(f_token.line, f_token.col, _FLOOR)
+        if keyword.text == "CHAMBER":
+            state = cur.expect_name("a defined state name")
+            if self.names.get(state.text) != "state":
+                raise UndefinedNameError(
+                    f"state {state.text!r} is not defined", state.line, state.col
+                )
+            return ast.ChamberStmt(
+                position.text, fraction, state.text, line=keyword.line, col=keyword.col
             )
-        return ast.ChamberStmt(
-            position.text, fraction, state.text, line=keyword.line, col=keyword.col
-        )
-
-    def parse_classical_chamber(self, cur: _Cursor, keyword: Token) -> ast.ClassicalChamberStmt:
-        position = cur.expect_name("a chamber position")
-        fraction, f_token = _signed_number(cur, "a volume fraction")
-        if not 0 < fraction <= 1:
-            raise ScenarioSyntaxError(f_token.line, f_token.col, "a fraction in (0, 1]")
         bag = []
         while not cur.at_end():
             species = cur.expect_name("<species>=<weight>")
@@ -495,21 +483,15 @@ class _Parser:
             tuple(permeability), line=keyword.line, col=keyword.col
         )
 
-    def _parse_mix_like(self, cur: _Cursor, keyword: Token, classical: bool) -> ast.MixStmt:
+    def parse_mix(self, cur: _Cursor, keyword: Token) -> ast.MixStmt:
         mode = cur.expect_name("distinguishing or free")
         if mode.text not in ("distinguishing", "free"):
             raise ScenarioSyntaxError(mode.line, mode.col, "distinguishing or free")
         chambers, into = _positions_and_target(cur)
         return ast.MixStmt(
-            mode.text == "distinguishing", chambers, into, classical,
+            mode.text == "distinguishing", chambers, into, keyword.text == "CLASSICAL_MIX",
             line=keyword.line, col=keyword.col,
         )
-
-    def parse_mix(self, cur: _Cursor, keyword: Token) -> ast.MixStmt:
-        return self._parse_mix_like(cur, keyword, classical=False)
-
-    def parse_classical_mix(self, cur: _Cursor, keyword: Token) -> ast.MixStmt:
-        return self._parse_mix_like(cur, keyword, classical=True)
 
     def parse_rotate(self, cur: _Cursor, keyword: Token) -> ast.RotateStmt:
         chamber = cur.expect_name("a chamber position")
@@ -523,6 +505,8 @@ class _Parser:
             fraction, f_token = _signed_number(cur, "a fraction")
             if not 0 < fraction < 1:
                 raise ScenarioSyntaxError(f_token.line, f_token.col, "fractions in (0, 1)")
+            if fraction <= _FRACTION_TOL:
+                raise ScenarioSyntaxError(f_token.line, f_token.col, _FLOOR)
             fractions.append(fraction)
         arrow = cur.expect("->", "'->' and new chamber names")
         names = []
@@ -532,7 +516,7 @@ class _Parser:
             raise ScenarioSyntaxError(keyword.line, keyword.col, "at least two fractions")
         if len(names) != len(fractions):
             raise ScenarioSyntaxError(arrow.line, arrow.col, "one name per fraction")
-        if abs(sum(fractions) - 1.0) > 1e-9:
+        if abs(sum(fractions) - 1.0) > _FRACTION_TOL:
             raise ScenarioSyntaxError(keyword.line, keyword.col, "fractions summing to 1")
         return ast.PartitionStmt(
             chamber.text, tuple(fractions), tuple(names),
@@ -575,6 +559,24 @@ class _Parser:
         raise ScenarioSyntaxError(subject.line, subject.col, "Q_total or verdict")
 
 
+# Statement keyword, exactly as written -> the method parsing the rest of the line.
+_STATEMENTS = {
+    "DEFINE_STATE": _Parser.parse_define_state,
+    "DEFINE_INSTRUMENT": _Parser.parse_define_instrument,
+    "CHAMBER": _Parser.parse_chamber,
+    "CLASSICAL_CHAMBER": _Parser.parse_chamber,
+    "SEPARATE": _Parser.parse_separate,
+    "CLASSICAL_SEPARATE": _Parser.parse_classical_separate,
+    "MIX": _Parser.parse_mix,
+    "CLASSICAL_MIX": _Parser.parse_mix,
+    "ROTATE": _Parser.parse_rotate,
+    "PARTITION": _Parser.parse_partition,
+    "REMOVE_PARTITION": _Parser.parse_remove_partition,
+    "CLAIM_CYCLE": _Parser.parse_claim_cycle,
+    "EXPECT": _Parser.parse_expect,
+}
+
+
 def parse(text: str) -> ast.Protocol:
     """Parse scenario text into a Protocol; raises ProtocolError subclasses."""
     parser = _Parser()
@@ -584,12 +586,5 @@ def parse(text: str) -> ast.Protocol:
         raise HeaderMissingError("the script must contain a HEADER line", 1, 1)
     if not parser.saw_operation:
         parser.check_container_filled()
-    header = ast.Header(
-        parser.header.dim,
-        parser.header.temperature,
-        parser.header.particles,
-        tuple(parser.observers),
-        line=parser.header.line,
-        col=parser.header.col,
-    )
+    header = replace(parser.header, observers=tuple(parser.observers))
     return ast.Protocol(header, tuple(parser.statements))

@@ -48,6 +48,10 @@ class TestViewContents:
             view_contents(johann, blend), ClassicalContents(((1.0, "argon"),))
         )
 
+    def test_observer_without_species_map_sees_truth(self):
+        truth = ClassicalContents(((0.25, "argon"), (0.75, "neon")))
+        assert view_contents(Observer.classical("exact"), truth) is truth
+
     def test_incompatible_reduction(self):
         shrunk = Observer.quantum("bad", (2, 3, "first"))
         with pytest.raises(IncompatibleReductionError):

@@ -1,13 +1,16 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgas.errors import (
     DuplicateNameError,
     HeaderMissingError,
+    ProtocolError,
     ScenarioSyntaxError,
     UndefinedNameError,
 )
 from qgas.protocol import ast
-from qgas.protocol.parser import parse
+from qgas.protocol.parser import _tokenize_line, parse
 from qgas.protocol.ast import render
 from qgas.scenarios import BUNDLED, scenario_text
 
@@ -119,6 +122,7 @@ class TestErrors:
             parse("HEADER dim=2 temperature=1.0 particles=1.0\nDEFINE_STATE s ket(1, ]\n")
         assert err.value.line == 2
         assert err.value.column == 23
+        assert err.value.expected == "a token, not ']'"
 
     def test_unknown_keyword(self):
         with pytest.raises(ScenarioSyntaxError):
@@ -261,3 +265,139 @@ class TestRoundTrip:
         )
         protocol = parse(text)
         assert parse(render(protocol)) == protocol
+
+
+QUANTUM_HEADER = "HEADER dim=2 temperature=1.0 particles=1.0\n"
+
+
+def syntax_error(text: str) -> ScenarioSyntaxError:
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse(text)
+    return err.value
+
+
+class TestKeywords:
+    @pytest.mark.parametrize(
+        "line", ["observer x full", "line", "define_state zp ket(1, 0)", "Chamber u 1.0 a"]
+    )
+    def test_only_exact_uppercase_keywords(self, line):
+        err = syntax_error(QUANTUM_HEADER + line + "\n")
+        assert (err.line, err.column) == (2, 1)
+        assert err.expected == "a known statement keyword"
+
+
+class TestFiniteNumbers:
+    @pytest.mark.parametrize(
+        "text, line, col",
+        [
+            ("HEADER dim=1e999 temperature=1.0 particles=1.0\n", 1, 12),
+            ("HEADER dim=2 temperature=1e999 particles=1.0\n", 1, 26),
+            (QUANTUM_HEADER + "DEFINE_STATE e identity(1e999)\n", 2, 25),
+            (
+                "HEADER dim=4 temperature=1.0 particles=1.0\nOBSERVER x reduce 1e999 2 first\n",
+                2, 19,
+            ),
+            (QUANTUM_HEADER + "EXPECT Q_total ~= 0.5 1e999\n", 2, 23),
+        ],
+        ids=["dim", "temperature", "identity", "reduce", "tolerance"],
+    )
+    def test_overflowing_literal_rejected_where_written(self, text, line, col):
+        err = syntax_error(text)
+        assert (err.line, err.column) == (line, col)
+        assert err.expected == "a finite number"
+
+    def test_underflow_is_finite(self):
+        protocol = parse(QUANTUM_HEADER + "EXPECT Q_total ~= 1e-999 5e-324\n")
+        assert protocol.statements[0].value == 0.0
+        assert protocol.statements[0].tol == 5e-324
+
+
+class TestFractionFloor:
+    STATES = QUANTUM_HEADER + "DEFINE_STATE a proj(ket(1, 0))\n"
+
+    @pytest.mark.parametrize(
+        "text, line, col",
+        [
+            (STATES + "CHAMBER u 1e-320 a\nCHAMBER l 1.0 a\n", 3, 11),
+            (
+                "HEADER classical temperature=1.0 particles=1.0\n"
+                "CLASSICAL_CHAMBER u 1e-10 a=1\nCLASSICAL_CHAMBER l 1.0 b=1\n",
+                2, 21,
+            ),
+            (STATES + "CHAMBER u 1.0 a\nPARTITION u 0.5 5e-324 0.5 -> x y z\n", 4, 17),
+        ],
+        ids=["chamber-subnormal", "classical-chamber", "partition"],
+    )
+    def test_fraction_at_or_below_floor_rejected(self, text, line, col):
+        err = syntax_error(text)
+        assert (err.line, err.column) == (line, col)
+        assert err.expected == "a fraction above 1e-09"
+
+    def test_fraction_just_above_floor_accepted(self):
+        text = self.STATES + "CHAMBER u 2e-9 a\nCHAMBER l 0.999999998 a\n"
+        assert parse(text).statements[1].fraction == 2e-9
+
+
+class TestTokens:
+    @pytest.mark.parametrize(
+        "line, stream",
+        [
+            ("eigenbasis-ofx", [("EIG", "eigenbasis-of", 1), ("NAME", "x", 14)]),
+            ("a->b", [("NAME", "a", 1), ("->", "->", 2), ("NAME", "b", 4)]),
+            ("1.e5i", [("NUMBER", "1.e5i", 1)]),
+            (".5", [("NUMBER", ".5", 1)]),
+            ("x~=1", [("NAME", "x", 1), ("~", "~=", 2), ("NUMBER", "1", 4)]),
+            ("x≈1", [("NAME", "x", 1), ("~", "≈", 2), ("NUMBER", "1", 3)]),
+            ("a/b_c", [("NAME", "a/b_c", 1)]),
+            ("a-b", [("NAME", "a", 1), ("-", "-", 2), ("NAME", "b", 3)]),
+            (
+                "ket(1) # comment",
+                [("NAME", "ket", 1), ("(", "(", 4), ("NUMBER", "1", 5), (")", ")", 6)],
+            ),
+            ("a\x0b\tb", [("NAME", "a", 1), ("NAME", "b", 4)]),
+            ("٣.٥", [("NUMBER", "٣.٥", 1)]),
+        ],
+    )
+    def test_token_streams(self, line, stream):
+        tokens = _tokenize_line(line, 3)
+        assert [(t.kind, t.text, t.col) for t in tokens[:-1]] == stream
+        assert (tokens[-1].kind, tokens[-1].col) == ("EOL", len(line) + 1)
+        assert all(t.line == 3 for t in tokens)
+
+    def test_number_values(self):
+        values = [(t.value, t.imaginary) for t in _tokenize_line("1.e5i .5 ٣.٥ 2", 1)[:-1]]
+        assert values == [(1e5, True), (0.5, False), (3.5, False), (2.0, False)]
+
+
+_WORDS = [
+    "HEADER", "OBSERVER", "DEFINE_STATE", "DEFINE_INSTRUMENT", "CHAMBER",
+    "CLASSICAL_CHAMBER", "SEPARATE", "CLASSICAL_SEPARATE", "MIX", "CLASSICAL_MIX",
+    "ROTATE", "PARTITION", "REMOVE_PARTITION", "CLAIM_CYCLE", "EXPECT", "line",
+    "full", "reduce", "classical", "first", "distinguishing", "free", "Q_total",
+    "verdict", "ket", "proj", "mix", "tensor", "identity", "rotate_to", "dim",
+    "temperature", "particles", "eigenbasis-of", "a", "u/x", "transmitted",
+]
+_any_case = st.sampled_from(_WORDS).flatmap(
+    lambda w: st.lists(st.booleans(), min_size=len(w), max_size=len(w)).map(
+        lambda upper: "".join(c.upper() if u else c.lower() for c, u in zip(w, upper))
+    )
+)
+_pieces = st.one_of(
+    _any_case,
+    st.sampled_from(["(", ")", ",", "*", "+", "-", "=", "->", "~=", "≈", "#", "/", "$", "]"]),
+    st.sampled_from(
+        ["1e999", "1e999i", "1e-320", "5e-324", "0.5", "1", "2", ".5", "0.5i", "٣", "５"]
+    ),
+    st.sampled_from([" ", "  ", "\t", "\xa0", "\u2003"]),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=400)
+    @given(st.lists(_pieces, max_size=14).map("".join))
+    def test_random_line_fails_only_with_a_located_protocol_error(self, line):
+        try:
+            parse(QUANTUM_HEADER + line + "\n")
+        except ProtocolError as err:
+            assert err.line == 2
+            assert 1 <= err.column <= len(line) + 1
