@@ -136,11 +136,11 @@ class SpectralDecomposition:
             acc += value * np.outer(v, v.conj())
         return HermitianMatrix((acc + acc.conj().T) / 2)
 
-    def clusters(self, gap: float = DEGENERACY_GAP) -> list[list[int]]:
-        """Indices grouped into degenerate clusters (eigenvalue gap < gap)."""
+    def clusters(self) -> list[list[int]]:
+        """Indices grouped into degenerate clusters (gaps below DEGENERACY_GAP)."""
         groups: list[list[int]] = []
         for k, value in enumerate(self.eigenvalues):
-            if groups and abs(self.eigenvalues[groups[-1][-1]] - value) < gap:
+            if groups and abs(self.eigenvalues[groups[-1][-1]] - value) < DEGENERACY_GAP:
                 groups[-1].append(k)
             else:
                 groups.append([k])
@@ -286,9 +286,10 @@ def two_state_rotation(a: StateVector, b: StateVector) -> np.ndarray:
     return u
 
 
-def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
+    """U^dagger U = I within 1e-10 entrywise."""
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
     gram = u.conj().T @ u
-    return float(np.max(np.abs(gram - np.eye(u.shape[0])))) <= tol
+    return float(np.max(np.abs(gram - np.eye(u.shape[0])))) <= 1e-10

@@ -9,12 +9,14 @@ to one name).  Heats are measured quantities and are shared by everyone:
 only the *description* of the gas contents is observer-relative, which is
 exactly why one observer can book a completed cycle while another sees an
 open path.
+
+:class:`Observer` is the one observer type: the scenario parser builds the
+OBSERVER lines of a HEADER into it, and API callers build it directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from . import linalg, spin
 from .errors import IncompatibleReductionError, VariantMismatchError
@@ -27,9 +29,6 @@ from .thermo import (
     HeatLedger,
     QuantumContents,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .protocol.ast import ObserverDecl
 
 
 @dataclass(frozen=True)
@@ -54,10 +53,6 @@ class Observer:
     @staticmethod
     def classical(name: str, species_map: dict[str, str] | None = None) -> "Observer":
         return Observer(name, "classical", None, tuple((species_map or {}).items()))
-
-    @staticmethod
-    def from_decl(decl: "ObserverDecl") -> "Observer":
-        return Observer(decl.name, decl.kind, decl.reduction, decl.species_map)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 """Abstract syntax of scenario scripts, plus the canonical renderer.
 
-Source positions ride along on every node for error reporting but are
-excluded from equality, so parse(render(p)) == p holds node for node.
+Every node inherits its source position from ``_Node``; positions serve
+error reporting and are excluded from equality, so parse(render(p)) == p
+holds node for node.  A header's observers are library
+:class:`~qgas.observers.Observer` values, and ``OPERATIONS`` names the
+statements that are ledger steps.
 """
 
 from __future__ import annotations
@@ -9,69 +12,59 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
+from ..observers import Observer
 
-def _pos_field() -> int:
-    return field(default=0, compare=False, repr=False)  # type: ignore[return-value]
+
+@dataclass(frozen=True)
+class _Node:
+    """Source position of a node: reported in diagnostics, ignored by ==."""
+
+    line: int = field(default=0, kw_only=True, compare=False, repr=False)
+    col: int = field(default=0, kw_only=True, compare=False, repr=False)
 
 
 # -- expressions -------------------------------------------------------------
 
 @dataclass(frozen=True)
-class NameRef:
+class NameRef(_Node):
     name: str
-    line: int = _pos_field()
-    col: int = _pos_field()
 
 
 @dataclass(frozen=True)
-class KetExpr:
+class KetExpr(_Node):
     amplitudes: tuple[complex, ...]
-    line: int = _pos_field()
-    col: int = _pos_field()
 
 
 @dataclass(frozen=True)
-class ProjExpr:
+class ProjExpr(_Node):
     arg: "Expr"
-    line: int = _pos_field()
-    col: int = _pos_field()
 
 
 @dataclass(frozen=True)
-class MixExpr:
+class MixExpr(_Node):
     terms: tuple[tuple[float, "Expr"], ...]
-    line: int = _pos_field()
-    col: int = _pos_field()
 
 
 @dataclass(frozen=True)
-class TensorExpr:
+class TensorExpr(_Node):
     left: "Expr"
     right: "Expr"
-    line: int = _pos_field()
-    col: int = _pos_field()
 
 
 @dataclass(frozen=True)
-class IdentityExpr:
+class IdentityExpr(_Node):
     dim: int
-    line: int = _pos_field()
-    col: int = _pos_field()
 
 
 @dataclass(frozen=True)
-class RotateToExpr:
+class RotateToExpr(_Node):
     source: "Expr"
     target: "Expr"
-    line: int = _pos_field()
-    col: int = _pos_field()
 
 
 @dataclass(frozen=True)
-class EigenbasisExpr:
+class EigenbasisExpr(_Node):
     arg: "Expr"
-    line: int = _pos_field()
-    col: int = _pos_field()
 
 
 Expr = Union[
@@ -83,140 +76,95 @@ Expr = Union[
 # -- header ------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ObserverDecl:
-    """An observer's description context.
-
-    kind "quantum": ``reduction`` is None for the full-dimension view, or
-    (d1, d2, keep) for a partial trace over one tensor factor.
-    kind "classical": ``species_map`` renames true species to observed ones
-    (missing entries mean the observer resolves that species as is).
-    """
-
-    name: str
-    kind: str
-    reduction: tuple[int, int, str] | None = None
-    species_map: tuple[tuple[str, str], ...] = ()
-    line: int = _pos_field()
-    col: int = _pos_field()
-
-
-@dataclass(frozen=True)
-class Header:
+class Header(_Node):
     dim: int | None  # None for classical scenarios
     temperature: float
     particles: float
-    observers: tuple[ObserverDecl, ...]
-    line: int = _pos_field()
-    col: int = _pos_field()
+    observers: tuple[Observer, ...]
 
 
 # -- statements --------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DefineState:
+class DefineState(_Node):
     name: str
     expr: Expr
-    line: int = _pos_field()
-    col: int = _pos_field()
 
 
 @dataclass(frozen=True)
-class DefineInstrument:
+class DefineInstrument(_Node):
     name: str
     # Either an explicit projector list or a single EigenbasisExpr.
     elements: tuple[tuple[str, Expr], ...] = ()
     eigenbasis: EigenbasisExpr | None = None
-    line: int = _pos_field()
-    col: int = _pos_field()
 
 
 @dataclass(frozen=True)
-class ChamberStmt:
+class ChamberStmt(_Node):
     position: str
     fraction: float
     state: str
-    line: int = _pos_field()
-    col: int = _pos_field()
 
 
 @dataclass(frozen=True)
-class ClassicalChamberStmt:
+class ClassicalChamberStmt(_Node):
     position: str
     fraction: float
     species: tuple[tuple[str, float], ...]
-    line: int = _pos_field()
-    col: int = _pos_field()
 
 
 @dataclass(frozen=True)
-class SeparateStmt:
+class SeparateStmt(_Node):
     instrument: str
-    line: int = _pos_field()
-    col: int = _pos_field()
 
 
 @dataclass(frozen=True)
-class ClassicalSeparateStmt:
+class ClassicalSeparateStmt(_Node):
     permeability: tuple[tuple[str, str], ...]  # species -> transmitted|reflected
-    line: int = _pos_field()
-    col: int = _pos_field()
 
 
 @dataclass(frozen=True)
-class MixStmt:
+class MixStmt(_Node):
     distinguishing: bool
     chambers: tuple[str, ...] = ()  # empty means all
     into: str | None = None
     classical: bool = False
-    line: int = _pos_field()
-    col: int = _pos_field()
 
 
 @dataclass(frozen=True)
-class RotateStmt:
+class RotateStmt(_Node):
     chamber: str
     unitary: Expr
-    line: int = _pos_field()
-    col: int = _pos_field()
 
 
 @dataclass(frozen=True)
-class PartitionStmt:
+class PartitionStmt(_Node):
     chamber: str
     fractions: tuple[float, ...]
     names: tuple[str, ...]
-    line: int = _pos_field()
-    col: int = _pos_field()
 
 
 @dataclass(frozen=True)
-class RemovePartitionStmt:
+class RemovePartitionStmt(_Node):
     chambers: tuple[str, ...] = ()  # empty means all
     into: str | None = None
-    line: int = _pos_field()
-    col: int = _pos_field()
 
 
 @dataclass(frozen=True)
-class ClaimCycleStmt:
-    line: int = _pos_field()
-    col: int = _pos_field()
+class ClaimCycleStmt(_Node):
+    pass
 
 
 @dataclass(frozen=True)
-class ExpectTotalHeat:
+class ExpectTotalHeat(_Node):
     value: float
     tol: float
-    line: int = _pos_field()
-    col: int = _pos_field()
 
 
 @dataclass(frozen=True)
-class ExpectVerdict:
+class ExpectVerdict(_Node):
     observer: str
     outcome: str  # violation | satisfied | not_applicable
-    line: int = _pos_field()
-    col: int = _pos_field()
 
 
 Statement = Union[
@@ -224,6 +172,14 @@ Statement = Union[
     SeparateStmt, ClassicalSeparateStmt, MixStmt, RotateStmt, PartitionStmt,
     RemovePartitionStmt, ClaimCycleStmt, ExpectTotalHeat, ExpectVerdict,
 ]
+
+
+# The statements that are ledger steps: the first one freezes the initial
+# configuration, and each books one ledger entry.
+OPERATIONS = (
+    SeparateStmt, ClassicalSeparateStmt, MixStmt, RotateStmt, PartitionStmt,
+    RemovePartitionStmt, ClaimCycleStmt,
+)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,12 @@ Operations rewrite the list:
   at the end of the list;
 * PARTITION replaces one chamber by its fragments, in place.
 
-Every step appends one entry to the shared heat ledger and one snapshot of
-the ground-truth chamber list; observers are views applied when a snapshot
-is read.  Statements dispatch through one handler table; quantum and
-classical statements share their handlers.
+The statements in ``ast.OPERATIONS`` are the steps.  The first step
+freezes the initial configuration, and every step appends one entry to the
+shared heat ledger and one snapshot of the ground-truth chamber list;
+observers are views applied when a snapshot is read.  The observers default
+to the ones the script's HEADER declares.  Statements dispatch through one
+handler table; quantum and classical statements share their handlers.
 """
 
 from __future__ import annotations
@@ -175,13 +177,12 @@ class _Engine:
             raise ExecutionError(
                 f"unsupported statement {type(stmt).__name__}", stmt.line, stmt.col
             )
-        handler, is_step, keyword = entry
+        handler, keyword = entry
         if keyword is not None:
             self._check_variant(keyword, stmt)
-        if not is_step:
+        if not isinstance(stmt, ast.OPERATIONS):
             handler(self, stmt)
             return
-        # Operational statements: freeze the initial configuration first.
         self._freeze_initial()
         description, heat = handler(self, stmt)
         self.ledger.record(description, heat)
@@ -331,22 +332,22 @@ class _Engine:
         return "claim cycle", 0.0
 
 
-# Statement type -> (handler, is a ledger step, keyword bound to a gas variant).
-# A step freezes the initial configuration, then books a ledger entry.
+# Statement type -> (handler, keyword bound to a gas variant).  Handlers of
+# ast.OPERATIONS return (description, heat) for the ledger.
 _HANDLERS = {
-    ast.DefineState: (_Engine._define_state, False, None),
-    ast.DefineInstrument: (_Engine._define_instrument, False, None),
-    ast.ExpectTotalHeat: (_Engine._expect, False, None),
-    ast.ExpectVerdict: (_Engine._expect, False, None),
-    ast.ChamberStmt: (_Engine._do_chamber, False, "CHAMBER"),
-    ast.ClassicalChamberStmt: (_Engine._do_chamber, False, "CLASSICAL_CHAMBER"),
-    ast.SeparateStmt: (_Engine._do_separate, True, "SEPARATE"),
-    ast.ClassicalSeparateStmt: (_Engine._do_separate, True, "CLASSICAL_SEPARATE"),
-    ast.MixStmt: (_Engine._do_mix, True, "MIX"),
-    ast.RotateStmt: (_Engine._do_rotate, True, "ROTATE"),
-    ast.PartitionStmt: (_Engine._do_partition, True, None),
-    ast.RemovePartitionStmt: (_Engine._do_remove_partition, True, None),
-    ast.ClaimCycleStmt: (_Engine._claim_cycle, True, None),
+    ast.DefineState: (_Engine._define_state, None),
+    ast.DefineInstrument: (_Engine._define_instrument, None),
+    ast.ExpectTotalHeat: (_Engine._expect, None),
+    ast.ExpectVerdict: (_Engine._expect, None),
+    ast.ChamberStmt: (_Engine._do_chamber, "CHAMBER"),
+    ast.ClassicalChamberStmt: (_Engine._do_chamber, "CLASSICAL_CHAMBER"),
+    ast.SeparateStmt: (_Engine._do_separate, "SEPARATE"),
+    ast.ClassicalSeparateStmt: (_Engine._do_separate, "CLASSICAL_SEPARATE"),
+    ast.MixStmt: (_Engine._do_mix, "MIX"),
+    ast.RotateStmt: (_Engine._do_rotate, "ROTATE"),
+    ast.PartitionStmt: (_Engine._do_partition, None),
+    ast.RemovePartitionStmt: (_Engine._do_remove_partition, None),
+    ast.ClaimCycleStmt: (_Engine._claim_cycle, None),
 }
 
 
@@ -354,5 +355,5 @@ def run_protocol(
     protocol: ast.Protocol, observers: list[Observer] | None = None
 ) -> RunResult:
     if observers is None:
-        observers = [Observer.from_decl(decl) for decl in protocol.header.observers]
+        observers = list(protocol.header.observers)
     return _Engine(protocol, observers).run()

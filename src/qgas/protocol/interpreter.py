@@ -85,6 +85,14 @@ def execute(protocol: ast.Protocol, observers: list[Observer] | None = None) -> 
     return RunReport(result, tuple(_check_expectations(protocol, result)))
 
 
+# CycleVerdict.status -> the outcome word an EXPECT verdict line uses.
+_VERDICT_WORDS = {
+    "satisfied": "satisfied",
+    "violated": "violation",
+    "not-applicable": "not_applicable",
+}
+
+
 def _check_expectations(protocol: ast.Protocol, result: RunResult):
     header = protocol.header
     total_nkt = result.total_heat / (header.particles * header.temperature)
@@ -93,10 +101,7 @@ def _check_expectations(protocol: ast.Protocol, result: RunResult):
             passed = abs(total_nkt - stmt.value) <= stmt.tol
             yield ExpectationResult(
                 kind="Q_total",
-                description=(
-                    f"line {stmt.line}: Q_total = {stmt.value} NkT "
-                    f"within {stmt.tol}"
-                ),
+                description=f"line {stmt.line}: Q_total = {stmt.value} NkT within {stmt.tol}",
                 passed=passed,
                 observed=round(total_nkt, 12),
                 expected=stmt.value,
@@ -104,26 +109,12 @@ def _check_expectations(protocol: ast.Protocol, result: RunResult):
         elif isinstance(stmt, ast.ExpectVerdict):
             view = result.views.get(stmt.observer)
             if view is None:
-                yield ExpectationResult(
-                    kind="verdict",
-                    description=(
-                        f"line {stmt.line}: {stmt.observer} verdict is {stmt.outcome}"
-                    ),
-                    passed=False,
-                    observed="observer absent from this run",
-                    expected=stmt.outcome,
-                )
-                continue
-            observed = {
-                "satisfied": "satisfied",
-                "violated": "violation",
-                "not-applicable": "not_applicable",
-            }[view.verdict.status]
+                observed = "observer absent from this run"
+            else:
+                observed = _VERDICT_WORDS[view.verdict.status]
             yield ExpectationResult(
                 kind="verdict",
-                description=(
-                    f"line {stmt.line}: {stmt.observer} verdict is {stmt.outcome}"
-                ),
+                description=f"line {stmt.line}: {stmt.observer} verdict is {stmt.outcome}",
                 passed=observed == stmt.outcome,
                 observed=observed,
                 expected=stmt.outcome,

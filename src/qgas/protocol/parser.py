@@ -5,7 +5,9 @@ whitespace or punctuation.  Every diagnostic carries the 1-based line and
 column of the offending token.  Statement keywords are matched exactly, in
 uppercase; a number must be finite (`1e999` is rejected where it is
 written); chamber and partition fractions must exceed 1e-9, the tolerance
-within which chamber fractions must sum to 1.
+within which chamber fractions must sum to 1.  OBSERVER lines become
+:class:`~qgas.observers.Observer` values on the header, and chambers are
+declared before the first statement of ``ast.OPERATIONS``.
 
 Grammar sketch (one statement per line):
 
@@ -31,7 +33,9 @@ Grammar sketch (one statement per line):
     EXPECT verdict <observer> violation|satisfied|not_applicable
 
 Expressions: ket(a+bi, ...), proj(e), mix(w*e + w*e), tensor(e, e),
-identity(n), rotate_to(e, e), eigenbasis-of(e), or a defined name.
+identity(n), rotate_to(e, e), eigenbasis-of(e), or a defined name.  The n
+of identity(n) runs from 1 to the HEADER dim, and a classical scenario has
+no identity(n).
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from ..errors import (
     ScenarioSyntaxError,
     UndefinedNameError,
 )
+from ..observers import Observer
 from . import ast
 
 _CONSTRUCTORS = {"ket", "proj", "mix", "tensor", "identity", "rotate_to"}
@@ -173,62 +178,6 @@ def _complex_literal(cur: _Cursor) -> complex:
     return value
 
 
-def _parse_expr(cur: _Cursor, names: dict[str, str]) -> ast.Expr:
-    eig = cur.accept("EIG")
-    if eig is not None:
-        cur.expect("(")
-        inner = _parse_expr(cur, names)
-        cur.expect(")")
-        return ast.EigenbasisExpr(inner, line=eig.line, col=eig.col)
-    token = cur.expect("NAME", "an expression")
-    word = token.text
-    if word in _CONSTRUCTORS:
-        cur.expect("(")
-        if word == "ket":
-            amplitudes = [_complex_literal(cur)]
-            while cur.accept(","):
-                amplitudes.append(_complex_literal(cur))
-            cur.expect(")")
-            return ast.KetExpr(tuple(amplitudes), line=token.line, col=token.col)
-        if word == "proj":
-            inner = _parse_expr(cur, names)
-            cur.expect(")")
-            return ast.ProjExpr(inner, line=token.line, col=token.col)
-        if word == "mix":
-            terms = [_parse_mix_term(cur, names)]
-            while cur.accept("+"):
-                terms.append(_parse_mix_term(cur, names))
-            cur.expect(")")
-            return ast.MixExpr(tuple(terms), line=token.line, col=token.col)
-        if word == "tensor":
-            left = _parse_expr(cur, names)
-            cur.expect(",")
-            right = _parse_expr(cur, names)
-            cur.expect(")")
-            return ast.TensorExpr(left, right, line=token.line, col=token.col)
-        if word == "identity":
-            number = cur.expect("NUMBER", "a dimension")
-            if number.imaginary or number.value != int(number.value):
-                raise ScenarioSyntaxError(number.line, number.col, "an integer dimension")
-            cur.expect(")")
-            return ast.IdentityExpr(int(number.value), line=token.line, col=token.col)
-        if word == "rotate_to":
-            source = _parse_expr(cur, names)
-            cur.expect(",")
-            target = _parse_expr(cur, names)
-            cur.expect(")")
-            return ast.RotateToExpr(source, target, line=token.line, col=token.col)
-    if word not in names:
-        raise UndefinedNameError(f"name {word!r} is not defined", token.line, token.col)
-    return ast.NameRef(word, line=token.line, col=token.col)
-
-
-def _parse_mix_term(cur: _Cursor, names: dict[str, str]) -> tuple[float, ast.Expr]:
-    weight, _ = _signed_number(cur, "a mixture weight")
-    cur.expect("*", "'*' between weight and state")
-    return weight, _parse_expr(cur, names)
-
-
 def _key_value(cur: _Cursor, key: str) -> Token:
     name = cur.expect_name(f"{key}=<value>")
     if name.text != key:
@@ -247,17 +196,13 @@ def _positions_and_target(cur: _Cursor) -> tuple[tuple[str, ...], str | None]:
     return tuple(chambers), None
 
 
-_OPERATIONAL = (
-    ast.SeparateStmt, ast.ClassicalSeparateStmt, ast.MixStmt, ast.RotateStmt,
-    ast.PartitionStmt, ast.RemovePartitionStmt, ast.ClaimCycleStmt,
-)
 _CHAMBERS = (ast.ChamberStmt, ast.ClassicalChamberStmt)
 
 
 class _Parser:
     def __init__(self):
         self.header: ast.Header | None = None
-        self.observers: list[ast.ObserverDecl] = []
+        self.observers: list[Observer] = []
         self.statements: list[ast.Statement] = []
         # name -> "state" | "instrument"
         self.names: dict[str, str] = {}
@@ -296,7 +241,7 @@ class _Parser:
                 keyword.line, keyword.col,
                 "chamber declarations before the first operation",
             )
-        if isinstance(statement, _OPERATIONAL) and not self.saw_operation:
+        if isinstance(statement, ast.OPERATIONS) and not self.saw_operation:
             self.check_container_filled(keyword)
             self.saw_operation = True
         self.statements.append(statement)
@@ -340,7 +285,7 @@ class _Parser:
             dim, temperature, particles, (), line=keyword.line, col=keyword.col
         )
 
-    def parse_observer(self, cur: _Cursor) -> ast.ObserverDecl:
+    def parse_observer(self, cur: _Cursor) -> Observer:
         name = cur.expect_name("an observer name")
         if any(obs.name == name.text for obs in self.observers):
             raise DuplicateNameError(
@@ -353,7 +298,7 @@ class _Parser:
             fits = "classical in a classical" if dim is None else "full or reduce in a quantum"
             raise ScenarioSyntaxError(mode.line, mode.col, f"{fits} scenario")
         if mode.text == "full":
-            return ast.ObserverDecl(name.text, "quantum", None, (), line=name.line, col=name.col)
+            return Observer.quantum(name.text)
         if mode.text == "reduce":
             d1 = cur.expect("NUMBER", "first factor dimension")
             d2 = cur.expect("NUMBER", "second factor dimension")
@@ -364,21 +309,81 @@ class _Parser:
                 raise ScenarioSyntaxError(d1.line, d1.col, "positive integer factor dims")
             if int(d1.value) * int(d2.value) != dim:
                 raise ScenarioSyntaxError(d1.line, d1.col, f"factor dims multiplying to {dim}")
-            return ast.ObserverDecl(
-                name.text, "quantum", (int(d1.value), int(d2.value), keep.text), (),
-                line=name.line, col=name.col,
-            )
+            return Observer.quantum(name.text, (int(d1.value), int(d2.value), keep.text))
         if mode.text == "classical":
-            mapping = []
+            mapping = {}
             while not cur.at_end():
                 source = cur.expect_name("<true-species>=<seen-species>")
                 cur.expect("=")
-                target = cur.expect_name("the observed species name")
-                mapping.append((source.text, target.text))
-            return ast.ObserverDecl(
-                name.text, "classical", None, tuple(mapping), line=name.line, col=name.col
-            )
+                mapping[source.text] = cur.expect_name("the observed species name").text
+            return Observer.classical(name.text, mapping)
         raise ScenarioSyntaxError(mode.line, mode.col, "full, reduce, or classical")
+
+    # -- expressions -----------------------------------------------------------
+
+    def parse_expr(self, cur: _Cursor) -> ast.Expr:
+        eig = cur.accept("EIG")
+        if eig is not None:
+            cur.expect("(")
+            inner = self.parse_expr(cur)
+            cur.expect(")")
+            return ast.EigenbasisExpr(inner, line=eig.line, col=eig.col)
+        token = cur.expect("NAME", "an expression")
+        word = token.text
+        if word in _CONSTRUCTORS:
+            cur.expect("(")
+            if word == "ket":
+                amplitudes = [_complex_literal(cur)]
+                while cur.accept(","):
+                    amplitudes.append(_complex_literal(cur))
+                cur.expect(")")
+                return ast.KetExpr(tuple(amplitudes), line=token.line, col=token.col)
+            if word == "proj":
+                inner = self.parse_expr(cur)
+                cur.expect(")")
+                return ast.ProjExpr(inner, line=token.line, col=token.col)
+            if word == "mix":
+                terms = [self.parse_mix_term(cur)]
+                while cur.accept("+"):
+                    terms.append(self.parse_mix_term(cur))
+                cur.expect(")")
+                return ast.MixExpr(tuple(terms), line=token.line, col=token.col)
+            if word == "tensor":
+                left = self.parse_expr(cur)
+                cur.expect(",")
+                right = self.parse_expr(cur)
+                cur.expect(")")
+                return ast.TensorExpr(left, right, line=token.line, col=token.col)
+            if word == "identity":
+                number = cur.expect("NUMBER", "a dimension")
+                if number.imaginary or number.value != int(number.value):
+                    raise ScenarioSyntaxError(number.line, number.col, "an integer dimension")
+                # An identity factor never exceeds the space it acts on.
+                dim = self.header.dim
+                if dim is None:
+                    raise ScenarioSyntaxError(
+                        number.line, number.col, "a quantum HEADER for identity(n)"
+                    )
+                if not 1 <= number.value <= dim:
+                    raise ScenarioSyntaxError(
+                        number.line, number.col, f"an identity dimension from 1 to {dim}"
+                    )
+                cur.expect(")")
+                return ast.IdentityExpr(int(number.value), line=token.line, col=token.col)
+            if word == "rotate_to":
+                source = self.parse_expr(cur)
+                cur.expect(",")
+                target = self.parse_expr(cur)
+                cur.expect(")")
+                return ast.RotateToExpr(source, target, line=token.line, col=token.col)
+        if word not in self.names:
+            raise UndefinedNameError(f"name {word!r} is not defined", token.line, token.col)
+        return ast.NameRef(word, line=token.line, col=token.col)
+
+    def parse_mix_term(self, cur: _Cursor) -> tuple[float, ast.Expr]:
+        weight, _ = _signed_number(cur, "a mixture weight")
+        cur.expect("*", "'*' between weight and state")
+        return weight, self.parse_expr(cur)
 
     # -- definitions -----------------------------------------------------------
 
@@ -394,7 +399,7 @@ class _Parser:
 
     def parse_define_state(self, cur: _Cursor, keyword: Token) -> ast.DefineState:
         name = cur.expect_name("a state name")
-        expr = _parse_expr(cur, self.names)
+        expr = self.parse_expr(cur)
         return ast.DefineState(
             self._define(name, "state"), expr, line=keyword.line, col=keyword.col
         )
@@ -402,7 +407,7 @@ class _Parser:
     def parse_define_instrument(self, cur: _Cursor, keyword: Token) -> ast.DefineInstrument:
         name = cur.expect_name("an instrument name")
         if cur.peek().kind == "EIG":
-            eig = _parse_expr(cur, self.names)
+            eig = self.parse_expr(cur)
             assert isinstance(eig, ast.EigenbasisExpr)
             return ast.DefineInstrument(
                 self._define(name, "instrument"), (), eig,
@@ -412,7 +417,7 @@ class _Parser:
         while not cur.at_end():
             label = cur.expect_name("<outcome-label>=<projector-expr>")
             cur.expect("=")
-            elements.append((label.text, _parse_expr(cur, self.names)))
+            elements.append((label.text, self.parse_expr(cur)))
         if not elements:
             raise ScenarioSyntaxError(
                 keyword.line, keyword.col, "at least one projector or eigenbasis-of(...)"
@@ -495,7 +500,7 @@ class _Parser:
 
     def parse_rotate(self, cur: _Cursor, keyword: Token) -> ast.RotateStmt:
         chamber = cur.expect_name("a chamber position")
-        unitary = _parse_expr(cur, self.names)
+        unitary = self.parse_expr(cur)
         return ast.RotateStmt(chamber.text, unitary, line=keyword.line, col=keyword.col)
 
     def parse_partition(self, cur: _Cursor, keyword: Token) -> ast.PartitionStmt:

@@ -1,16 +1,14 @@
 """Evaluation of scenario expressions into library values.
 
-A DEFINE_STATE expression evaluates to either a ket or gas contents.  A
-state is a :class:`QuantumContents`, which keeps the mixture decomposition
-(weights and component matrices) it was written with, so gas contents
-preserve the narrative decomposition even though all physics is computed
-on the assembled matrix.  One evaluated state serves every statement that
-names it.  Unitary expressions evaluate to raw complex arrays.
+A DEFINE_STATE expression evaluates to a ket, a plain ``StateVector``, or
+to gas contents.  A state is a :class:`QuantumContents`, which keeps the
+mixture decomposition (weights and component matrices) it was written
+with, so gas contents preserve the narrative decomposition even though all
+physics is computed on the assembled matrix.  One evaluated state serves
+every statement that names it.  Unitary expressions give complex arrays.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,18 +19,13 @@ from ..thermo import WEIGHT_TOL, QuantumContents
 from . import ast
 
 
-@dataclass(frozen=True)
-class KetValue:
-    ket: linalg.StateVector
-
-
-Value = KetValue | QuantumContents
+Value = linalg.StateVector | QuantumContents
 
 Scope = dict[str, Value]
 
 
 def _fail(node, message: str) -> ExecutionError:
-    return ExecutionError(message, getattr(node, "line", 0), getattr(node, "col", 0))
+    return ExecutionError(message, node.line, node.col)
 
 
 def eval_value(expr: ast.Expr, scope: Scope) -> Value:
@@ -44,14 +37,14 @@ def eval_value(expr: ast.Expr, scope: Scope) -> Value:
             raise _fail(expr, f"name {expr.name!r} is not defined") from None
     if isinstance(expr, ast.KetExpr):
         try:
-            return KetValue(linalg.make_vector(list(expr.amplitudes)))
+            return linalg.make_vector(list(expr.amplitudes))
         except QuantumGasError as exc:
             raise _fail(expr, f"bad ket: {exc}") from exc
     if isinstance(expr, ast.ProjExpr):
         inner = eval_value(expr.arg, scope)
-        if not isinstance(inner, KetValue):
+        if not isinstance(inner, linalg.StateVector):
             raise _fail(expr, "proj(...) needs a ket argument")
-        matrix = linalg.projector_from_vector(inner.ket)
+        matrix = linalg.projector_from_vector(inner)
         return QuantumContents(((1.0, DensityMatrix(matrix)),))
     if isinstance(expr, ast.MixExpr):
         components: list[tuple[float, DensityMatrix]] = []
@@ -68,8 +61,8 @@ def eval_value(expr: ast.Expr, scope: Scope) -> Value:
     if isinstance(expr, ast.TensorExpr):
         left = eval_value(expr.left, scope)
         right = eval_value(expr.right, scope)
-        if isinstance(left, KetValue) and isinstance(right, KetValue):
-            return KetValue(linalg.tensor_vector(left.ket, right.ket))
+        if isinstance(left, linalg.StateVector) and isinstance(right, linalg.StateVector):
+            return linalg.tensor_vector(left, right)
         if isinstance(left, QuantumContents) and isinstance(right, QuantumContents):
             return QuantumContents(tuple(
                 (wl * wr, DensityMatrix(linalg.tensor(sl.matrix, sr.matrix)))
@@ -97,8 +90,8 @@ def eval_projector(expr: ast.Expr, scope: Scope) -> linalg.HermitianMatrix:
             eval_projector(expr.left, scope), eval_projector(expr.right, scope)
         )
     value = eval_value(expr, scope)
-    if isinstance(value, KetValue):
-        return linalg.projector_from_vector(value.ket)
+    if isinstance(value, linalg.StateVector):
+        return linalg.projector_from_vector(value)
     return value.assembled().matrix
 
 
@@ -119,8 +112,8 @@ def eval_unitary(expr: ast.Expr, scope: Scope) -> np.ndarray:
 
 def _as_ket(expr: ast.Expr, scope: Scope) -> linalg.StateVector:
     value = eval_value(expr, scope)
-    if isinstance(value, KetValue):
-        return value.ket
+    if isinstance(value, linalg.StateVector):
+        return value
     # Accept a pure state where a ket is expected: take its top eigenvector.
     decomp = linalg.eig_hermitian(value.assembled().matrix)
     if decomp.eigenvalues[0] < 1.0 - 1e-9:

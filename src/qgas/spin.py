@@ -31,10 +31,6 @@ def x_plus_ket() -> StateVector:
     return make_vector([1.0 / _SQRT2, 1.0 / _SQRT2])
 
 
-def x_minus_ket() -> StateVector:
-    return make_vector([1.0 / _SQRT2, -1.0 / _SQRT2])
-
-
 def alpha_plus_ket() -> StateVector:
     # (2+sqrt2)^(-1/2) (|z+> + |x+>) = (cos pi/8, sin pi/8)
     return make_vector([np.sqrt(2.0 + _SQRT2) / 2.0, np.sqrt(2.0 - _SQRT2) / 2.0])
@@ -54,10 +50,6 @@ def z_minus() -> HermitianMatrix:
 
 def x_plus() -> HermitianMatrix:
     return projector_from_vector(x_plus_ket())
-
-
-def x_minus() -> HermitianMatrix:
-    return projector_from_vector(x_minus_ket())
 
 
 def alpha_plus() -> HermitianMatrix:

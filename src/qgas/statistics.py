@@ -333,21 +333,21 @@ def coarse_grain(povm: Povm, grouping: Sequence[tuple[str, Sequence[str]]]) -> P
     return Povm(tuple(elements))
 
 
-def support_projector(rho: DensityMatrix, tol: float = ZERO_TOL) -> HermitianMatrix:
-    """Projector onto the span of eigenvectors with eigenvalue above tol."""
+def support_projector(rho: DensityMatrix) -> HermitianMatrix:
+    """Projector onto the span of eigenvectors with eigenvalue above ZERO_TOL."""
     decomp = eig_hermitian(rho.matrix)
     acc = np.zeros((rho.dim, rho.dim), dtype=complex)
     for value, vec in zip(decomp.eigenvalues, decomp.eigenvectors):
-        if value > tol:
+        if value > ZERO_TOL:
             acc += np.outer(vec.amplitudes, vec.amplitudes.conj())
     return HermitianMatrix((acc + acc.conj().T) / 2)
 
 
-def _positive_part(decomp: SpectralDecomposition, tol: float = ZERO_TOL):
+def _positive_part(decomp: SpectralDecomposition):
     return [
         (value, vec.amplitudes)
         for value, vec in zip(decomp.eigenvalues, decomp.eigenvectors)
-        if value > tol
+        if value > ZERO_TOL
     ]
 
 
@@ -356,7 +356,6 @@ def verify_orthogonality_theorem(
     psi: DensityMatrix,
     povm: Povm,
     grouping: Grouping,
-    tol: float = 1e-9,
 ) -> OrthogonalityProof:
     """Run the constructive proof that a distinguishing POVM forces
     tr(phi psi) = 0, checking every step numerically.
@@ -367,7 +366,7 @@ def verify_orthogonality_theorem(
     of E; decompose psi and check its eigenvectors against phi's; conclude
     with the overlap itself.  A numerical failure in any step raises
     ProofStepFailedError, since for genuinely distinguishing inputs each
-    step is a mathematical identity.
+    step is a mathematical identity; residuals must stay within DERIVED_TOL.
     """
     if not is_one_shot_distinguishing(povm, grouping, phi, psi):
         raise PreconditionViolatedError(
@@ -376,10 +375,12 @@ def verify_orthogonality_theorem(
     steps: list[ProofStep] = []
 
     def check(name: str, residual: float) -> None:
-        ok = residual <= tol
+        ok = residual <= linalg.DERIVED_TOL
         steps.append(ProofStep(name, float(residual), ok))
         if not ok:
-            raise ProofStepFailedError(f"{name}: residual {residual:.3e} > {tol:.1e}")
+            raise ProofStepFailedError(
+                f"{name}: residual {residual:.3e} > {linalg.DERIVED_TOL:.1e}"
+            )
 
     coarse = coarse_grain(povm, [("E", grouping[0]), ("F", grouping[1])])
     e_mat = coarse.element("E")

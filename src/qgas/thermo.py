@@ -35,6 +35,16 @@ SECOND_LAW_TOL = 1e-9
 ORTHOGONALITY_TOL = 1e-10
 
 
+def _check_convex(weights: list[float], what: str) -> None:
+    """Gas contents carry a nonempty list of positive weights summing to 1."""
+    if not weights:
+        raise NotConvexError(f"{what} must be nonempty")
+    if any(w <= 0 for w in weights):
+        raise NotConvexError(f"weights must be positive: {weights}")
+    if abs(sum(weights) - 1.0) > WEIGHT_TOL:
+        raise NotConvexError(f"weights sum to {sum(weights)!r}")
+
+
 @dataclass(frozen=True)
 class QuantumContents:
     """Weighted mixture of internal-state density matrices."""
@@ -43,13 +53,7 @@ class QuantumContents:
     _assembled: DensityMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.mixture:
-            raise NotConvexError("mixture must be nonempty")
-        weights = [w for w, _ in self.mixture]
-        if any(w <= 0 for w in weights):
-            raise NotConvexError(f"weights must be positive: {weights}")
-        if abs(sum(weights) - 1.0) > WEIGHT_TOL:
-            raise NotConvexError(f"weights sum to {sum(weights)!r}")
+        _check_convex([w for w, _ in self.mixture], "mixture")
         dims = {state.dim for _, state in self.mixture}
         if len(dims) != 1:
             raise VariantMismatchError(f"mixed dimensions {dims}")
@@ -93,13 +97,7 @@ class ClassicalContents:
     species: tuple[tuple[float, str], ...]
 
     def __post_init__(self):
-        if not self.species:
-            raise NotConvexError("species bag must be nonempty")
-        weights = [w for w, _ in self.species]
-        if any(w <= 0 for w in weights):
-            raise NotConvexError(f"weights must be positive: {weights}")
-        if abs(sum(weights) - 1.0) > WEIGHT_TOL:
-            raise NotConvexError(f"weights sum to {sum(weights)!r}")
+        _check_convex([w for w, _ in self.species], "species bag")
 
     def weight_map(self) -> dict[str, float]:
         merged: dict[str, float] = {}
@@ -162,7 +160,6 @@ class LedgerStep:
 class HeatLedger:
     """Ordered record of per-step heat absorbed by the gases."""
 
-    boltzmann_constant: float = 1.0
     steps: list[LedgerStep] = field(default_factory=list)
     cycle_claimed: bool = False
 
@@ -235,7 +232,7 @@ def contents_equal(a: GasContents, b: GasContents, tol: float = 1e-9) -> bool:
     )
 
 
-def _chambers_match(initial: list[GasChamber], final: list[GasChamber], tol: float) -> bool:
+def _chambers_match(initial: list[GasChamber], final: list[GasChamber]) -> bool:
     if len(initial) != len(final):
         return False
     for before, after in zip(initial, final):
@@ -246,7 +243,7 @@ def _chambers_match(initial: list[GasChamber], final: list[GasChamber], tol: flo
         if abs(before.particles - after.particles) > VOLUME_REL_TOL * nscale:
             return False
         try:
-            if not contents_equal(before.contents, after.contents, tol):
+            if not contents_equal(before.contents, after.contents):
                 return False
         except VariantMismatchError:
             return False
@@ -257,11 +254,10 @@ def audit_cycle(
     ledger: HeatLedger,
     initial: list[GasChamber],
     final: list[GasChamber],
-    tol: float = 1e-9,
 ) -> CycleVerdict:
     """Compare configurations chamber by chamber (order matters: chambers
     are labeled positions) and apply Q <= 0 only if the cycle truly closed."""
-    actual = _chambers_match(initial, final, tol)
+    actual = _chambers_match(initial, final)
     total = ledger.total_heat
     satisfied = (total <= SECOND_LAW_TOL) if actual else None
     return CycleVerdict(
@@ -273,6 +269,6 @@ def audit_cycle(
     )
 
 
-def pressure(chamber: GasChamber, boltzmann_constant: float = 1.0) -> float:
-    """Ideal-gas pressure N k T / V, derived on demand."""
-    return chamber.particles * boltzmann_constant * chamber.temperature / chamber.volume
+def pressure(chamber: GasChamber) -> float:
+    """Ideal-gas pressure N k T / V with k = 1, derived on demand."""
+    return chamber.particles * chamber.temperature / chamber.volume

@@ -5,9 +5,10 @@ from conftest import BLEND_SEPARATION_HEAT, LN2, P_MINUS, P_PLUS, random_density
 from qgas import linalg, spin
 from qgas.errors import IncompatibleReductionError
 from qgas.observers import Observer, build_willard_povm, view_chamber, view_contents
+from qgas.protocol import execute
 from qgas.protocol.engine import run_protocol
 from qgas.protocol.parser import parse
-from qgas.scenarios import scenario_text
+from qgas.scenarios import BUNDLED, scenario_text
 from qgas.statistics import DensityMatrix, mix_states, outcome_probability
 from qgas.thermo import ClassicalContents, QuantumContents, contents_equal
 
@@ -247,3 +248,14 @@ class TestJaynesRun:
         run = run_protocol(protocol, observers=[Observer.classical("marie")])
         assert set(run.views) == {"marie"}
 
+
+class TestDeclaredObservers:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_header_observers_are_the_library_type(self, name):
+        protocol = parse(scenario_text(name))
+        declared = list(protocol.header.observers)
+        assert declared and all(isinstance(obs, Observer) for obs in declared)
+        assert (
+            execute(protocol, observers=declared).to_json()
+            == execute(protocol).to_json()
+        )

@@ -312,6 +312,36 @@ class TestFiniteNumbers:
         assert protocol.statements[0].tol == 5e-324
 
 
+class TestIdentityBound:
+    @pytest.mark.parametrize(
+        "text, line, col, expected",
+        [
+            (
+                QUANTUM_HEADER + "ROTATE u identity(1e308)\n",
+                2, 19, "an identity dimension from 1 to 2",
+            ),
+            (
+                QUANTUM_HEADER + "DEFINE_INSTRUMENT m a=identity(0)\n",
+                2, 32, "an identity dimension from 1 to 2",
+            ),
+            (
+                "HEADER classical temperature=1.0 particles=1.0\n"
+                "DEFINE_INSTRUMENT m a=identity(0)\n",
+                2, 32, "a quantum HEADER for identity(n)",
+            ),
+        ],
+        ids=["above-dim", "zero", "classical"],
+    )
+    def test_out_of_range_identity_rejected_at_its_argument(self, text, line, col, expected):
+        err = syntax_error(text)
+        assert (err.line, err.column) == (line, col)
+        assert err.expected == expected
+
+    def test_identity_of_header_dim_accepted(self):
+        protocol = parse(QUANTUM_HEADER + "DEFINE_INSTRUMENT m a=identity(2)\n")
+        assert protocol.statements[0].elements[0][1] == ast.IdentityExpr(2)
+
+
 class TestFractionFloor:
     STATES = QUANTUM_HEADER + "DEFINE_STATE a proj(ket(1, 0))\n"
 
