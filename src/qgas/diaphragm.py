@@ -5,15 +5,15 @@ and transmits or reflects it by outcome, updating the state in the process.
 Pushing a pair of such diaphragms through a container therefore both
 transforms and spatially separates the gas: each outcome ends up in its own
 chamber whose volume fraction equals the outcome probability (the
-equal-pressure condition), at the cost of isothermal compression heat
-N k T sum_i p_i ln p_i <= 0.
+equal-pressure condition; no chamber below ``statistics.PROBABILITY_FLOOR``),
+at the cost of isothermal compression heat N k T sum_i p_i ln p_i <= 0.
 
 Mixing is the inverse. With *separating* diaphragms (which exist exactly
-when the chamber states are pairwise orthogonal) it is reversible and the
-gases absorb Q = sum_i N_i k T ln(V_total/V_i) >= 0.  Asking for a
-separating mix of non-orthogonal gases raises NotOrthogonalError: that
-request asserts one-shot distinguishability of preparations already assumed
-indistinguishable, and no device can be built from a contradiction.
+when the chamber states are pairwise orthogonal) it is reversible, and each
+gas absorbs its ``isothermal_heat`` N_i k T ln(V_total/V_i) >= 0.  Asking
+for a separating mix of non-orthogonal gases raises NotOrthogonalError:
+that request asserts one-shot distinguishability of preparations already
+assumed indistinguishable, and no device can be built from a contradiction.
 Removing a wall without separating diaphragms is free mixing: irreversible,
 and it extracts nothing (Q = 0).
 
@@ -36,10 +36,8 @@ from .errors import (
     UnknownSpeciesError,
     VariantMismatchError,
 )
-from .statistics import Outcome, ProjectiveInstrument, apply_instrument
-from .thermo import ClassicalContents, GasChamber, GasContents, QuantumContents
-
-PROBABILITY_FLOOR = 1e-12
+from .statistics import PROBABILITY_FLOOR, Outcome, ProjectiveInstrument, apply_instrument
+from .thermo import ClassicalContents, GasChamber, GasContents, QuantumContents, isothermal_heat
 
 
 @dataclass(frozen=True)
@@ -56,9 +54,9 @@ def separate(chamber: GasChamber, instrument: ProjectiveInstrument) -> Separatio
     """Separate a quantum gas chamber with the diaphragms of an instrument.
 
     Outcome probabilities are computed on the assembled mixture.  Each
-    outcome with probability above 1e-12 gets a chamber holding the
-    post-measurement state, with volume p*V and particle amount p*N at the
-    parent temperature; zero-probability outcomes produce no chamber.
+    outcome with a post-state (probability at least ``PROBABILITY_FLOOR``)
+    gets a chamber holding that state, with volume p*V and particle amount
+    p*N at the parent temperature; the other outcomes produce no chamber.
     """
     if not isinstance(chamber.contents, QuantumContents):
         raise NotQuantumError("separation diaphragms act on quantum contents")
@@ -70,7 +68,7 @@ def separate(chamber: GasChamber, instrument: ProjectiveInstrument) -> Separatio
     parts = [
         (o.label, o.probability, QuantumContents(((1.0, o.post_state),)))
         for o in distribution.outcomes
-        if o.probability >= PROBABILITY_FLOOR and o.post_state is not None
+        if o.post_state is not None
     ]
     return _split(chamber, parts, distribution.outcomes)
 
@@ -128,19 +126,16 @@ def mix(
         only = chambers[0]
         return (only if not label else only.relabel(label)), 0.0
     t = _check_same_temperature(chambers)
+    total_v = sum(c.volume for c in chambers)
+    total_n = sum(c.particles for c in chambers)
+    heat = 0.0
     if distinguishing:
         for i, a in enumerate(chambers):
             for b in chambers[i + 1:]:
                 reason = a.contents.orthogonal_to(b.contents)
                 if reason is not None:
                     raise NotOrthogonalError(f"chambers {a.label!r} and {b.label!r} {reason}")
-    total_v = sum(c.volume for c in chambers)
-    total_n = sum(c.particles for c in chambers)
-    heat = 0.0
-    if distinguishing:
-        heat = math.fsum(
-            c.particles * t * math.log(total_v / c.volume) for c in chambers
-        )
+        heat = math.fsum(isothermal_heat(c.particles, t, c.volume, total_v) for c in chambers)
     merged = GasChamber(
         volume=total_v,
         temperature=t,

@@ -72,6 +72,7 @@ _tuple_new = tuple.__new__
 # Volume fractions must exceed this, and fractions must sum to 1 within it.
 _FRACTION_TOL = 1e-9
 _FLOOR = f"a fraction above {_FRACTION_TOL:g}"
+_REPEATED = "a species not named before on this line"
 
 
 class Token(NamedTuple):
@@ -314,6 +315,8 @@ class _Parser:
             mapping = {}
             while not cur.at_end():
                 source = cur.expect_name("<true-species>=<seen-species>")
+                if source.text in mapping:
+                    raise ScenarioSyntaxError(source.line, source.col, _REPEATED)
                 cur.expect("=")
                 mapping[source.text] = cur.expect_name("the observed species name").text
             return Observer.classical(name.text, mapping)
@@ -474,18 +477,20 @@ class _Parser:
         return ast.SeparateStmt(instrument.text, line=keyword.line, col=keyword.col)
 
     def parse_classical_separate(self, cur: _Cursor, keyword: Token) -> ast.ClassicalSeparateStmt:
-        permeability = []
+        permeability = {}
         while not cur.at_end():
             species = cur.expect_name("<species>=transmitted|reflected")
+            if species.text in permeability:
+                raise ScenarioSyntaxError(species.line, species.col, _REPEATED)
             cur.expect("=")
             verdict = cur.expect_name("transmitted or reflected")
             if verdict.text not in ("transmitted", "reflected"):
                 raise ScenarioSyntaxError(verdict.line, verdict.col, "transmitted or reflected")
-            permeability.append((species.text, verdict.text))
+            permeability[species.text] = verdict.text
         if not permeability:
             raise ScenarioSyntaxError(keyword.line, keyword.col, "a permeability map")
         return ast.ClassicalSeparateStmt(
-            tuple(permeability), line=keyword.line, col=keyword.col
+            tuple(permeability.items()), line=keyword.line, col=keyword.col
         )
 
     def parse_mix(self, cur: _Cursor, keyword: Token) -> ast.MixStmt:

@@ -1,10 +1,12 @@
 """Statistical objects of quantum preparations and measurements.
 
 A preparation is represented by a density matrix, a measurement by a POVM,
-and the outcome statistics follow the trace rule p_i = tr(rho E_i).  The
-only state-update rule used here is the projective one,
-rho -> P_i rho P_i / tr(P_i rho P_i); the full machinery of completely
-positive maps is deliberately out of scope.
+and the outcome statistics follow the trace rule p_i = tr(rho E_i).  A
+projective instrument is the POVM of mutually orthogonal projectors whose
+update rho -> P_i rho P_i / tr(P_i rho P_i) is the only one used here (an
+outcome below ``PROBABILITY_FLOOR`` gets no post-state); completely
+positive maps are deliberately out of scope.  :func:`are_orthogonal` is
+the one orthogonality predicate; the thermo layer asks it too.
 
 The module also makes the equivalence between one-shot distinguishability
 and orthogonality executable in both directions:
@@ -42,6 +44,8 @@ from .linalg import HermitianMatrix, SpectralDecomposition, eig_hermitian, trace
 # means at or below it; sharing the tolerance with the PSD checks keeps the
 # predicate stable.
 ZERO_TOL = 1e-10
+# Outcomes less likely than this get no post-state, and so no chamber.
+PROBABILITY_FLOOR = 1e-12
 
 Grouping = tuple[Sequence[str], Sequence[str]]
 
@@ -75,29 +79,49 @@ class DensityMatrix:
         return self.matrix.isclose(other.matrix, tol)
 
 
+def _lookup(pairs, label: str):
+    """The value of the first (name, value) pair whose name is ``label``."""
+    for name, value in pairs:
+        if name == label:
+            return value
+    raise KeyError(label)
+
+
 @dataclass(frozen=True)
 class Povm:
-    """Positive semidefinite elements, one per outcome, summing to identity."""
+    """Positive semidefinite elements, one per distinct outcome label, of one
+    dimension, summing to identity.  A subclass may narrow ``_check_element``
+    and fill ``_check_pairs``; ``_error`` and ``_noun`` name its failures."""
 
     elements: tuple[tuple[str, HermitianMatrix], ...]
 
+    _error = NotPovmError
+    _noun = "element"
+
     def __post_init__(self):
         if not self.elements:
-            raise NotPovmError("a POVM needs at least one element")
+            raise self._error(f"at least one {self._noun} is needed")
         labels = [label for label, _ in self.elements]
         if len(set(labels)) != len(labels):
-            raise NotPovmError(f"duplicate outcome labels in {labels}")
+            raise self._error(f"duplicate outcome labels in {labels}")
         dim = self.elements[0][1].dim
         total = np.zeros((dim, dim), dtype=complex)
         for label, mat in self.elements:
             if mat.dim != dim:
-                raise DimMismatchError(f"element {label} has dim {mat.dim} != {dim}")
-            smallest = float(np.linalg.eigvalsh(mat.entries)[0])
-            if smallest < -ZERO_TOL:
-                raise NotPovmError(f"element {label} is not PSD ({smallest!r})")
+                raise DimMismatchError(f"{self._noun} {label} has dim {mat.dim} != {dim}")
+            self._check_element(label, mat.entries)
             total += mat.entries
+        self._check_pairs()
         if float(np.max(np.abs(total - np.eye(dim)))) > ZERO_TOL:
-            raise NotPovmError("elements do not sum to the identity")
+            raise self._error(f"{self._noun}s do not sum to the identity")
+
+    def _check_element(self, label: str, entries: np.ndarray) -> None:
+        smallest = float(np.linalg.eigvalsh(entries)[0])
+        if smallest < -ZERO_TOL:
+            raise NotPovmError(f"element {label} is not PSD ({smallest!r})")
+
+    def _check_pairs(self) -> None:
+        pass
 
     @property
     def dim(self) -> int:
@@ -108,54 +132,34 @@ class Povm:
         return tuple(label for label, _ in self.elements)
 
     def element(self, label: str) -> HermitianMatrix:
-        for name, mat in self.elements:
-            if name == label:
-                return mat
-        raise KeyError(label)
+        return _lookup(self.elements, label)
 
 
-@dataclass(frozen=True)
-class ProjectiveInstrument:
-    """Mutually orthogonal projectors summing to identity, with the
-    state-update rule rho -> P rho P / tr(P rho P)."""
+class ProjectiveInstrument(Povm):
+    """A POVM of mutually orthogonal projectors, with the state-update rule
+    rho -> P rho P / tr(P rho P)."""
 
-    projectors: tuple[tuple[str, HermitianMatrix], ...]
+    _error = NotProjectiveError
+    _noun = "projector"
 
-    def __post_init__(self):
-        if not self.projectors:
-            raise NotProjectiveError("an instrument needs at least one projector")
-        dim = self.projectors[0][1].dim
-        total = np.zeros((dim, dim), dtype=complex)
-        mats = []
-        for label, mat in self.projectors:
-            if mat.dim != dim:
-                raise DimMismatchError(f"projector {label} has dim {mat.dim} != {dim}")
-            residual = float(np.max(np.abs(mat.entries @ mat.entries - mat.entries)))
-            if residual > ZERO_TOL:
-                raise NotProjectiveError(f"{label} not idempotent ({residual:.2e})")
-            mats.append(mat.entries)
-            total += mat.entries
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                cross = float(np.max(np.abs(mats[i] @ mats[j])))
+    def _check_element(self, label: str, entries: np.ndarray) -> None:
+        residual = float(np.max(np.abs(entries @ entries - entries)))
+        if residual > ZERO_TOL:
+            raise NotProjectiveError(f"{label} not idempotent ({residual:.2e})")
+
+    def _check_pairs(self) -> None:
+        for i, (a, p) in enumerate(self.elements):
+            for b, q in self.elements[i + 1:]:
+                cross = float(np.max(np.abs(p.entries @ q.entries)))
                 if cross > ZERO_TOL:
-                    raise NotProjectiveError(
-                        f"projectors {self.projectors[i][0]} and "
-                        f"{self.projectors[j][0]} overlap ({cross:.2e})"
-                    )
-        if float(np.max(np.abs(total - np.eye(dim)))) > ZERO_TOL:
-            raise NotProjectiveError("projectors do not sum to the identity")
+                    raise NotProjectiveError(f"projectors {a} and {b} overlap ({cross:.2e})")
 
     @property
-    def dim(self) -> int:
-        return self.projectors[0][1].dim
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.projectors)
+    def projectors(self) -> tuple[tuple[str, HermitianMatrix], ...]:
+        return self.elements
 
     def as_povm(self) -> Povm:
-        return Povm(self.projectors)
+        return Povm(self.elements)
 
 
 @dataclass(frozen=True)
@@ -175,16 +179,10 @@ class OutcomeDistribution:
             raise NotDensityMatrixError(f"outcome probabilities sum to {total!r}")
 
     def probability(self, label: str) -> float:
-        for o in self.outcomes:
-            if o.label == label:
-                return o.probability
-        raise KeyError(label)
+        return _lookup(((o.label, o.probability) for o in self.outcomes), label)
 
     def post_state(self, label: str) -> DensityMatrix | None:
-        for o in self.outcomes:
-            if o.label == label:
-                return o.post_state
-        raise KeyError(label)
+        return _lookup(((o.label, o.post_state) for o in self.outcomes), label)
 
 
 @dataclass(frozen=True)
@@ -232,25 +230,21 @@ def mix_states(weights: Sequence[float], states: Sequence[DensityMatrix]) -> Den
 
 
 def outcome_probability(rho: DensityMatrix, element: HermitianMatrix) -> float:
-    """Trace rule p = tr(rho E), clamped to [0, 1]."""
-    if rho.dim != element.dim:
-        raise DimMismatchError(f"dims {rho.dim} and {element.dim}")
+    """Trace rule p = tr(rho E), clamped to [0, 1]; trace_product checks the dims."""
     p = trace_product(rho.matrix, element)
     return min(1.0, max(0.0, p))
 
 
 def apply_instrument(rho: DensityMatrix, inst: ProjectiveInstrument) -> OutcomeDistribution:
-    """Projective update per outcome; outcomes below 1e-12 carry no post-state."""
-    if rho.dim != inst.dim:
-        raise DimMismatchError(f"dims {rho.dim} and {inst.dim}")
+    """Projective update per outcome; outcomes below PROBABILITY_FLOOR carry
+    no post-state."""
     outcomes = []
     for label, proj in inst.projectors:
         p = outcome_probability(rho, proj)
-        if p < 1e-12:
-            outcomes.append(Outcome(label, p, None))
-            continue
-        updated = proj.entries @ rho.matrix.entries @ proj.entries / p
-        post = DensityMatrix(HermitianMatrix((updated + updated.conj().T) / 2))
+        post = None
+        if p >= PROBABILITY_FLOOR:
+            updated = proj.entries @ rho.matrix.entries @ proj.entries / p
+            post = DensityMatrix(HermitianMatrix((updated + updated.conj().T) / 2))
         outcomes.append(Outcome(label, p, post))
     return OutcomeDistribution(tuple(outcomes))
 
@@ -272,19 +266,18 @@ def are_orthogonal(phi: DensityMatrix, psi: DensityMatrix) -> OrthogonalityCheck
     return OrthogonalityCheck(overlap <= ZERO_TOL, overlap)
 
 
-def _validated_grouping(povm: Povm, grouping: Grouping) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    set_one = tuple(grouping[0])
-    set_two = tuple(grouping[1])
-    if not set_one or not set_two:
-        raise InvalidPartitionError("both groups must be nonempty")
-    combined = list(set_one) + list(set_two)
-    if len(set(combined)) != len(combined):
-        raise InvalidPartitionError(f"groups overlap: {combined}")
-    if set(combined) != set(povm.labels):
+def _partition(povm: Povm, groups: Sequence[Sequence[str]]) -> list[tuple[str, ...]]:
+    """The groups as tuples, checked to split the POVM's labels into
+    nonempty, disjoint sets."""
+    groups = [tuple(members) for members in groups]
+    combined = [label for members in groups for label in members]
+    if not groups or not all(groups):
+        raise InvalidPartitionError("every group must be nonempty")
+    if len(set(combined)) != len(combined) or set(combined) != set(povm.labels):
         raise InvalidPartitionError(
-            f"groups {combined} do not cover POVM labels {list(povm.labels)}"
+            f"groups {combined} are not a partition of {list(povm.labels)}"
         )
-    return set_one, set_two
+    return groups
 
 
 def is_one_shot_distinguishing(
@@ -296,34 +289,22 @@ def is_one_shot_distinguishing(
     element E in it) and set two only on phi.  "Zero" and "nonzero" are
     resolved at the 1e-10 tolerance.
     """
-    set_one, set_two = _validated_grouping(povm, grouping)
+    set_one, set_two = _partition(povm, (grouping[0], grouping[1]))
     if phi.dim != povm.dim or psi.dim != povm.dim:
         raise DimMismatchError("state and POVM dimensions differ")
-    for label in set_one:
-        element = povm.element(label)
-        if trace_product(phi.matrix, element) > ZERO_TOL:
-            return False
-        if trace_product(psi.matrix, element) <= ZERO_TOL:
-            return False
-    for label in set_two:
-        element = povm.element(label)
-        if trace_product(psi.matrix, element) > ZERO_TOL:
-            return False
-        if trace_product(phi.matrix, element) <= ZERO_TOL:
-            return False
+    for labels, silent, firing in ((set_one, phi, psi), (set_two, psi, phi)):
+        for label in labels:
+            element = povm.element(label)
+            if trace_product(silent.matrix, element) > ZERO_TOL:
+                return False
+            if trace_product(firing.matrix, element) <= ZERO_TOL:
+                return False
     return True
 
 
 def coarse_grain(povm: Povm, grouping: Sequence[tuple[str, Sequence[str]]]) -> Povm:
     """Merge POVM outcomes: one element per group, summing its members."""
-    member_lists = [tuple(members) for _, members in grouping]
-    combined = [label for members in member_lists for label in members]
-    if not grouping or any(not members for members in member_lists):
-        raise InvalidPartitionError("every group must be nonempty")
-    if len(set(combined)) != len(combined) or set(combined) != set(povm.labels):
-        raise InvalidPartitionError(
-            f"groups {combined} are not a partition of {list(povm.labels)}"
-        )
+    member_lists = _partition(povm, [members for _, members in grouping])
     elements = []
     for (group_label, _), members in zip(grouping, member_lists):
         acc = linalg.zero(povm.dim)
@@ -335,11 +316,15 @@ def coarse_grain(povm: Povm, grouping: Sequence[tuple[str, Sequence[str]]]) -> P
 
 def support_projector(rho: DensityMatrix) -> HermitianMatrix:
     """Projector onto the span of eigenvectors with eigenvalue above ZERO_TOL."""
-    decomp = eig_hermitian(rho.matrix)
-    acc = np.zeros((rho.dim, rho.dim), dtype=complex)
-    for value, vec in zip(decomp.eigenvalues, decomp.eigenvectors):
-        if value > ZERO_TOL:
-            acc += np.outer(vec.amplitudes, vec.amplitudes.conj())
+    positive = _positive_part(eig_hermitian(rho.matrix))
+    return _span_projector(rho.dim, [v for _, v in positive])
+
+
+def _span_projector(dim: int, vectors) -> HermitianMatrix:
+    """The sum of |v><v| over the given amplitude arrays, symmetrised."""
+    acc = np.zeros((dim, dim), dtype=complex)
+    for v in vectors:
+        acc += np.outer(v, v.conj())
     return HermitianMatrix((acc + acc.conj().T) / 2)
 
 
@@ -396,34 +381,15 @@ def verify_orthogonality_theorem(
     )
 
     e_pairs = _positive_part(eig_hermitian(e_mat))
-    check(
-        "E eigenvalues lie in (0, 1]",
-        max((value - 1.0 for value, _ in e_pairs), default=0.0),
-    )
-    phi_pairs = _positive_part(eig_hermitian(phi.matrix))
-    check(
-        "phi eigenvectors orthogonal to E eigenvectors",
-        max(
-            (
-                abs(np.vdot(pv, ev))
-                for _, pv in phi_pairs
-                for _, ev in e_pairs
-            ),
-            default=0.0,
-        ),
-    )
-    psi_pairs = _positive_part(eig_hermitian(psi.matrix))
-    check(
-        "psi eigenvectors orthogonal to phi eigenvectors",
-        max(
-            (
-                abs(np.vdot(sv, pv))
-                for _, sv in psi_pairs
-                for _, pv in phi_pairs
-            ),
-            default=0.0,
-        ),
-    )
+    check("E eigenvalues lie in (0, 1]", max((value - 1.0 for value, _ in e_pairs), default=0.0))
+    earlier_name, earlier = "E", [v for _, v in e_pairs]
+    for name, state in (("phi", phi), ("psi", psi)):
+        vectors = [v for _, v in _positive_part(eig_hermitian(state.matrix))]
+        check(
+            f"{name} eigenvectors orthogonal to {earlier_name} eigenvectors",
+            max((abs(np.vdot(v, w)) for v in vectors for w in earlier), default=0.0),
+        )
+        earlier_name, earlier = name, vectors
     overlap = trace_product(phi.matrix, psi.matrix)
     check("overlap tr(phi psi) vanishes", abs(overlap))
     return OrthogonalityProof(tuple(steps), overlap, True)
@@ -439,8 +405,6 @@ def distinguishing_povm_from_orthogonal(
     psi, E the group that fires only on phi.  The result always passes
     :func:`is_one_shot_distinguishing`.
     """
-    if phi.dim != psi.dim:
-        raise DimMismatchError(f"dims {phi.dim} and {psi.dim}")
     witness = are_orthogonal(phi, psi)
     if not witness:
         raise NotOrthogonalError(f"overlap tr(phi psi) = {witness.overlap!r}")
@@ -460,11 +424,8 @@ def eigen_instrument(rho: DensityMatrix) -> ProjectiveInstrument:
     decomp = eig_hermitian(rho.matrix)
     projectors = []
     for index, cluster in enumerate(decomp.clusters()):
-        acc = np.zeros((rho.dim, rho.dim), dtype=complex)
-        for k in cluster:
-            v = decomp.eigenvectors[k].amplitudes
-            acc += np.outer(v, v.conj())
-        projectors.append((f"e{index}", HermitianMatrix((acc + acc.conj().T) / 2)))
+        vectors = [decomp.eigenvectors[k].amplitudes for k in cluster]
+        projectors.append((f"e{index}", _span_projector(rho.dim, vectors)))
     return ProjectiveInstrument(tuple(projectors))
 
 

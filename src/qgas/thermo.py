@@ -9,11 +9,12 @@ law simply does not apply, whatever the sign of Q.
 
 Gas contents come in two variants: a quantum mixture (weighted density
 matrices on the particles' internal degree of freedom) or a classical bag
-of named species.  The variants differ in two behaviours only: how
-contents pool when chambers merge (``merge``) and what makes two gases
-one-shot distinguishable (``orthogonal_to``: orthogonal states, or
-disjoint species bags).  Boltzmann's constant defaults to 1 so that
-every heat reads directly in units of N k T.
+of named species.  Each variant says how its contents pool (``merge``) and
+when two gases are one-shot distinguishable (``orthogonal_to``: states
+orthogonal by ``statistics.are_orthogonal``, or disjoint species bags);
+:func:`contents_equal`, observer views and report digests also branch on
+the variant.  Boltzmann's constant defaults to 1 so that every heat reads
+directly in units of N k T.
 """
 
 from __future__ import annotations
@@ -26,13 +27,18 @@ from .errors import (
     NotConvexError,
     VariantMismatchError,
 )
-from .linalg import trace_product
-from .statistics import DensityMatrix, mix_states
+from .statistics import DensityMatrix, are_orthogonal, mix_states
 
 WEIGHT_TOL = 1e-12
 VOLUME_REL_TOL = 1e-9
 SECOND_LAW_TOL = 1e-9
-ORTHOGONALITY_TOL = 1e-10
+
+
+def _check_positive(**values: float) -> None:
+    """Each named value must be finite and > 0."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise NonPositiveInputError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def _check_convex(weights: list[float], what: str) -> None:
@@ -80,10 +86,10 @@ class QuantumContents:
 
     def orthogonal_to(self, other: "QuantumContents") -> str | None:
         """None if the gases are orthogonal, else why no diaphragm separates them."""
-        overlap = trace_product(self.assembled().matrix, other.assembled().matrix)
-        if overlap > ORTHOGONALITY_TOL:
+        witness = are_orthogonal(self.assembled(), other.assembled())
+        if not witness:
             return (
-                f"hold non-orthogonal gases (overlap {overlap:.6f}); a diaphragm "
+                f"hold non-orthogonal gases (overlap {witness.overlap:.6f}); a diaphragm "
                 "separating them would distinguish preparations assumed "
                 "indistinguishable"
             )
@@ -141,10 +147,7 @@ class GasChamber:
     label: str = ""
 
     def __post_init__(self):
-        for name in ("volume", "temperature", "particles"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise NonPositiveInputError(f"{name} must be finite and > 0, got {value!r}")
+        _check_positive(volume=self.volume, temperature=self.temperature, particles=self.particles)
 
     def relabel(self, label: str) -> "GasChamber":
         return GasChamber(self.volume, self.temperature, self.particles, self.contents, label)
@@ -205,14 +208,9 @@ def isothermal_heat(
 ) -> float:
     """Heat absorbed by an ideal gas in an isothermal volume change,
     N k T ln(Vf/Vi); negative on compression."""
-    for name, value in (
-        ("particles", particles),
-        ("temperature", temperature),
-        ("v_initial", v_initial),
-        ("v_final", v_final),
-    ):
-        if not (math.isfinite(value) and value > 0):
-            raise NonPositiveInputError(f"{name} must be finite and > 0, got {value!r}")
+    _check_positive(
+        particles=particles, temperature=temperature, v_initial=v_initial, v_final=v_final
+    )
     return particles * boltzmann_constant * temperature * math.log(v_final / v_initial)
 
 
@@ -220,8 +218,6 @@ def contents_equal(a: GasContents, b: GasContents, tol: float = 1e-9) -> bool:
     """Compare contents up to decomposition: quantum mixtures are compared
     as assembled density matrices, classical bags as merged weight maps."""
     if isinstance(a, QuantumContents) and isinstance(b, QuantumContents):
-        if a.dim != b.dim:
-            return False
         return a.assembled().isclose(b.assembled(), tol)
     if isinstance(a, ClassicalContents) and isinstance(b, ClassicalContents):
         wa, wb = a.weight_map(), b.weight_map()
@@ -236,11 +232,10 @@ def _chambers_match(initial: list[GasChamber], final: list[GasChamber]) -> bool:
     if len(initial) != len(final):
         return False
     for before, after in zip(initial, final):
-        scale = max(abs(before.volume), abs(after.volume))
-        if abs(before.volume - after.volume) > VOLUME_REL_TOL * scale:
-            return False
-        nscale = max(abs(before.particles), abs(after.particles))
-        if abs(before.particles - after.particles) > VOLUME_REL_TOL * nscale:
+        if not (
+            math.isclose(before.volume, after.volume, rel_tol=VOLUME_REL_TOL)
+            and math.isclose(before.particles, after.particles, rel_tol=VOLUME_REL_TOL)
+        ):
             return False
         try:
             if not contents_equal(before.contents, after.contents):

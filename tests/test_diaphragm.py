@@ -13,7 +13,12 @@ from qgas.errors import (
     UnknownSpeciesError,
     VariantMismatchError,
 )
-from qgas.statistics import DensityMatrix, ProjectiveInstrument, mixture_eigen_instrument
+from qgas.statistics import (
+    DensityMatrix,
+    ProjectiveInstrument,
+    are_orthogonal,
+    mixture_eigen_instrument,
+)
 from qgas.thermo import ClassicalContents, GasChamber, QuantumContents, contents_equal
 
 
@@ -123,6 +128,23 @@ class TestMix:
         lower = quantum_chamber(0.5, [(1.0, spin.x_plus())], label="lower")
         with pytest.raises(NotOrthogonalError):
             mix([upper, lower], distinguishing=True)
+
+    @pytest.mark.parametrize("eps", [5e-11, 2e-10])
+    def test_one_orthogonality_predicate_at_its_tolerance(self, eps):
+        # tr(phi psi) = eps lies on either side of the 1e-10 tolerance; the
+        # statistics predicate, the contents check and a separating mix agree.
+        phi = DensityMatrix(spin.z_plus())
+        psi = DensityMatrix(linalg.make_hermitian(np.diag([eps, 1.0 - eps])))
+        orthogonal = bool(are_orthogonal(phi, psi))
+        assert orthogonal == (eps < 1e-10)
+        a, b = QuantumContents(((1.0, phi),)), QuantumContents(((1.0, psi),))
+        assert (a.orthogonal_to(b) is None) == orthogonal
+        chambers = [GasChamber(0.5, 1.0, 0.5, a, "a"), GasChamber(0.5, 1.0, 0.5, b, "b")]
+        if orthogonal:
+            mix(chambers, distinguishing=True)
+        else:
+            with pytest.raises(NotOrthogonalError):
+                mix(chambers, distinguishing=True)
 
     def test_free_mixing_extracts_nothing(self):
         upper = quantum_chamber(0.5, [(1.0, spin.z_plus())])

@@ -9,7 +9,7 @@ from qgas.errors import (
     ScenarioSyntaxError,
     UndefinedNameError,
 )
-from qgas.protocol import ast
+from qgas.protocol import ast, execute
 from qgas.protocol.parser import _tokenize_line, parse
 from qgas.protocol.ast import render
 from qgas.scenarios import BUNDLED, scenario_text
@@ -340,6 +340,33 @@ class TestIdentityBound:
     def test_identity_of_header_dim_accepted(self):
         protocol = parse(QUANTUM_HEADER + "DEFINE_INSTRUMENT m a=identity(2)\n")
         assert protocol.statements[0].elements[0][1] == ast.IdentityExpr(2)
+
+
+class TestRepeatedSpecies:
+    CLASSICAL = "HEADER classical temperature=1.0 particles=1.0\n"
+
+    @pytest.mark.parametrize(
+        "text, line, col",
+        [
+            (CLASSICAL + "OBSERVER o classical a=b a=c\n", 2, 26),
+            (
+                CLASSICAL + "CLASSICAL_CHAMBER u 1.0 a=1 b=1\n"
+                "CLASSICAL_SEPARATE a=transmitted b=reflected a=reflected\n",
+                3, 46,
+            ),
+        ],
+        ids=["observer-map", "classical-separate"],
+    )
+    def test_repeated_species_rejected_at_its_name(self, text, line, col):
+        err = syntax_error(text)
+        assert (err.line, err.column) == (line, col)
+        assert err.expected == "a species not named before on this line"
+
+    def test_repeated_chamber_species_add_their_weights(self):
+        protocol = parse(self.CLASSICAL + "CLASSICAL_CHAMBER u 1.0 a=1 a=1\n")
+        assert protocol.statements[0].species == (("a", 1.0), ("a", 1.0))
+        chamber = execute(protocol).result.final_chambers[0]
+        assert chamber.contents.weight_map() == {"a": 1.0}
 
 
 class TestFractionFloor:

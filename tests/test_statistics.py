@@ -20,6 +20,7 @@ from qgas.statistics import (
     apply_unitary,
     are_orthogonal,
     coarse_grain,
+    eigen_instrument,
     is_one_shot_distinguishing,
     mix_states,
     mixture_eigen_instrument,
@@ -98,6 +99,29 @@ class TestTypes:
         half = linalg.make_hermitian(np.eye(2) / 2)
         with pytest.raises(NotProjectiveError):
             ProjectiveInstrument((("a", half), ("b", half)))
+
+
+class TestInstrumentIsPovm:
+    """An instrument is a POVM: it shares the POVM's checks and adds only
+    idempotence and pairwise orthogonality, keeping its own error type."""
+
+    def test_repeated_label_rejected(self):
+        with pytest.raises(NotProjectiveError):
+            ProjectiveInstrument((("a", spin.z_plus()), ("a", spin.z_minus())))
+
+    @pytest.mark.parametrize(
+        "projectors", [(), (("up", spin.z_plus()),)], ids=["empty", "incomplete"]
+    )
+    def test_empty_and_incomplete_rejected(self, projectors):
+        with pytest.raises(NotProjectiveError):
+            ProjectiveInstrument(projectors)
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(DimMismatchError):
+            ProjectiveInstrument((("a", spin.z_plus()), ("b", linalg.identity(1))))
+
+    def test_eigen_instrument_is_a_povm(self, x_plus):
+        assert isinstance(eigen_instrument(x_plus), Povm)
 
 
 class TestTraceRule:
