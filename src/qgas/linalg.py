@@ -213,17 +213,20 @@ def partial_trace(
     ``keep`` selects the surviving factor ("first" or "second"); the trace
     of the result equals the trace of the input.
     """
+    return HermitianMatrix(partial_traces(m.entries[None], dims, keep)[0])
+
+
+def partial_traces(stack: np.ndarray, dims: tuple[int, int], keep: str = "first") -> np.ndarray:
+    """:func:`partial_trace` of each matrix in a stack of shape (n, d, d),
+    as one ``einsum``; returns the symmetrised (n, dk, dk) stack."""
     d1, d2 = int(dims[0]), int(dims[1])
-    if d1 * d2 != m.dim:
-        raise DimFactorMismatchError(f"{d1}x{d2} != dim {m.dim}")
+    if d1 * d2 != stack.shape[-1]:
+        raise DimFactorMismatchError(f"{d1}x{d2} != dim {stack.shape[-1]}")
     if keep not in ("first", "second"):
         raise ValueError("keep must be 'first' or 'second'")
-    blocks = m.entries.reshape(d1, d2, d1, d2)
-    if keep == "first":
-        reduced = np.einsum("ijkj->ik", blocks)
-    else:
-        reduced = np.einsum("ijil->jl", blocks)
-    return HermitianMatrix((reduced + reduced.conj().T) / 2)
+    blocks = stack.reshape(len(stack), d1, d2, d1, d2)
+    reduced = np.einsum("nijkj->nik" if keep == "first" else "nijil->njl", blocks)
+    return (reduced + reduced.conj().swapaxes(1, 2)) / 2
 
 
 def projector_from_vector(v: StateVector) -> HermitianMatrix:

@@ -12,11 +12,18 @@ open path.
 
 :class:`Observer` is the one observer type: the scenario parser builds the
 OBSERVER lines of a HEADER into it, and API callers build it directly.
+:func:`view_batch` is the one view function: it views many contents for
+one observer, taking a reducing observer's partial traces as one stack and
+validating them with one ``eigvalsh`` (``DensityMatrix.stack``);
+:func:`view_contents` is the batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from . import linalg, spin
 from .errors import IncompatibleReductionError, VariantMismatchError
@@ -70,34 +77,55 @@ class ObserverView:
 def view_contents(observer: Observer, truth: GasContents) -> GasContents:
     """Reduce ground-truth contents to what the observer can resolve; an
     observer that resolves everything gets the truth object itself."""
+    return next(view_batch(observer, [truth]))
+
+
+def view_batch(observer: Observer, truths: Sequence[GasContents]) -> Iterator[GasContents]:
+    """:func:`view_contents` of each ground-truth contents, in order.  Every
+    truth is checked first.  A reducing observer's partial traces are taken
+    as one stack and validated by one ``DensityMatrix.stack``; species
+    merges are made one at a time as the views are read."""
+    for truth in truths:
+        _check_viewable(observer, truth)
+    if observer.kind == "classical" and observer.species_map:
+        mapping = dict(observer.species_map)
+        return (_merged(mapping, truth) for truth in truths)
+    if observer.kind == "classical" or observer.reduction is None or not truths:
+        return iter(truths)
+    d1, d2, keep = observer.reduction
+    stack = np.stack([truth.assembled().matrix.entries for truth in truths])
+    reduced = DensityMatrix.stack(linalg.partial_traces(stack, (d1, d2), keep))
+    return (QuantumContents(((1.0, state),)) for state in reduced)
+
+
+def _check_viewable(observer: Observer, truth: GasContents) -> None:
     if isinstance(truth, QuantumContents):
         if observer.kind != "quantum":
             raise IncompatibleReductionError(
                 f"classical observer {observer.name!r} cannot view quantum contents"
             )
-        if observer.reduction is None:
-            return truth
-        d1, d2, keep = observer.reduction
-        if d1 * d2 != truth.dim:
-            raise IncompatibleReductionError(
-                f"reduction {d1}x{d2} does not fit dimension {truth.dim}"
-            )
-        reduced = linalg.partial_trace(truth.assembled().matrix, (d1, d2), keep)
-        return QuantumContents(((1.0, DensityMatrix(reduced)),))
-    if isinstance(truth, ClassicalContents):
+        if observer.reduction is not None:
+            d1, d2, _ = observer.reduction
+            if d1 * d2 != truth.dim:
+                raise IncompatibleReductionError(
+                    f"reduction {d1}x{d2} does not fit dimension {truth.dim}"
+                )
+    elif isinstance(truth, ClassicalContents):
         if observer.kind != "classical":
             raise IncompatibleReductionError(
                 f"quantum observer {observer.name!r} cannot view classical contents"
             )
-        if not observer.species_map:
-            return truth
-        mapping = dict(observer.species_map)
-        merged: dict[str, float] = {}
-        for weight, name in truth.species:
-            seen = mapping.get(name, name)
-            merged[seen] = merged.get(seen, 0.0) + weight
-        return ClassicalContents(tuple((w, name) for name, w in merged.items()))
-    raise VariantMismatchError(f"unknown contents {type(truth).__name__}")
+    else:
+        raise VariantMismatchError(f"unknown contents {type(truth).__name__}")
+
+
+def _merged(mapping: dict[str, str], truth: ClassicalContents) -> ClassicalContents:
+    """The species bag with each name renamed by ``mapping`` and pooled."""
+    merged: dict[str, float] = {}
+    for weight, name in truth.species:
+        seen = mapping.get(name, name)
+        merged[seen] = merged.get(seen, 0.0) + weight
+    return ClassicalContents(tuple((w, name) for name, w in merged.items()))
 
 
 def view_chamber(observer: Observer, chamber: GasChamber) -> GasChamber:

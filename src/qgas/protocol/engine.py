@@ -12,13 +12,17 @@ Operations rewrite the list:
 The statements in ``ast.OPERATIONS`` are the steps.  The first step
 freezes the initial configuration, and every step appends one entry to the
 shared heat ledger and one snapshot of the ground-truth chamber list;
-observers are views applied when a snapshot is read.  The observers default
-to the ones the script's HEADER declares.  Statements dispatch through one
-handler table; quantum and classical statements share their handlers.
+observers are views applied when a snapshot is read.  The observers
+default to the ones the script's HEADER declares.  Statements dispatch
+through one handler table; quantum and classical statements share their
+handlers.  Every step must conserve the gas: the chambers' volumes still
+sum to ``CONTAINER_VOLUME`` and their particles to the header's, within
+relative ``VOLUME_REL_TOL``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .. import diaphragm
@@ -31,6 +35,7 @@ from ..errors import (
 from ..observers import Observer, ObserverView, view_chamber
 from ..statistics import ProjectiveInstrument, apply_unitary
 from ..thermo import (
+    VOLUME_REL_TOL,
     ClassicalContents,
     GasChamber,
     HeatLedger,
@@ -185,8 +190,21 @@ class _Engine:
             return
         self._freeze_initial()
         description, heat = handler(self, stmt)
+        self._check_conservation(stmt)
         self.ledger.record(description, heat)
         self.steps.append(StepTrace(index, stmt.line, description, heat, tuple(self.chambers)))
+
+    def _check_conservation(self, stmt) -> None:
+        """The chambers still fill the container and hold every particle."""
+        for quantity, total, expected in (
+            ("volume", math.fsum(c.volume for c in self.chambers), CONTAINER_VOLUME),
+            ("particles", math.fsum(c.particles for c in self.chambers), self.header.particles),
+        ):
+            if not math.isclose(total, expected, rel_tol=VOLUME_REL_TOL):
+                raise ExecutionError(
+                    f"total {quantity} {total!r} is not the conserved {expected!r}",
+                    stmt.line, stmt.col,
+                )
 
     def _check_variant(self, keyword: str, stmt) -> None:
         """CLASSICAL_* statements need a classical header, the others a quantum one."""

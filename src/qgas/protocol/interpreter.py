@@ -12,11 +12,17 @@ A view changes only a chamber's contents, and chambers share contents
 objects (PARTITION siblings, a chamber left unchanged between steps), so
 each observer's view of one contents object is digested once and that
 digest dict is shared by every chamber holding it: the dicts that
-``to_json_dict`` returns are read-only.  ``to_json`` writes them with a
-small writer that reproduces ``json.dumps(..., sort_keys=True,
-separators=(",", ": "), indent=1)`` byte for byte and renders each
-shared digest once; with ``indent`` set, that call takes the pure-Python
-encoder (Python 3.10 and 3.11 at least).
+``to_json_dict`` returns are read-only.  The report first collects the
+run's distinct contents objects, in first-seen order; each observer views
+them in one ``view_batch`` call (one stacked partial trace and one stacked
+``eigvalsh`` validation for a reducing observer).  An observer's digests
+round its matrices of one dimension in one ``np.round`` and hash each
+matrix on its own, over the same bytes a single matrix gives.
+
+``to_json`` writes the dicts with a small writer that reproduces
+``json.dumps(..., sort_keys=True, separators=(",", ": "), indent=1)``
+byte for byte and renders each shared digest once; with ``indent`` set,
+that call takes the pure-Python encoder (Python 3.10 and 3.11 at least).
 """
 
 from __future__ import annotations
@@ -24,10 +30,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from ..observers import Observer, view_contents
+from ..observers import Observer, view_batch
 from ..thermo import ClassicalContents, GasChamber, GasContents, QuantumContents
 from . import ast
 from .engine import RunResult, run_protocol
@@ -129,22 +136,41 @@ def _round(x: float) -> float:
     return 0.0 if rounded == 0 else rounded  # normalize -0.0
 
 
-def _canonical_bytes(entries: np.ndarray) -> bytes:
-    rounded = np.round(entries.astype(complex), 10)
+def _canonical_bytes(stack: np.ndarray) -> list[bytes]:
+    """The hashed bytes of each matrix in a stack, rounded in one call."""
+    rounded = np.round(stack, 10)
     re = np.where(rounded.real == 0, 0.0, rounded.real)
     im = np.where(rounded.imag == 0, 0.0, rounded.imag)
-    return re.tobytes() + im.tobytes()
+    return [r.tobytes() + i.tobytes() for r, i in zip(re, im)]
+
+
+def _digests(views: Iterable[GasContents]) -> list[dict]:
+    """The digest of each contents object, in order.  A classical digest is
+    made as its view is read; the quantum ones of one dimension are rounded
+    as one stack."""
+    digests: list[dict] = []
+    by_dim: dict[int, list] = {}  # dim -> (index, density matrix) pairs
+    for i, view in enumerate(views):
+        if isinstance(view, QuantumContents):
+            by_dim.setdefault(view.dim, []).append((i, view.assembled()))
+            digests.append({})
+        else:
+            assert isinstance(view, ClassicalContents)
+            bag = {name: _round(w) for name, w in sorted(view.weight_map().items())}
+            digests.append({"kind": "classical", "species": bag})
+    for group in by_dim.values():
+        hashed = _canonical_bytes(np.stack([rho.matrix.entries for _, rho in group]))
+        for (i, rho), data in zip(group, hashed):
+            digests[i] = {
+                "kind": "quantum",
+                "eigenvalues": [_round(v) for v in rho.eigenvalues],
+                "hash": hashlib.sha256(data).hexdigest()[:16],
+            }
+    return digests
 
 
 def _contents_digest(contents: GasContents) -> dict:
-    if isinstance(contents, QuantumContents):
-        rho = contents.assembled()
-        eigenvalues = [_round(v) for v in rho.eigenvalues]
-        digest = hashlib.sha256(_canonical_bytes(rho.matrix.entries)).hexdigest()[:16]
-        return {"kind": "quantum", "eigenvalues": eigenvalues, "hash": digest}
-    assert isinstance(contents, ClassicalContents)
-    bag = {name: _round(w) for name, w in sorted(contents.weight_map().items())}
-    return {"kind": "classical", "species": bag}
+    return _digests([contents])[0]
 
 
 def _chamber_dict(chamber: GasChamber, digest: dict) -> dict:
@@ -174,20 +200,19 @@ def _report_dict(report: RunReport, units: UnitsConfig) -> tuple[dict, list[dict
     else:
         raise ValueError(f"unknown units mode {units.mode!r}")
 
+    # Distinct ground-truth contents objects, in first-seen order.
+    truths = list(
+        {id(c.contents): c.contents for step in result.steps for c in step.chambers}.values()
+    )
     observers_payload, all_digests = [], []
     for obs in result.observers:
         view = result.views[obs.name]
-        # id of a ground-truth contents object -> digest of this observer's view
-        digests: dict[int, dict] = {}
+        # id of a ground-truth contents object -> digest of this observer's
+        # view; the views themselves are dropped once digested.
+        digests = dict(zip(map(id, truths), _digests(view_batch(obs, truths))))
         steps_payload = []
         for step in result.steps:
-            chambers = []
-            for chamber in step.chambers:
-                digest = digests.get(id(chamber.contents))
-                if digest is None:
-                    digest = _contents_digest(view_contents(obs, chamber.contents))
-                    digests[id(chamber.contents)] = digest
-                chambers.append(_chamber_dict(chamber, digest))
+            chambers = [_chamber_dict(c, digests[id(c.contents)]) for c in step.chambers]
             steps_payload.append(
                 {
                     "index": step.index,

@@ -50,6 +50,21 @@ PROBABILITY_FLOOR = 1e-12
 Grouping = tuple[Sequence[str], Sequence[str]]
 
 
+def _validated_spectra(stack: np.ndarray) -> list[tuple[float, ...]]:
+    """Check each matrix of a stack (n, d, d) as a density matrix, in member
+    order: trace 1 within ZERO_TOL, then no eigenvalue below -ZERO_TOL.  One
+    ``eigvalsh`` serves the whole stack; each member's descending spectrum
+    is returned."""
+    traces = np.trace(stack, axis1=1, axis2=2).real.tolist()
+    spectra = np.linalg.eigvalsh(stack)
+    for tr, smallest in zip(traces, spectra[:, 0].tolist()):
+        if abs(tr - 1.0) > ZERO_TOL:
+            raise NotDensityMatrixError(f"trace {tr!r} differs from 1")
+        if smallest < -ZERO_TOL:
+            raise NotDensityMatrixError(f"negative eigenvalue {smallest!r}")
+    return [tuple(spectrum) for spectrum in spectra[:, ::-1].tolist()]
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Positive semidefinite Hermitian matrix with unit trace.
@@ -57,19 +72,34 @@ class DensityMatrix:
     Construction checks the trace and the spectrum; the spectrum that the
     positivity check computes is kept as ``eigenvalues`` (descending, not
     part of equality or repr), so no reader decomposes the matrix again.
+    One validation serves a single matrix and a stack: ``DensityMatrix(m)``
+    checks a stack of one, and :meth:`stack` checks many matrices of one
+    dimension with one ``eigvalsh``, each member by its own slice of it.
     """
 
     matrix: HermitianMatrix
     eigenvalues: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        tr = self.matrix.trace()
-        if abs(tr - 1.0) > ZERO_TOL:
-            raise NotDensityMatrixError(f"trace {tr!r} differs from 1")
-        spectrum = np.linalg.eigvalsh(self.matrix.entries)
-        if spectrum[0] < -ZERO_TOL:
-            raise NotDensityMatrixError(f"negative eigenvalue {float(spectrum[0])!r}")
-        object.__setattr__(self, "eigenvalues", tuple(spectrum[::-1].tolist()))
+        (spectrum,) = _validated_spectra(self.matrix.entries[None])
+        object.__setattr__(self, "eigenvalues", spectrum)
+
+    @classmethod
+    def stack(cls, entries) -> tuple["DensityMatrix", ...]:
+        """Density matrices from Hermitian matrices of one dimension, given
+        as a sequence or an (n, d, d) array.  Every member passes the checks
+        of ``DensityMatrix(...)``, and the first one that fails raises its
+        error, with the same message."""
+        stack = np.asarray(entries, dtype=complex)
+        if not len(stack):
+            return ()
+        states = []
+        for matrix, spectrum in zip(stack, _validated_spectra(stack)):
+            state = object.__new__(cls)
+            object.__setattr__(state, "matrix", HermitianMatrix(matrix))
+            object.__setattr__(state, "eigenvalues", spectrum)
+            states.append(state)
+        return tuple(states)
 
     @property
     def dim(self) -> int:
@@ -237,16 +267,18 @@ def outcome_probability(rho: DensityMatrix, element: HermitianMatrix) -> float:
 
 def apply_instrument(rho: DensityMatrix, inst: ProjectiveInstrument) -> OutcomeDistribution:
     """Projective update per outcome; outcomes below PROBABILITY_FLOOR carry
-    no post-state."""
-    outcomes = []
-    for label, proj in inst.projectors:
-        p = outcome_probability(rho, proj)
-        post = None
-        if p >= PROBABILITY_FLOOR:
-            updated = proj.entries @ rho.matrix.entries @ proj.entries / p
-            post = DensityMatrix(HermitianMatrix((updated + updated.conj().T) / 2))
-        outcomes.append(Outcome(label, p, post))
-    return OutcomeDistribution(tuple(outcomes))
+    no post-state.  The post-states are validated as one stack."""
+    probabilities = [outcome_probability(rho, proj) for _, proj in inst.projectors]
+    updated = np.array([
+        proj.entries @ rho.matrix.entries @ proj.entries / p
+        for (_, proj), p in zip(inst.projectors, probabilities)
+        if p >= PROBABILITY_FLOOR
+    ])
+    posts = iter(DensityMatrix.stack((updated + updated.conj().swapaxes(1, 2)) / 2))
+    return OutcomeDistribution(tuple(
+        Outcome(label, p, next(posts) if p >= PROBABILITY_FLOOR else None)
+        for (label, _), p in zip(inst.projectors, probabilities)
+    ))
 
 
 def apply_unitary(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:

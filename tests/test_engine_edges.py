@@ -1,9 +1,12 @@
 """Engine edge paths: bad chamber bookkeeping and guarded merges."""
 
+from dataclasses import replace
+
 import pytest
 
 from qgas.errors import ExecutionError, IncompatibleReductionError
 from qgas.observers import Observer
+from qgas.protocol import ast, engine
 from qgas.protocol.engine import run_protocol
 from qgas.protocol.interpreter import execute
 from qgas.protocol.parser import parse
@@ -200,3 +203,34 @@ def test_mixture_weights_checked_once_at_the_mix(weight):
         execute(parse(text))
     assert "mixture weights must be convex" in str(err.value)
     assert (err.value.line, err.value.column) == (4, 16)
+
+
+def test_step_that_leaves_the_container_half_empty_is_refused():
+    # Built in code: the parser would reject these fractions before any step.
+    header = ast.Header(None, 1.0, 2.0, (Observer.classical("lab"),))
+    protocol = ast.Protocol(header, (
+        ast.ClassicalChamberStmt("a", 0.25, (("argon", 1.0),), line=2, col=1),
+        ast.ClassicalChamberStmt("b", 0.25, (("neon", 1.0),), line=3, col=1),
+        ast.ClaimCycleStmt(line=4, col=3),
+    ))
+    with pytest.raises(ExecutionError) as err:
+        run_protocol(protocol)
+    assert "total volume 0.5" in str(err.value)
+    assert (err.value.line, err.value.column) == (4, 3)
+
+
+def test_separation_that_loses_particles_is_refused(monkeypatch):
+    split = engine.diaphragm.classical_separate
+
+    def leaky(chamber, permeability):
+        result = split(chamber, permeability)
+        lost = tuple(replace(c, particles=c.particles / 2) for c in result.chambers)
+        return replace(result, chambers=lost)
+
+    monkeypatch.setattr(engine.diaphragm, "classical_separate", leaky)
+    with pytest.raises(ExecutionError) as err:
+        execute(parse(
+            CLASSICAL_PRELUDE + "CLASSICAL_SEPARATE argon_a=transmitted argon_b=reflected\n"
+        ))
+    assert "total particles 0.5" in str(err.value)
+    assert (err.value.line, err.value.column) == (5, 1)

@@ -4,7 +4,9 @@
 scenario's report.  Any refactor must leave these bytes unchanged; the
 file is read here and never rewritten.  The bench's generated workloads
 are pinned too, at two seeds each: ``perfbench/workloads.py`` is loaded
-from its file (read-only) to write the scripts.
+from its file (read-only) to write the scripts.  The report digests its
+views in batches; each digest must equal the one made from a single
+``view_contents`` call.
 """
 
 import hashlib
@@ -15,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
+from qgas.observers import view_contents
 from qgas.protocol import execute, parse
+from qgas.protocol.interpreter import _contents_digest
 from qgas.scenarios import BUNDLED, scenario_text
 
 GOLDEN = json.loads(
@@ -50,3 +54,19 @@ def test_generated_report_matches_pinned_digest(workload, seed):
     ((_, text),) = load_workloads().GENERATORS[workload](seed).scripts
     report_json = execute(parse(text)).to_json()
     assert hashlib.sha256(report_json.encode()).hexdigest() == GENERATED[workload, seed]
+
+
+@pytest.mark.parametrize("name", [*BUNDLED, "deep_protocol-3"])
+def test_batched_digests_match_one_pair_at_a_time(name):
+    if name in BUNDLED:
+        text = scenario_text(name)
+    else:
+        ((_, text),) = load_workloads().GENERATORS["deep_protocol"](3).scripts
+    report = execute(parse(text))
+    payload = report.to_json_dict()
+    steps = report.result.steps
+    for obs, observer in zip(report.result.observers, payload["observers"]):
+        for step, rendered in zip(steps, observer["steps"]):
+            for chamber, shown in zip(step.chambers, rendered["chambers"], strict=True):
+                alone = _contents_digest(view_contents(obs, chamber.contents))
+                assert shown["contents_digest"] == alone

@@ -237,13 +237,13 @@ class TestWriter:
 def test_each_view_of_a_contents_object_is_digested_once(name, monkeypatch):
     report = run_bundled(name)
     calls = []
-    view_contents = interpreter.view_contents
+    view_batch = interpreter.view_batch
 
-    def counting(observer, contents):
-        calls.append((observer.name, id(contents)))
-        return view_contents(observer, contents)
+    def counting(observer, truths):
+        calls.extend((observer.name, id(contents)) for contents in truths)
+        return view_batch(observer, truths)
 
-    monkeypatch.setattr(interpreter, "view_contents", counting)
+    monkeypatch.setattr(interpreter, "view_batch", counting)
     payload = report.to_json_dict()
     steps = report.result.steps
     distinct = {id(c.contents) for step in steps for c in step.chambers}

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import P_MINUS, P_PLUS, random_density, random_unitary
 from qgas import linalg, spin
@@ -350,3 +354,78 @@ class TestMixStates:
         four = DensityMatrix(linalg.make_hermitian(np.eye(4) / 4))
         with pytest.raises(DimMismatchError):
             mix_states([0.5, 0.5], [z_plus, four])
+
+
+class TestDensityMatrixStack:
+    """``DensityMatrix.stack`` checks each member exactly as
+    ``DensityMatrix(...)`` checks it alone, with one eigvalsh for all."""
+
+    @staticmethod
+    def bad_member(rng: np.random.Generator, dim: int, kind: str, scale: int = 1) -> np.ndarray:
+        """Trace off by scale * 1e-9, or an eigenvalue of scale * -2e-10."""
+        if kind == "trace":
+            return random_density(rng, dim).matrix.entries + scale * 1e-9 * np.eye(dim) / dim
+        u = random_unitary(rng, dim)
+        weights = rng.uniform(0.1, 1.0, size=dim)
+        weights[-1] = 0.0
+        weights = weights / weights.sum() * (1 + scale * 2e-10)
+        weights[-1] = scale * -2e-10
+        acc = (u * weights) @ u.conj().T
+        return (acc + acc.conj().T) / 2
+
+    @staticmethod
+    def alone(entries: np.ndarray) -> NotDensityMatrixError:
+        with pytest.raises(NotDensityMatrixError) as err:
+            DensityMatrix(linalg.HermitianMatrix(entries))
+        return err.value
+
+    @given(
+        dim=st.sampled_from([2, 4, 8]),
+        count=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_spectra_match_one_at_a_time(self, dim, count, seed):
+        rng = np.random.default_rng(seed)
+        entries = [random_density(rng, dim).matrix.entries for _ in range(count)]
+        stacked = DensityMatrix.stack(entries)
+        assert len(stacked) == count
+        for matrix, state in zip(entries, stacked):
+            single = DensityMatrix(linalg.HermitianMatrix(matrix))
+            assert state == single
+            assert [v.hex() for v in state.eigenvalues] == [v.hex() for v in single.eigenvalues]
+
+    @given(
+        dim=st.sampled_from([2, 4, 8]),
+        count=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["trace", "eigenvalue"]),
+        data=st.data(),
+    )
+    def test_one_bad_member_fails_as_it_would_alone(self, dim, count, seed, kind, data):
+        rng = np.random.default_rng(seed)
+        entries = [random_density(rng, dim).matrix.entries for _ in range(count)]
+        at = data.draw(st.integers(0, count - 1))
+        entries[at] = self.bad_member(rng, dim, kind)
+        expected = self.alone(entries[at])
+        with pytest.raises(NotDensityMatrixError, match="^" + re.escape(str(expected)) + "$"):
+            DensityMatrix.stack(entries)
+
+    @given(
+        dim=st.sampled_from([2, 4, 8]),
+        count=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.tuples(*[st.sampled_from(["trace", "eigenvalue"])] * 2),
+        data=st.data(),
+    )
+    def test_first_of_two_bad_members_is_reported(self, dim, count, seed, kinds, data):
+        rng = np.random.default_rng(seed)
+        entries = [random_density(rng, dim).matrix.entries for _ in range(count)]
+        first, second = sorted(
+            data.draw(st.lists(st.integers(0, count - 1), min_size=2, max_size=2, unique=True))
+        )
+        entries[first] = self.bad_member(rng, dim, kinds[0])
+        entries[second] = self.bad_member(rng, dim, kinds[1], scale=2)
+        expected = self.alone(entries[first])
+        assert str(expected) != str(self.alone(entries[second]))
+        with pytest.raises(NotDensityMatrixError, match="^" + re.escape(str(expected)) + "$"):
+            DensityMatrix.stack(entries)
