@@ -12,12 +12,13 @@ errors.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
 from ..errors import ProtocolError, QuantumGasError
 from ..scenarios import BUNDLED, scenario_text
-from .interpreter import RunReport, UnitsConfig, execute
+from .interpreter import UnitsConfig, execute
 from .parser import parse
 
 
@@ -31,9 +32,8 @@ def _load_source(spec: str) -> str:
         raise FileNotFoundError(f"no such file or bundled scenario: {spec}") from None
 
 
-def _print_report(report: RunReport, units: UnitsConfig, out=None) -> None:
-    out = out if out is not None else sys.stdout
-    payload = report.to_json_dict(units)
+def _print_report(payload: dict) -> None:
+    """Print the summary lines of a parsed JSON report."""
     unit_name = payload["units"]
     for observer in payload["observers"]:
         verdict = observer["verdict"]
@@ -41,15 +41,13 @@ def _print_report(report: RunReport, units: UnitsConfig, out=None) -> None:
             f"{observer['name']}: total Q = {observer['total_Q']} {unit_name}; "
             f"cycle claimed={verdict['claimed']} actual={verdict['actual']}; "
             f"second law {verdict['second_law']}"
-            + (" (apparent violation explained)" if verdict["apparent_violation_explained"] else ""),
-            file=out,
+            + (" (apparent violation explained)" if verdict["apparent_violation_explained"] else "")
         )
     for expectation in payload["expectations"]:
         status = "ok" if expectation["passed"] else "FAILED"
         print(
             f"expect [{status}] {expectation['description']}: "
-            f"observed {expectation['observed']}",
-            file=out,
+            f"observed {expectation['observed']}"
         )
 
 
@@ -110,9 +108,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return 2
 
+    text = report.to_json(units)
     if args.json_path:
-        Path(args.json_path).write_text(report.to_json(units), encoding="utf-8")
-    _print_report(report, units)
+        Path(args.json_path).write_text(text, encoding="utf-8")
+    _print_report(json.loads(text))
     return 0 if report.all_expectations_passed else 1
 
 

@@ -12,12 +12,13 @@ Operations rewrite the list:
 The statements in ``ast.OPERATIONS`` are the steps.  The first step
 freezes the initial configuration, and every step appends one entry to the
 shared heat ledger and one snapshot of the ground-truth chamber list;
-observers are views applied when a snapshot is read.  The observers
-default to the ones the script's HEADER declares.  Statements dispatch
-through one handler table; quantum and classical statements share their
-handlers.  Every step must conserve the gas: the chambers' volumes still
-sum to ``CONTAINER_VOLUME`` and their particles to the header's, within
-relative ``VOLUME_REL_TOL``.
+observers are views applied when a snapshot is read.  For its cycle
+verdict, each observer views the initial and final chambers in one
+``view_batch`` call.  The observers default to the ones the script's
+HEADER declares.  Statements dispatch through one handler table; quantum
+and classical statements share their handlers.  Every step must conserve
+the gas: the chambers' volumes still sum to ``CONTAINER_VOLUME`` and their
+particles to the header's, within relative ``VOLUME_REL_TOL``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from ..errors import (
     ProtocolError,
     QuantumGasError,
 )
-from ..observers import Observer, ObserverView, view_chamber
+from ..observers import Observer, ObserverView, view_batch
 from ..statistics import ProjectiveInstrument, apply_unitary
 from ..thermo import (
     VOLUME_REL_TOL,
@@ -159,9 +160,13 @@ class _Engine:
         initial = self.initial or ()
         final = tuple(self.chambers)
         views: dict[str, ObserverView] = {}
+        chambers = initial + final
         for obs in self.observers:
-            seen_initial = tuple(view_chamber(obs, c) for c in initial)
-            seen_final = tuple(view_chamber(obs, c) for c in final)
+            seen = tuple(
+                GasChamber(c.volume, c.temperature, c.particles, view, c.label)
+                for c, view in zip(chambers, view_batch(obs, [c.contents for c in chambers]))
+            )
+            seen_initial, seen_final = seen[: len(initial)], seen[len(initial) :]
             verdict = audit_cycle(self.ledger, list(seen_initial), list(seen_final))
             views[obs.name] = ObserverView(
                 obs, seen_initial, seen_final, self.ledger, verdict

@@ -7,22 +7,26 @@ the eigenvalue list plus a hash of the rounded matrix.  The eigenvalues are
 the spectrum the density matrix kept when it was validated; the hash reads
 matrix entries only, so no eigenvector phase convention plays a part.
 
-Observers view each step's ground-truth chambers while the report renders.
-A view changes only a chamber's contents, and chambers share contents
-objects (PARTITION siblings, a chamber left unchanged between steps), so
-each observer's view of one contents object is digested once and that
-digest dict is shared by every chamber holding it: the dicts that
-``to_json_dict`` returns are read-only.  The report first collects the
-run's distinct contents objects, in first-seen order; each observer views
-them in one ``view_batch`` call (one stacked partial trace and one stacked
-``eigvalsh`` validation for a reducing observer).  An observer's digests
-round its matrices of one dimension in one ``np.round`` and hash each
-matrix on its own, over the same bytes a single matrix gives.
+The report text is that of ``json.dumps(payload, sort_keys=True,
+separators=(",", ": "), indent=1)`` for the schema-1 payload, written
+straight into one list of chunks and joined once; ``to_json_dict`` parses
+that text.  Observers differ only in how they describe a chamber's
+contents: volume, particles, position, heat and description are shared.
+So the text is rendered in three passes:
 
-``to_json`` writes the dicts with a small writer that reproduces
-``json.dumps(..., sort_keys=True, separators=(",", ": "), indent=1)``
-byte for byte and renders each shared digest once; with ``indent`` set,
-that call takes the pure-Python encoder (Python 3.10 and 3.11 at least).
+* once per run: each step's text around its chambers (Q; description,
+  index) and each chamber's text after its digest (particles, position,
+  volume);
+* once per observer: its view of each distinct contents object of the run
+  (first-seen order), all in one ``view_batch`` call (one stacked partial
+  trace and one stacked ``eigvalsh`` validation for a reducing observer),
+  and the digest text of each view.  An observer's digests round its
+  matrices of one dimension in one ``np.round`` and hash each matrix on
+  its own, over the same bytes a single matrix gives;
+* then each step's chambers are spliced from those pieces, so PARTITION
+  siblings and a chamber left unchanged between steps reuse one digest.
+
+Each float is rounded and spelled once per report.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import Iterable
 import numpy as np
 
 from ..observers import Observer, view_batch
-from ..thermo import ClassicalContents, GasChamber, GasContents, QuantumContents
+from ..thermo import ClassicalContents, GasContents, QuantumContents
 from . import ast
 from .engine import RunResult, run_protocol
 
@@ -79,11 +83,10 @@ class RunReport:
         return self.result.total_heat / (header.particles * header.temperature)
 
     def to_json_dict(self, units: UnitsConfig | None = None) -> dict:
-        return _report_dict(self, units or UnitsConfig())[0]
+        return json.loads(self.to_json(units))
 
     def to_json(self, units: UnitsConfig | None = None) -> str:
-        payload, digests = _report_dict(self, units or UnitsConfig())
-        return _dumps(payload, {id(d) for d in digests})
+        return _render(self, units or UnitsConfig())
 
 
 def execute(protocol: ast.Protocol, observers: list[Observer] | None = None) -> RunReport:
@@ -129,135 +132,15 @@ def _check_expectations(protocol: ast.Protocol, result: RunResult):
 
 
 # -- JSON rendering ------------------------------------------------------------
-
-
-def _round(x: float) -> float:
-    rounded = round(float(x), 12)
-    return 0.0 if rounded == 0 else rounded  # normalize -0.0
-
-
-def _canonical_bytes(stack: np.ndarray) -> list[bytes]:
-    """The hashed bytes of each matrix in a stack, rounded in one call."""
-    rounded = np.round(stack, 10)
-    re = np.where(rounded.real == 0, 0.0, rounded.real)
-    im = np.where(rounded.imag == 0, 0.0, rounded.imag)
-    return [r.tobytes() + i.tobytes() for r, i in zip(re, im)]
-
-
-def _digests(views: Iterable[GasContents]) -> list[dict]:
-    """The digest of each contents object, in order.  A classical digest is
-    made as its view is read; the quantum ones of one dimension are rounded
-    as one stack."""
-    digests: list[dict] = []
-    by_dim: dict[int, list] = {}  # dim -> (index, density matrix) pairs
-    for i, view in enumerate(views):
-        if isinstance(view, QuantumContents):
-            by_dim.setdefault(view.dim, []).append((i, view.assembled()))
-            digests.append({})
-        else:
-            assert isinstance(view, ClassicalContents)
-            bag = {name: _round(w) for name, w in sorted(view.weight_map().items())}
-            digests.append({"kind": "classical", "species": bag})
-    for group in by_dim.values():
-        hashed = _canonical_bytes(np.stack([rho.matrix.entries for _, rho in group]))
-        for (i, rho), data in zip(group, hashed):
-            digests[i] = {
-                "kind": "quantum",
-                "eigenvalues": [_round(v) for v in rho.eigenvalues],
-                "hash": hashlib.sha256(data).hexdigest()[:16],
-            }
-    return digests
-
-
-def _contents_digest(contents: GasContents) -> dict:
-    return _digests([contents])[0]
-
-
-def _chamber_dict(chamber: GasChamber, digest: dict) -> dict:
-    return {
-        "position": chamber.label,
-        "volume": _round(chamber.volume),
-        "particles": _round(chamber.particles),
-        "contents_digest": digest,
-    }
-
-
-def _report_dict(report: RunReport, units: UnitsConfig) -> tuple[dict, list[dict]]:
-    """The report payload, and the digest dicts that its chambers share."""
-    result = report.result
-    header = result.header
-    nkt = header.particles * header.temperature  # kB = 1 in ledger units
-    if units.mode == "nkt":
-        def scale(q: float) -> float:
-            return q / nkt
-    elif units.mode == "absolute":
-        n = header.particles if units.particles is None else units.particles
-        t = header.temperature if units.temperature is None else units.temperature
-        factor = units.boltzmann_constant * n * t
-
-        def scale(q: float) -> float:
-            return q / nkt * factor
-    else:
-        raise ValueError(f"unknown units mode {units.mode!r}")
-
-    # Distinct ground-truth contents objects, in first-seen order.
-    truths = list(
-        {id(c.contents): c.contents for step in result.steps for c in step.chambers}.values()
-    )
-    observers_payload, all_digests = [], []
-    for obs in result.observers:
-        view = result.views[obs.name]
-        # id of a ground-truth contents object -> digest of this observer's
-        # view; the views themselves are dropped once digested.
-        digests = dict(zip(map(id, truths), _digests(view_batch(obs, truths))))
-        steps_payload = []
-        for step in result.steps:
-            chambers = [_chamber_dict(c, digests[id(c.contents)]) for c in step.chambers]
-            steps_payload.append(
-                {
-                    "index": step.index,
-                    "description": step.description,
-                    "Q": _round(scale(step.heat)),
-                    "chambers": chambers,
-                }
-            )
-        all_digests.extend(digests.values())
-        verdict = view.verdict
-        observers_payload.append(
-            {
-                "name": obs.name,
-                "steps": steps_payload,
-                "total_Q": _round(scale(result.total_heat)),
-                "verdict": {
-                    "claimed": verdict.is_cycle_claimed,
-                    "actual": verdict.is_cycle_actual,
-                    "second_law": verdict.status,
-                    "apparent_violation_explained": verdict.apparent_violation_explained,
-                },
-            }
-        )
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "units": "NkT" if units.mode == "nkt" else "absolute",
-        "observers": observers_payload,
-        "expectations": [
-            {
-                "kind": e.kind,
-                "description": e.description,
-                "passed": e.passed,
-                "observed": e.observed,
-                "expected": e.expected,
-            }
-            for e in report.expectations
-        ],
-    }
-    return payload, all_digests
-
-
-# -- JSON writer ---------------------------------------------------------------
+#
+# The schema's keys are fixed, so each piece is written in sorted-key order
+# at its fixed indent: observers at 2 spaces, steps at 4, chambers at 6 and
+# the keys of a contents digest at 8.
 
 _escape = json.encoder.encode_basestring_ascii
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_ITEM = ",\n         "  # between the eigenvalues or species of a digest
+_CHAMBER = '\n      {\n       "contents_digest": '
 
 
 def _scalar(value) -> str:
@@ -278,63 +161,151 @@ def _scalar(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _dumps(obj, shared: set[int] = frozenset()) -> str:
-    """``json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)``
-    for dicts with str keys, lists, tuples, str, int, float, bool and None.
+def _round(x: float) -> float:
+    rounded = round(float(x), 12)
+    return 0.0 if rounded == 0 else rounded  # normalize -0.0
 
-    Chunks stream into one list.  A dict whose id is in ``shared`` is
-    rendered once per nesting depth, and that text is spliced in wherever
-    the dict appears again at that depth.
-    """
-    out: list[str] = []
-    append = out.append
-    memo: dict[tuple[int, int], str] = {}
 
-    def write(value, depth: int, prefix: str) -> None:
-        """Append ``prefix`` followed by the text of ``value``."""
-        kind = type(value)
-        if kind is float:
-            text = float.__repr__(value)
-            append(prefix + _NON_FINITE.get(text, text))
-        elif kind is str:
-            append(prefix + _escape(value))
-        elif isinstance(value, dict):
-            if id(value) not in shared:
-                write_dict(value, depth, prefix)
-                return
-            text = memo.get((id(value), depth))
-            if text is None:
-                start = len(out)
-                write_dict(value, depth, "")
-                text = memo[id(value), depth] = "".join(out[start:])
-                del out[start:]
-            append(prefix)
-            append(text)
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                append(prefix + "[]")
-                return
-            inner = "\n" + " " * (depth + 1)
-            sep = prefix + "[" + inner
-            for item in value:
-                write(item, depth + 1, sep)
-                sep = "," + inner
-            append("\n" + " " * depth + "]")
+class _Floats(dict):
+    """float -> the JSON text of its ``_round``, filled as floats are met."""
+
+    def __missing__(self, x: float) -> str:
+        text = float.__repr__(_round(x))
+        text = self[x] = _NON_FINITE.get(text, text)
+        return text
+
+
+def _canonical_bytes(stack: np.ndarray) -> list[bytes]:
+    """The hashed bytes of each matrix in a stack, rounded in one call."""
+    rounded = np.round(stack, 10)
+    re = np.where(rounded.real == 0, 0.0, rounded.real)
+    im = np.where(rounded.imag == 0, 0.0, rounded.imag)
+    return [r.tobytes() + i.tobytes() for r, i in zip(re, im)]
+
+
+def _digest_texts(views: Iterable[GasContents], floats: _Floats) -> list[str]:
+    """The digest text of each contents object, in order.  A classical
+    digest is made as its view is read; the quantum ones of one dimension
+    are rounded as one stack and hashed one matrix at a time."""
+    texts: list[str] = []
+    by_dim: dict[int, list] = {}  # dim -> (index, density matrix) pairs
+    for i, view in enumerate(views):
+        if isinstance(view, QuantumContents):
+            by_dim.setdefault(view.dim, []).append((i, view.assembled()))
+            texts.append("")
         else:
-            append(prefix + _scalar(value))
+            assert isinstance(view, ClassicalContents)
+            bag = _ITEM.join(
+                f"{_escape(name)}: {floats[w]}" for name, w in sorted(view.weight_map().items())
+            )
+            species = f"{{\n         {bag}\n        }}" if bag else "{}"
+            texts.append(
+                f'{{\n        "kind": "classical",\n        "species": {species}\n       }}'
+            )
+    for group in by_dim.values():
+        hashed = _canonical_bytes(np.stack([rho.matrix.entries for _, rho in group]))
+        for (i, rho), data in zip(group, hashed):
+            values = _ITEM.join([floats[v] for v in rho.eigenvalues])
+            texts[i] = (
+                f'{{\n        "eigenvalues": [\n         {values}\n        ],'
+                f'\n        "hash": "{hashlib.sha256(data).hexdigest()[:16]}",'
+                f'\n        "kind": "quantum"\n       }}'
+            )
+    return texts
 
-    def write_dict(value: dict, depth: int, prefix: str) -> None:
-        if not value:
-            append(prefix + "{}")
-            return
-        inner = "\n" + " " * (depth + 1)
-        sep = prefix + "{" + inner
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            write(value[key], depth + 1, sep + _escape(key) + ": ")
-            sep = "," + inner
-        append("\n" + " " * depth + "}")
 
-    write(obj, 0, "")
+def _contents_digest(contents: GasContents) -> dict:
+    return json.loads(_digest_texts([contents], _Floats())[0])
+
+
+def _expectations_text(expectations: tuple[ExpectationResult, ...]) -> str:
+    items = [
+        f'{{\n   "description": {_escape(e.description)},'
+        f'\n   "expected": {_scalar(e.expected)},\n   "kind": {_escape(e.kind)},'
+        f'\n   "observed": {_scalar(e.observed)},\n   "passed": {_scalar(e.passed)}\n  }}'
+        for e in expectations
+    ]
+    return "[\n  " + ",\n  ".join(items) + "\n ]" if items else "[]"
+
+
+def _render(report: RunReport, units: UnitsConfig) -> str:
+    """The report text.  The step and chamber text that every observer
+    shares is rendered once; each observer's view of a contents object is
+    digested once and spliced into every chamber that holds it."""
+    result = report.result
+    header = result.header
+    nkt = header.particles * header.temperature  # kB = 1 in ledger units
+    if units.mode == "nkt":
+        def scale(q: float) -> float:
+            return q / nkt
+    elif units.mode == "absolute":
+        n = header.particles if units.particles is None else units.particles
+        t = header.temperature if units.temperature is None else units.temperature
+        factor = units.boltzmann_constant * n * t
+
+        def scale(q: float) -> float:
+            return q / nkt * factor
+    else:
+        raise ValueError(f"unknown units mode {units.mode!r}")
+    floats = _Floats()
+
+    # Once per run: the distinct ground-truth contents objects in first-seen
+    # order, each step's text around its chambers, and each chamber's text
+    # after its digest (with the opening of the next chamber of the step).
+    # Every step holds chambers: the engine checks that they fill the container.
+    truths: dict[int, GasContents] = {}
+    steps = []
+    for k, step in enumerate(result.steps):
+        slots = []  # (id of the contents, the chamber's text after its digest)
+        last = len(step.chambers) - 1
+        for j, c in enumerate(step.chambers):
+            truths.setdefault(id(c.contents), c.contents)
+            tail = (
+                f',\n       "particles": {floats[c.particles]},'
+                f'\n       "position": {_escape(c.label)},'
+                f'\n       "volume": {floats[c.volume]}\n      }}'
+            )
+            slots.append((id(c.contents), tail if j == last else tail + "," + _CHAMBER))
+        head = (
+            f'{"," if k else ""}\n    {{\n     "Q": {floats[scale(step.heat)]},'
+            f'\n     "chambers": [{_CHAMBER}'
+        )
+        end = (
+            f'\n     ],\n     "description": {_escape(step.description)},'
+            f'\n     "index": {step.index}\n    }}'
+        )
+        steps.append((head, slots, end))
+    total = floats[scale(result.total_heat)]
+    steps_end = "\n   ]" if steps else "]"
+
+    out = [
+        f'{{\n "expectations": {_expectations_text(report.expectations)},'
+        '\n "observers": ['
+    ]
+    append = out.append
+    for n, obs in enumerate(result.observers):
+        # Once per observer: the digest of its view of each contents object.
+        views = view_batch(obs, list(truths.values()))
+        digests = dict(zip(truths, _digest_texts(views, floats)))
+        append(f'{"," if n else ""}\n  {{\n   "name": {_escape(obs.name)},\n   "steps": [')
+        for head, slots, end in steps:
+            append(head)
+            for key, tail in slots:
+                append(digests[key])
+                append(tail)
+            append(end)
+        verdict = result.views[obs.name].verdict
+        append(
+            f'{steps_end},\n   "total_Q": {total},\n   "verdict": {{'
+            f'\n    "actual": {_scalar(verdict.is_cycle_actual)},'
+            f'\n    "apparent_violation_explained": '
+            f'{_scalar(verdict.apparent_violation_explained)},'
+            f'\n    "claimed": {_scalar(verdict.is_cycle_claimed)},'
+            f'\n    "second_law": {_escape(verdict.status)}\n   }}\n  }}'
+        )
+    units_name = "NkT" if units.mode == "nkt" else "absolute"
+    append(
+        ("\n ]" if result.observers else "]")
+        + f',\n "schema": "{SCHEMA_VERSION}",\n "units": "{units_name}"\n}}'
+    )
     return "".join(out)

@@ -1,4 +1,6 @@
+import importlib.util
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,17 @@ settings.register_profile(
 settings.load_profile("suite")
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    """``perfbench/workloads.py``, loaded from its file (read-only)."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their defining module up in sys.modules.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def subprocess_env() -> dict[str, str]:

@@ -3,8 +3,19 @@ import json
 import pytest
 
 from conftest import subprocess_env
+from qgas.protocol import execute, parse
 from qgas.protocol.cli import main
 from qgas.scenarios import BUNDLED, scenario_text
+
+PERES_TATIANA_SUMMARY = (
+    "tatiana: total Q = 0.27665164986 NkT; cycle claimed=True actual=True; "
+    "second law violated\n"
+    "willard: total Q = 0.27665164986 NkT; cycle claimed=True actual=False; "
+    "second law not-applicable (apparent violation explained)\n"
+    "expect [ok] line 48: Q_total = 0.276652 NkT within 0.0001: observed 0.27665164986\n"
+    "expect [ok] line 49: tatiana verdict is violation: observed violation\n"
+    "expect [ok] line 50: willard verdict is not_applicable: observed not_applicable\n"
+)
 
 
 class TestScenariosCommand:
@@ -91,6 +102,12 @@ class TestRunCommand:
         payload = json.loads(out.read_text())
         assert payload["schema"] == "1"
         assert payload["observers"][0]["total_Q"] == pytest.approx(-0.416496, abs=1e-6)
+
+    def test_json_file_is_the_report_and_summary_is_unchanged(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["run", "peres_tatiana", "--json", str(out)]) == 0
+        assert out.read_bytes() == execute(parse(scenario_text("peres_tatiana"))).to_json().encode()
+        assert capsys.readouterr().out == PERES_TATIANA_SUMMARY
 
     def test_absolute_units(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -10,13 +10,12 @@ views in batches; each digest must equal the one made from a single
 """
 
 import hashlib
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import load_workloads
 from qgas.observers import view_contents
 from qgas.protocol import execute, parse
 from qgas.protocol.interpreter import _contents_digest
@@ -25,22 +24,12 @@ from qgas.scenarios import BUNDLED, scenario_text
 GOLDEN = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "golden_reports.json").read_text()
 )
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 GENERATED = {
     ("deep_protocol", 1): "87436cd7763fa50b177848ceb41a6baf7e0c4bd7dab486ce2fb2528ea78905af",
     ("deep_protocol", 2): "d0620bca04f8a9c908c9c425a1fcfba3f12ffd5043af98e9bd1946a896399676",
     ("classical_ledger", 1): "8f0914e61e0837815ae58afea7ef9ff508f01bd46dbf852907535060bc059ddc",
     ("classical_ledger", 2): "e190b24767f46cd4dbe28203e1b5b283246558ba576a0d95c1a0359405616cf4",
 }
-
-
-def load_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    # Its dataclasses look their defining module up in sys.modules.
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("name", BUNDLED)

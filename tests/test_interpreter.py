@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import BLEND_SEPARATION_HEAT, LN2, P_MINUS, P_PLUS
+from conftest import BLEND_SEPARATION_HEAT, LN2, P_MINUS, P_PLUS, load_workloads
 from qgas.errors import ExecutionError, NotOrthogonalError
 from qgas.protocol import interpreter
 from qgas.protocol.interpreter import UnitsConfig, execute
@@ -198,59 +198,89 @@ _scalars = st.one_of(
     st.sampled_from([-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf]),
     _text,
 )
-_trees = st.recursive(
-    _scalars,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=3).map(tuple),
-        st.dictionaries(_text, children, max_size=4),
-    ),
-    max_leaves=24,
-)
+
+
+def report_scripts():
+    """The bundled scripts, generated ones, and the shapes no bundled report has."""
+    for name in BUNDLED:
+        yield name, scenario_text(name)
+    workloads = load_workloads()
+    for workload in ("deep_protocol", "classical_ledger"):
+        for seed in (1, 2):
+            ((_, text),) = workloads.GENERATORS[workload](seed).scripts
+            yield f"{workload}-{seed}", text
+    chambers = (
+        "HEADER dim=2 temperature=1.0 particles=1.0\n"
+        "OBSERVER lab full\n"
+        "DEFINE_STATE zp ket(1, 0)\n"
+        "DEFINE_STATE s proj(zp)\n"
+        "CHAMBER upper 0.5 s\n"
+        "CHAMBER lower 0.5 s\n"
+    )
+    yield "no_steps", chambers
+    yield "no_expect", chambers + "REMOVE_PARTITION upper lower -> whole\n"
+
+
+SCRIPTS = dict(report_scripts())
 
 
 class TestWriter:
-    @given(_trees)
-    def test_matches_json_dumps(self, tree):
-        assert interpreter._dumps(tree) == reference_json(tree)
+    """The report renderer writes the text of ``json.dumps(..., indent=1)``."""
 
-    @given(st.dictionaries(_text, _trees, max_size=4), _trees)
-    def test_shared_dict_rendered_per_depth(self, sub, tree):
-        # One object at depths 1, 2 and 4: its memoised text must follow
-        # the indentation of each place it appears.
-        doc = {"shallow": sub, "deep": [[{"x": sub}]], "again": [sub], "other": tree}
-        assert interpreter._dumps(doc, {id(sub)}) == reference_json(doc)
+    @given(_scalars)
+    def test_matches_json_dumps(self, value):
+        assert interpreter._scalar(value) == json.dumps(value)
+
+    @given(st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e300, -1e-13])))
+    def test_rounded_float_text_matches_json_dumps(self, value):
+        floats = interpreter._Floats()
+        assert floats[value] == json.dumps(interpreter._round(value))
+        assert floats[value] == json.dumps(interpreter._round(value))  # memoised
 
     @pytest.mark.parametrize("value", [object(), 1j, b"bytes", {1, 2}, {1: "int key"}])
     def test_unsupported_type_raises(self, value):
         with pytest.raises(TypeError):
-            interpreter._dumps({"value": [value]})
+            interpreter._scalar(value)
 
     @pytest.mark.parametrize("units", [UnitsConfig(), ABSOLUTE], ids=["nkt", "absolute"])
-    @pytest.mark.parametrize("name", BUNDLED)
+    @pytest.mark.parametrize("name", list(SCRIPTS))
     def test_report_bytes_match_json_dumps(self, name, units):
-        report = run_bundled(name)
+        report = execute(parse(SCRIPTS[name]))
         assert report.to_json(units) == reference_json(report.to_json_dict(units))
+
+    def test_report_without_observers_matches_json_dumps(self):
+        report = execute(parse(scenario_text("peres_tatiana")), observers=[])
+        payload = report.to_json_dict()
+        assert payload["observers"] == []
+        assert report.to_json() == reference_json(payload)
 
 
 @pytest.mark.parametrize("name", ["peres_tatiana", "jaynes_marie_completed"])
 def test_each_view_of_a_contents_object_is_digested_once(name, monkeypatch):
     report = run_bundled(name)
-    calls = []
+    calls, digested = [], []
     view_batch = interpreter.view_batch
+    digest_texts = interpreter._digest_texts
 
     def counting(observer, truths):
         calls.extend((observer.name, id(contents)) for contents in truths)
         return view_batch(observer, truths)
 
+    def counting_digests(views, floats):
+        views = list(views)
+        digested.extend(views)
+        return digest_texts(views, floats)
+
     monkeypatch.setattr(interpreter, "view_batch", counting)
+    monkeypatch.setattr(interpreter, "_digest_texts", counting_digests)
     payload = report.to_json_dict()
     steps = report.result.steps
     distinct = {id(c.contents) for step in steps for c in step.chambers}
     assert len(distinct) < sum(len(step.chambers) for step in steps)
     assert len(calls) == len(set(calls)) == len(report.result.observers) * len(distinct)
+    assert len(digested) == len(report.result.observers) * len(distinct)
 
-    # PARTITION siblings hold one contents object, so they share one digest.
+    # PARTITION siblings hold one contents object, so they show one digest.
     (k,) = [i for i, step in enumerate(steps) if step.description.startswith("partition")]
     siblings = [
         i for i, c in enumerate(steps[k].chambers)
@@ -259,4 +289,4 @@ def test_each_view_of_a_contents_object_is_digested_once(name, monkeypatch):
     assert len(siblings) >= 2
     for observer in payload["observers"]:
         digests = [observer["steps"][k]["chambers"][i]["contents_digest"] for i in siblings]
-        assert all(d is digests[0] for d in digests)
+        assert all(d == digests[0] for d in digests)
