@@ -17,6 +17,7 @@ from qgas import (
     GasChamber,
     ProjectiveInstrument,
     QuantumContents,
+    mix_states,
     mixture_eigen_instrument,
     separate,
 )
@@ -24,7 +25,10 @@ from qgas import spin
 
 
 def chamber(mixture):
-    contents = QuantumContents(tuple((w, DensityMatrix(m)) for w, m in mixture))
+    """A unit chamber whose gas is the (weight, matrix) blend, held as one
+    density matrix."""
+    weights = [w for w, _ in mixture]
+    contents = QuantumContents(mix_states(weights, [DensityMatrix(m) for _, m in mixture]))
     return GasChamber(volume=1.0, temperature=1.0, particles=1.0, contents=contents)
 
 

@@ -14,10 +14,7 @@ from qgas import spin
 blend, eigen_instrument = mixture_eigen_instrument(
     [0.5, 0.5], [DensityMatrix(spin.z_plus()), DensityMatrix(spin.x_plus())]
 )
-parent = GasChamber(
-    1.0, 1.0, 1.0,
-    QuantumContents(((0.5, DensityMatrix(spin.z_plus())), (0.5, DensityMatrix(spin.x_plus())))),
-)
+parent = GasChamber(1.0, 1.0, 1.0, QuantumContents(blend))
 eigen_heat = separate(parent, eigen_instrument).heat
 
 thetas = np.linspace(0.0, np.pi / 2, 10_000, endpoint=False)

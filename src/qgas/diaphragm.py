@@ -53,7 +53,7 @@ class SeparationResult:
 def separate(chamber: GasChamber, instrument: ProjectiveInstrument) -> SeparationResult:
     """Separate a quantum gas chamber with the diaphragms of an instrument.
 
-    Outcome probabilities are computed on the assembled mixture.  Each
+    Outcome probabilities are computed on the contents' density matrix.  Each
     outcome with a post-state (probability at least ``PROBABILITY_FLOOR``)
     gets a chamber holding that state, with volume p*V and particle amount
     p*N at the parent temperature; the other outcomes produce no chamber.
@@ -66,7 +66,7 @@ def separate(chamber: GasChamber, instrument: ProjectiveInstrument) -> Separatio
         )
     distribution = apply_instrument(chamber.contents.assembled(), instrument)
     parts = [
-        (o.label, o.probability, QuantumContents(((1.0, o.post_state),)))
+        (o.label, o.probability, QuantumContents(o.post_state))
         for o in distribution.outcomes
         if o.post_state is not None
     ]

@@ -95,7 +95,7 @@ def view_batch(observer: Observer, truths: Sequence[GasContents]) -> Iterator[Ga
     d1, d2, keep = observer.reduction
     stack = np.stack([truth.assembled().matrix.entries for truth in truths])
     reduced = DensityMatrix.stack(linalg.partial_traces(stack, (d1, d2), keep))
-    return (QuantumContents(((1.0, state),)) for state in reduced)
+    return (QuantumContents(state) for state in reduced)
 
 
 def _check_viewable(observer: Observer, truth: GasContents) -> None:

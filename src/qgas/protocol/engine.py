@@ -324,9 +324,7 @@ class _Engine:
                 f"contents dimension {chamber.contents.dim}",
                 stmt.line, stmt.col,
             )
-        rotated = QuantumContents(
-            tuple((w, apply_unitary(s, unitary)) for w, s in chamber.contents.mixture)
-        )
+        rotated = QuantumContents(apply_unitary(chamber.contents.assembled(), unitary))
         self.chambers[index] = GasChamber(
             chamber.volume, chamber.temperature, chamber.particles, rotated, chamber.label
         )

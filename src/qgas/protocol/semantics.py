@@ -1,11 +1,11 @@
 """Evaluation of scenario expressions into library values.
 
 A DEFINE_STATE expression evaluates to a ket, a plain ``StateVector``, or
-to gas contents.  A state is a :class:`QuantumContents`, which keeps the
-mixture decomposition (weights and component matrices) it was written
-with, so gas contents preserve the narrative decomposition even though all
-physics is computed on the assembled matrix.  One evaluated state serves
-every statement that names it.  Unitary expressions give complex arrays.
+to gas contents.  A state is a :class:`QuantumContents` holding one density
+matrix: ``mix(...)`` and ``tensor(...)`` evaluate each term and build one
+matrix from them, since every verdict reads the matrix and none the
+decomposition it was written with.  One evaluated state serves every
+statement that names it.  Unitary expressions give complex arrays.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .. import linalg
 from ..errors import ExecutionError, QuantumGasError
-from ..statistics import DensityMatrix, ProjectiveInstrument, eigen_instrument
+from ..statistics import DensityMatrix, ProjectiveInstrument, eigen_instrument, mix_states
 from ..thermo import WEIGHT_TOL, QuantumContents
 from . import ast
 
@@ -29,7 +29,7 @@ def _fail(node, message: str) -> ExecutionError:
 
 
 def eval_value(expr: ast.Expr, scope: Scope) -> Value:
-    """Evaluate a state expression to a ket or to (decomposed) gas contents."""
+    """Evaluate a state expression to a ket or to gas contents."""
     if isinstance(expr, ast.NameRef):
         try:
             return scope[expr.name]
@@ -44,31 +44,28 @@ def eval_value(expr: ast.Expr, scope: Scope) -> Value:
         inner = eval_value(expr.arg, scope)
         if not isinstance(inner, linalg.StateVector):
             raise _fail(expr, "proj(...) needs a ket argument")
-        matrix = linalg.projector_from_vector(inner)
-        return QuantumContents(((1.0, DensityMatrix(matrix)),))
+        return QuantumContents(DensityMatrix(linalg.projector_from_vector(inner)))
     if isinstance(expr, ast.MixExpr):
-        components: list[tuple[float, DensityMatrix]] = []
+        weights, states = [], []
         for weight, term in expr.terms:
             value = eval_value(term, scope)
             if not isinstance(value, QuantumContents):
                 raise _fail(expr, "mix(...) terms must be states; wrap kets in proj()")
-            for w, state in value.mixture:
-                components.append((weight * w, state))
-        total = sum(w for w, _ in components)
-        if abs(total - 1.0) > WEIGHT_TOL or any(w <= 0 for w, _ in components):
+            weights.append(weight)
+            states.append(value.assembled())
+        total = sum(weights)
+        if abs(total - 1.0) > WEIGHT_TOL or any(w <= 0 for w in weights):
             raise _fail(expr, f"mixture weights must be convex (sum {total!r})")
-        return QuantumContents(tuple(components))
+        return QuantumContents(mix_states(weights, states))
     if isinstance(expr, ast.TensorExpr):
         left = eval_value(expr.left, scope)
         right = eval_value(expr.right, scope)
         if isinstance(left, linalg.StateVector) and isinstance(right, linalg.StateVector):
             return linalg.tensor_vector(left, right)
         if isinstance(left, QuantumContents) and isinstance(right, QuantumContents):
-            return QuantumContents(tuple(
-                (wl * wr, DensityMatrix(linalg.tensor(sl.matrix, sr.matrix)))
-                for wl, sl in left.mixture
-                for wr, sr in right.mixture
-            ))
+            return QuantumContents(
+                DensityMatrix(linalg.tensor(left.assembled().matrix, right.assembled().matrix))
+            )
         raise _fail(expr, "tensor(...) needs two kets or two states, not a mix of kinds")
     if isinstance(expr, (ast.IdentityExpr, ast.RotateToExpr)):
         raise _fail(expr, "unitary expressions are only valid in ROTATE statements")

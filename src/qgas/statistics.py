@@ -267,14 +267,18 @@ def outcome_probability(rho: DensityMatrix, element: HermitianMatrix) -> float:
 
 def apply_instrument(rho: DensityMatrix, inst: ProjectiveInstrument) -> OutcomeDistribution:
     """Projective update per outcome; outcomes below PROBABILITY_FLOOR carry
-    no post-state.  The post-states are validated as one stack."""
+    no post-state.  Each symmetrised P rho P is divided by its own trace, so
+    a post-state's trace is 1 however small p is; the post-states are
+    validated as one stack."""
     probabilities = [outcome_probability(rho, proj) for _, proj in inst.projectors]
-    updated = np.array([
-        proj.entries @ rho.matrix.entries @ proj.entries / p
+    projected = np.array([
+        proj.entries @ rho.matrix.entries @ proj.entries
         for (_, proj), p in zip(inst.projectors, probabilities)
         if p >= PROBABILITY_FLOOR
     ])
-    posts = iter(DensityMatrix.stack((updated + updated.conj().swapaxes(1, 2)) / 2))
+    projected = (projected + projected.conj().swapaxes(1, 2)) / 2
+    traces = np.trace(projected, axis1=1, axis2=2).real
+    posts = iter(DensityMatrix.stack(projected / traces[:, None, None]))
     return OutcomeDistribution(tuple(
         Outcome(label, p, next(posts) if p >= PROBABILITY_FLOOR else None)
         for (label, _), p in zip(inst.projectors, probabilities)

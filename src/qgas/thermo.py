@@ -7,14 +7,14 @@ checks the final configuration against the initial one before applying the
 cyclic form of the second law, Q <= 0.  When the configurations differ, the
 law simply does not apply, whatever the sign of Q.
 
-Gas contents come in two variants: a quantum mixture (weighted density
-matrices on the particles' internal degree of freedom) or a classical bag
-of named species.  Each variant says how its contents pool (``merge``) and
-when two gases are one-shot distinguishable (``orthogonal_to``: states
-orthogonal by ``statistics.are_orthogonal``, or disjoint species bags);
-:func:`contents_equal`, observer views and report digests also branch on
-the variant.  Boltzmann's constant defaults to 1 so that every heat reads
-directly in units of N k T.
+Gas contents come in two variants: a quantum state (one density matrix
+on the particles' internal degree of freedom, however it was prepared) or
+a classical bag of named species.  Each variant says how its contents
+pool (``merge``) and when two gases are one-shot distinguishable
+(``orthogonal_to``: states orthogonal by ``statistics.are_orthogonal``, or
+disjoint species bags); :func:`contents_equal`, observer views and report
+digests also branch on the variant.  Boltzmann's constant defaults to 1 so
+that every heat reads directly in units of N k T.
 """
 
 from __future__ import annotations
@@ -41,48 +41,29 @@ def _check_positive(**values: float) -> None:
             raise NonPositiveInputError(f"{name} must be finite and > 0, got {value!r}")
 
 
-def _check_convex(weights: list[float], what: str) -> None:
-    """Gas contents carry a nonempty list of positive weights summing to 1."""
-    if not weights:
-        raise NotConvexError(f"{what} must be nonempty")
-    if any(w <= 0 for w in weights):
-        raise NotConvexError(f"weights must be positive: {weights}")
-    if abs(sum(weights) - 1.0) > WEIGHT_TOL:
-        raise NotConvexError(f"weights sum to {sum(weights)!r}")
-
-
 @dataclass(frozen=True)
 class QuantumContents:
-    """Weighted mixture of internal-state density matrices."""
+    """The density matrix of the particles' internal degree of freedom.
 
-    mixture: tuple[tuple[float, DensityMatrix], ...]
-    _assembled: DensityMatrix | None = field(default=None, init=False, repr=False, compare=False)
+    A mixed gas holds the mixed matrix, not the ensemble it was prepared
+    from: every verdict reads the matrix alone.  ``assembled()`` is the
+    read every caller uses.
+    """
 
-    def __post_init__(self):
-        _check_convex([w for w, _ in self.mixture], "mixture")
-        dims = {state.dim for _, state in self.mixture}
-        if len(dims) != 1:
-            raise VariantMismatchError(f"mixed dimensions {dims}")
+    state: DensityMatrix
 
     @property
     def dim(self) -> int:
-        return self.mixture[0][1].dim
+        return self.state.dim
 
     def assembled(self) -> DensityMatrix:
-        """The mixture as a single density matrix, built on first use; a
-        single component of weight 1.0 is that density matrix itself."""
-        if self._assembled is None:
-            if len(self.mixture) == 1 and self.mixture[0][0] == 1.0:
-                mixed = self.mixture[0][1]
-            else:
-                mixed = mix_states([w for w, _ in self.mixture], [s for _, s in self.mixture])
-            object.__setattr__(self, "_assembled", mixed)
-        return self._assembled
+        """The contents' density matrix, ``state`` itself."""
+        return self.state
 
     @classmethod
     def merge(cls, parts) -> "QuantumContents":
-        """Pool (particle share, contents) pairs, keeping every component."""
-        return cls(tuple((share * w, s) for share, c in parts for w, s in c.mixture))
+        """Pool (particle share, contents) pairs into one mixed state."""
+        return cls(mix_states([share for share, _ in parts], [c.assembled() for _, c in parts]))
 
     def orthogonal_to(self, other: "QuantumContents") -> str | None:
         """None if the gases are orthogonal, else why no diaphragm separates them."""
@@ -103,7 +84,14 @@ class ClassicalContents:
     species: tuple[tuple[float, str], ...]
 
     def __post_init__(self):
-        _check_convex([w for w, _ in self.species], "species bag")
+        """A nonempty bag of positive weights summing to 1."""
+        weights = [w for w, _ in self.species]
+        if not weights:
+            raise NotConvexError("species bag must be nonempty")
+        if any(w <= 0 for w in weights):
+            raise NotConvexError(f"weights must be positive: {weights}")
+        if abs(sum(weights) - 1.0) > WEIGHT_TOL:
+            raise NotConvexError(f"weights sum to {sum(weights)!r}")
 
     def weight_map(self) -> dict[str, float]:
         merged: dict[str, float] = {}
@@ -215,8 +203,8 @@ def isothermal_heat(
 
 
 def contents_equal(a: GasContents, b: GasContents, tol: float = 1e-9) -> bool:
-    """Compare contents up to decomposition: quantum mixtures are compared
-    as assembled density matrices, classical bags as merged weight maps."""
+    """Compare contents by what they hold: quantum contents as density
+    matrices, classical bags as merged weight maps."""
     if isinstance(a, QuantumContents) and isinstance(b, QuantumContents):
         return a.assembled().isclose(b.assembled(), tol)
     if isinstance(a, ClassicalContents) and isinstance(b, ClassicalContents):

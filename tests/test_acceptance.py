@@ -150,7 +150,7 @@ def test_criterion_08_orthogonality_yields_distinguishing_povm():
 
 def _pure_chamber(matrix, volume, label):
     return GasChamber(
-        volume, 1.0, volume, QuantumContents(((1.0, DensityMatrix(matrix)),)), label
+        volume, 1.0, volume, QuantumContents(DensityMatrix(matrix)), label
     )
 
 
@@ -194,7 +194,7 @@ def test_criterion_10_eigenbasis_separation_is_work_optimal():
     p = np.clip(p, 1e-15, 1.0 - 1e-15)
     heats = p * np.log(p) + (1.0 - p) * np.log(1.0 - p)
 
-    parent = GasChamber(1.0, 1.0, 1.0, QuantumContents(((0.5, z_plus), (0.5, x_plus))))
+    parent = GasChamber(1.0, 1.0, 1.0, QuantumContents(blend))
     eigen_heat = separate(parent, eigen_instrument).heat
 
     # The eigenbasis beats every scanned basis, and the best scanned basis

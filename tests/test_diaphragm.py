@@ -17,13 +17,17 @@ from qgas.statistics import (
     DensityMatrix,
     ProjectiveInstrument,
     are_orthogonal,
+    mix_states,
     mixture_eigen_instrument,
 )
 from qgas.thermo import ClassicalContents, GasChamber, QuantumContents, contents_equal
 
 
 def quantum_chamber(volume, mixture, particles=None, label="") -> GasChamber:
-    contents = QuantumContents(tuple((w, DensityMatrix(m)) for w, m in mixture))
+    """A chamber holding the mixture of (weight, Hermitian matrix) pairs."""
+    contents = QuantumContents(
+        mix_states([w for w, _ in mixture], [DensityMatrix(m) for _, m in mixture])
+    )
     n = particles if particles is not None else volume
     return GasChamber(volume, 1.0, n, contents, label)
 
@@ -62,7 +66,7 @@ class TestSeparate:
         assert result.heat == pytest.approx(-0.41650, abs=1e-5)
         plus_contents = result.chambers[0].contents
         assert contents_equal(
-            plus_contents, QuantumContents(((1.0, DensityMatrix(spin.alpha_plus())),))
+            plus_contents, QuantumContents(DensityMatrix(spin.alpha_plus()))
         )
 
     def test_pure_gas_passes_through(self):
@@ -79,7 +83,7 @@ class TestSeparate:
         for _ in range(25):
             rho = random_density(rng, 2)
             parent = GasChamber(
-                0.8, 1.0, 0.6, QuantumContents(((1.0, rho),)), "parent"
+                0.8, 1.0, 0.6, QuantumContents(rho), "parent"
             )
             result = separate(parent, alpha_instrument())
             assert sum(c.volume for c in result.chambers) == pytest.approx(0.8, abs=1e-12)
@@ -91,7 +95,7 @@ class TestSeparate:
 
         for _ in range(25):
             rho = random_density(rng, 2)
-            parent = GasChamber(1.0, 1.0, 1.0, QuantumContents(((1.0, rho),)))
+            parent = GasChamber(1.0, 1.0, 1.0, QuantumContents(rho))
             result = separate(parent, z_instrument())
             expected = sum(
                 o.probability * math.log(o.probability)
@@ -121,7 +125,7 @@ class TestMix:
             0.5 * linalg.tensor(spin.z_plus(), spin.z_plus()).entries
             + 0.5 * linalg.tensor(spin.x_plus(), spin.z_minus()).entries
         )
-        assert contents_equal(merged.contents, QuantumContents(((1.0, DensityMatrix(tau)),)))
+        assert contents_equal(merged.contents, QuantumContents(DensityMatrix(tau)))
 
     def test_non_orthogonal_gases_rejected(self):
         upper = quantum_chamber(0.5, [(1.0, spin.z_plus())], label="upper")
@@ -137,7 +141,7 @@ class TestMix:
         psi = DensityMatrix(linalg.make_hermitian(np.diag([eps, 1.0 - eps])))
         orthogonal = bool(are_orthogonal(phi, psi))
         assert orthogonal == (eps < 1e-10)
-        a, b = QuantumContents(((1.0, phi),)), QuantumContents(((1.0, psi),))
+        a, b = QuantumContents(phi), QuantumContents(psi)
         assert (a.orthogonal_to(b) is None) == orthogonal
         chambers = [GasChamber(0.5, 1.0, 0.5, a, "a"), GasChamber(0.5, 1.0, 0.5, b, "b")]
         if orthogonal:
@@ -161,7 +165,7 @@ class TestMix:
 
     def test_temperature_mismatch(self):
         a = quantum_chamber(0.5, [(1.0, spin.z_plus())])
-        b = GasChamber(0.5, 2.0, 0.5, QuantumContents(((1.0, DensityMatrix(spin.z_minus())),)))
+        b = GasChamber(0.5, 2.0, 0.5, QuantumContents(DensityMatrix(spin.z_minus())))
         with pytest.raises(TemperatureMismatchError):
             mix([a, b], distinguishing=True)
 

@@ -1,9 +1,12 @@
 """Engine edge paths: bad chamber bookkeeping and guarded merges."""
 
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from qgas import linalg
 from qgas.errors import ExecutionError, IncompatibleReductionError
 from qgas.observers import Observer
 from qgas.protocol import ast, engine
@@ -11,6 +14,7 @@ from qgas.protocol.engine import run_protocol
 from qgas.protocol.interpreter import execute
 from qgas.protocol.parser import parse
 from qgas.scenarios import scenario_text
+from qgas.statistics import DensityMatrix
 
 PRELUDE = (
     "HEADER dim=2 temperature=1.0 particles=1.0\n"
@@ -65,7 +69,7 @@ def test_rotate_accepts_pure_state_endpoints():
     from qgas.thermo import QuantumContents, contents_equal
 
     assert contents_equal(
-        final.contents, QuantumContents(((1.0, DensityMatrix(spin.z_minus())),))
+        final.contents, QuantumContents(DensityMatrix(spin.z_minus()))
     )
 
 
@@ -188,7 +192,7 @@ def test_steps_keep_ground_truth_snapshots():
 def test_pure_state_assembles_to_its_own_matrix():
     result = run_protocol(parse(PRELUDE + "CHAMBER main 1.0 zs\n"))
     contents = result.final_chambers[0].contents
-    assert contents.assembled() is contents.mixture[0][1]
+    assert contents.assembled() is contents.state
 
 
 @pytest.mark.parametrize("weight", ["0.50000000001", "0.5000000002"])
@@ -234,3 +238,73 @@ def test_separation_that_loses_particles_is_refused(monkeypatch):
         ))
     assert "total particles 0.5" in str(err.value)
     assert (err.value.line, err.value.column) == (5, 1)
+
+
+def test_unlikely_outcome_separates_into_a_unit_trace_state():
+    # p_down = 1e-8.  Dividing P rho P by the separately computed p left
+    # this post-state with trace 0.9999999996376641, and the run stopped.
+    up = (0.955336489125606, 0.29552020666133955)
+    down = (-0.29552020666133955, 0.955336489125606)
+    gas = (0.9553069323282575, 0.29561573883265113)
+    text = (
+        "HEADER dim=2 temperature=1.0 particles=1.0\n"
+        f"DEFINE_STATE s proj(ket{gas})\n"
+        f"DEFINE_INSTRUMENT tilt up=proj(ket{up}) down=proj(ket{down})\n"
+        "CHAMBER main 1.0 s\n"
+        "SEPARATE tilt\n"
+    )
+    result = execute(parse(text)).result
+    assert abs(result.total_heat - -1.942068e-07) <= 1e-12
+    p = float(np.dot(down, gas)) ** 2
+    assert abs(result.total_heat - (p * math.log(p) + (1 - p) * math.log(1 - p))) <= 1e-12
+    kept = {c.label: c for c in result.final_chambers}
+    assert abs(kept["main/down"].volume - p) <= 1e-15
+    for label, ket in (("main/up", up), ("main/down", down)):
+        state = kept[label].contents.assembled()
+        assert abs(sum(state.eigenvalues) - 1.0) <= 1e-12
+        assert state.matrix.isclose(linalg.projector_from_vector(linalg.make_vector(ket)), 1e-9)
+
+
+# Three mixed d = 4 gases, freely mixed and then rotated.
+MIX_AND_ROTATE = (
+    "HEADER dim=4 temperature=1.0 particles=1.0\n"
+    "DEFINE_STATE a mix(0.5*proj(ket(1, 0, 0, 0)) + 0.5*proj(ket(0, 1, 0, 0)))\n"
+    "DEFINE_STATE b mix(0.25*proj(ket(0, 0, 1, 0)) + 0.75*a)\n"
+    "DEFINE_STATE c proj(ket(0, 0, 0, 1))\n"
+    "CHAMBER p 0.25 a\n"
+    "CHAMBER q 0.25 b\n"
+    "CHAMBER r 0.5 c\n"
+    "MIX free p q r -> all\n"
+    "ROTATE all rotate_to(ket(1, 0, 0, 0), ket(0, 0, 0, 1))\n"
+)
+
+
+def test_free_mix_and_rotation_each_build_one_state(monkeypatch):
+    # Counted at the hooks the bench tracer patches: every DensityMatrix
+    # construction runs __post_init__, and every statement _dispatch.
+    built = []
+    validate = DensityMatrix.__post_init__
+    dispatch = engine._Engine._dispatch
+    per_statement = {}
+
+    def counted_validate(self):
+        built.append(self)
+        validate(self)
+
+    def counted_dispatch(self, index, stmt):
+        before = len(built)
+        dispatch(self, index, stmt)
+        per_statement[type(stmt).__name__] = len(built) - before
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted_validate)
+    monkeypatch.setattr(engine._Engine, "_dispatch", counted_dispatch)
+    result = run_protocol(parse(MIX_AND_ROTATE))
+    assert per_statement["MixStmt"] == 1
+    assert per_statement["RotateStmt"] == 1
+    (chamber,) = result.final_chambers
+    contents = chamber.contents
+    assert contents.assembled() is contents.state
+    # 0.25 a + 0.25 b + 0.5 c = diag(0.21875, 0.21875, 0.0625, 0.5), then
+    # the rotation swaps the first and last basis states.
+    expected = np.diag([0.5, 0.21875, 0.0625, 0.21875])
+    assert np.abs(contents.state.matrix.entries - expected).max() <= 1e-12

@@ -17,7 +17,8 @@ WILLARD = Observer.quantum("willard")
 
 
 def quantum(*pairs) -> QuantumContents:
-    return QuantumContents(tuple((w, DensityMatrix(m)) for w, m in pairs))
+    """Contents holding the mixture of (weight, Hermitian matrix) pairs."""
+    return QuantumContents(mix_states([w for w, _ in pairs], [DensityMatrix(m) for _, m in pairs]))
 
 
 def tau_contents() -> QuantumContents:
@@ -65,10 +66,10 @@ class TestViewContents:
             weights = rng.uniform(0.1, 1.0, size=3)
             weights = list(weights / weights.sum())
             mixture_first = view_contents(
-                TATIANA, QuantumContents(tuple(zip(weights, states)))
+                TATIANA, QuantumContents(mix_states(weights, states))
             ).assembled()
             views = [
-                view_contents(TATIANA, QuantumContents(((1.0, s),))).assembled()
+                view_contents(TATIANA, QuantumContents(s)).assembled()
                 for s in states
             ]
             view_first = mix_states(weights, views)
@@ -196,13 +197,7 @@ class TestPeresRun:
             for c in steps["separate with alpha_diaphragms"].chambers
         ]
         assert len(separated) == 2
-        union = quantum(
-            *[
-                (c.particles * w, s.matrix)
-                for c in separated
-                for w, s in c.contents.mixture
-            ]
-        )
+        union = quantum(*[(c.particles, c.contents.state.matrix) for c in separated])
         weights = (P_PLUS / 2, P_PLUS / 2, P_MINUS / 2, P_MINUS / 2)
         kets = [
             linalg.tensor_vector(alpha, hidden)

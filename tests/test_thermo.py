@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import random_density, random_unitary
 from qgas import linalg, spin
 from qgas.errors import NonPositiveInputError, NotConvexError, VariantMismatchError
-from qgas.statistics import DensityMatrix
+from qgas.statistics import DensityMatrix, apply_unitary, mix_states
 from qgas.thermo import (
     ClassicalContents,
     GasChamber,
@@ -23,7 +24,8 @@ LN2 = math.log(2.0)
 
 
 def quantum(*pairs) -> QuantumContents:
-    return QuantumContents(tuple((w, DensityMatrix(m)) for w, m in pairs))
+    """Contents holding the mixture of (weight, Hermitian matrix) pairs."""
+    return QuantumContents(mix_states([w for w, _ in pairs], [DensityMatrix(m) for _, m in pairs]))
 
 
 class TestIsothermalHeat:
@@ -89,22 +91,60 @@ class TestContentsEqual:
         with pytest.raises(NotConvexError):
             ClassicalContents(((0.4, "a"), (0.4, "b")))
         with pytest.raises(NotConvexError):
-            QuantumContents(((0.0, DensityMatrix(spin.z_plus())),))
+            quantum((0.0, spin.z_plus()))
 
 
 class TestQuantumContents:
     def test_assembled_once_per_object(self):
         blend = quantum((0.5, spin.z_plus()), (0.5, spin.x_plus()))
-        assert blend.assembled() is blend.assembled()
-        # The kept mixture takes no part in equality.
-        assert blend == quantum((0.5, spin.z_plus()), (0.5, spin.x_plus()))
+        assert blend.assembled() is blend.assembled() is blend.state
+        expected = 0.5 * spin.z_plus().entries + 0.5 * spin.x_plus().entries
+        assert np.abs(blend.state.matrix.entries - expected).max() <= 1e-15
 
-    def test_single_component_of_weight_one_is_its_own_mixture(self):
+    def test_contents_hold_the_state_they_are_given(self):
         state = DensityMatrix(spin.z_plus())
-        assert QuantumContents(((1.0, state),)).assembled() is state
-        nearly_one = QuantumContents(((1.0 - 5e-13, state),)).assembled()
-        assert nearly_one is not state
-        assert nearly_one.isclose(state)
+        assert QuantumContents(state).assembled() is state
+        assert QuantumContents(state).dim == 2
+
+
+def max_abs(a: QuantumContents, b: QuantumContents) -> float:
+    return float(np.abs(a.state.matrix.entries - b.state.matrix.entries).max())
+
+
+class TestOneStateLosesNothing:
+    """Contents keep only the mixed matrix; these identities say that no
+    verdict could have read anything more from a kept decomposition."""
+
+    @given(st.sampled_from([2, 4]), st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_rotation_and_merges_commute_with_mixing(self, dim, count, seed):
+        rng = np.random.default_rng(seed)
+        ranks = rng.integers(1, dim + 1, size=count)
+        states = [random_density(rng, dim, int(rank)) for rank in ranks]
+        shares = rng.uniform(0.05, 1.0, size=count)
+        shares = list(shares / shares.sum())
+        u = random_unitary(rng, dim)
+
+        merged = QuantumContents.merge([(w, QuantumContents(s)) for w, s in zip(shares, states)])
+        rotated_merge = QuantumContents(apply_unitary(merged.state, u))
+        merged_rotations = QuantumContents.merge(
+            [(w, QuantumContents(apply_unitary(s, u))) for w, s in zip(shares, states)]
+        )
+        assert max_abs(rotated_merge, merged_rotations) <= 1e-12
+
+        cut = int(rng.integers(1, count))
+        groups = [(shares[:cut], states[:cut]), (shares[cut:], states[cut:])]
+        nested = QuantumContents.merge([
+            (sum(ws), QuantumContents.merge(
+                [(w / sum(ws), QuantumContents(s)) for w, s in zip(ws, ss)]
+            ))
+            for ws, ss in groups
+        ])
+        flat = QuantumContents(mix_states(shares, states))
+        assert max_abs(nested, flat) <= 1e-12
+        assert max_abs(merged, flat) <= 1e-12
+
+        for a, b in ((rotated_merge, merged_rotations), (nested, flat), (merged, rotated_merge)):
+            assert contents_equal(a, b, tol=1e-12) == (max_abs(a, b) <= 1e-12)
 
 
 def chamber(volume, contents, particles=None, label="") -> GasChamber:
