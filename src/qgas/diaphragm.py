@@ -15,7 +15,8 @@ for a separating mix of non-orthogonal gases raises NotOrthogonalError:
 that request asserts one-shot distinguishability of preparations already
 assumed indistinguishable, and no device can be built from a contradiction.
 Removing a wall without separating diaphragms is free mixing: irreversible,
-and it extracts nothing (Q = 0).
+and it extracts nothing (Q = 0).  Pooling chambers that all hold one gas
+(one contents object) is no mixing at all, and the pool keeps that gas.
 
 Quantum and classical gases share every step.  Separation takes either a
 projective instrument (:func:`separate`) or a species permeability map
@@ -115,7 +116,8 @@ def mix(
     requires the gases to be pairwise distinguishable (orthogonal states,
     or disjoint species bags); the gases then absorb
     Q = sum_i N_i k T ln(V_total/V_i) >= 0.  distinguishing=False is free
-    mixing: Q = 0.
+    mixing: Q = 0.  When every chamber holds the same contents object, the
+    merged chamber holds that object: pooling a gas with itself keeps it.
     """
     if not chambers:
         raise ValueError("nothing to mix")
@@ -136,13 +138,10 @@ def mix(
                 if reason is not None:
                     raise NotOrthogonalError(f"chambers {a.label!r} and {b.label!r} {reason}")
         heat = math.fsum(isothermal_heat(c.particles, t, c.volume, total_v) for c in chambers)
-    merged = GasChamber(
-        volume=total_v,
-        temperature=t,
-        particles=total_n,
-        contents=variant.merge([(c.particles / total_n, c.contents) for c in chambers]),
-        label=label or chambers[0].label,
-    )
+    pooled = chambers[0].contents
+    if any(c.contents is not pooled for c in chambers):
+        pooled = variant.merge([(c.particles / total_n, c.contents) for c in chambers])
+    merged = GasChamber(total_v, t, total_n, pooled, label or chambers[0].label)
     return merged, heat
 
 

@@ -32,9 +32,11 @@ def _load_source(spec: str) -> str:
         raise FileNotFoundError(f"no such file or bundled scenario: {spec}") from None
 
 
-def _print_report(payload: dict) -> None:
-    """Print the summary lines of a parsed JSON report."""
+def _print_report(payload: dict, total_q: float) -> None:
+    """Print the summary lines of a parsed JSON report, led by ``total_q`` if it has no observer."""
     unit_name = payload["units"]
+    if not payload["observers"]:
+        print(f"total Q = {total_q} {unit_name}")
     for observer in payload["observers"]:
         verdict = observer["verdict"]
         print(
@@ -111,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
     text = report.to_json(units)
     if args.json_path:
         Path(args.json_path).write_text(text, encoding="utf-8")
-    _print_report(json.loads(text))
+    _print_report(json.loads(text), report.total_heat_in(units))
     return 0 if report.all_expectations_passed else 1
 
 

@@ -6,7 +6,8 @@ Operations rewrite the list:
 
 * SEPARATE replaces each chamber by its outcome chambers, in place;
 * MIX and REMOVE_PARTITION delete the merged chambers and append the result
-  at the end of the list;
+  at the end of the list; chambers that hold one contents object (the
+  fragments of a PARTITION, say) pool into a chamber holding that object;
 * PARTITION replaces one chamber by its fragments, in place.
 
 The statements in ``ast.OPERATIONS`` are the steps.  The first step

@@ -59,6 +59,14 @@ class UnitsConfig:
     particles: float | None = None
     temperature: float | None = None
 
+    def per_nkt(self, header: ast.Header) -> float:
+        """One N k T of the header in these units; a reported heat is NkT times this."""
+        if self.mode not in ("nkt", "absolute"):
+            raise ValueError(f"unknown units mode {self.mode!r}")
+        n = header.particles if self.particles is None else self.particles
+        t = header.temperature if self.temperature is None else self.temperature
+        return 1.0 if self.mode == "nkt" else self.boltzmann_constant * n * t
+
 
 @dataclass(frozen=True)
 class ExpectationResult:
@@ -81,6 +89,10 @@ class RunReport:
     def total_heat_nkt(self) -> float:
         header = self.result.header
         return self.result.total_heat / (header.particles * header.temperature)
+
+    def total_heat_in(self, units: UnitsConfig) -> float:
+        """The run's total heat in ``units``, rounded as the report rounds it."""
+        return _round(self.total_heat_nkt() * units.per_nkt(self.result.header))
 
     def to_json_dict(self, units: UnitsConfig | None = None) -> dict:
         return json.loads(self.to_json(units))
@@ -235,18 +247,7 @@ def _render(report: RunReport, units: UnitsConfig) -> str:
     result = report.result
     header = result.header
     nkt = header.particles * header.temperature  # kB = 1 in ledger units
-    if units.mode == "nkt":
-        def scale(q: float) -> float:
-            return q / nkt
-    elif units.mode == "absolute":
-        n = header.particles if units.particles is None else units.particles
-        t = header.temperature if units.temperature is None else units.temperature
-        factor = units.boltzmann_constant * n * t
-
-        def scale(q: float) -> float:
-            return q / nkt * factor
-    else:
-        raise ValueError(f"unknown units mode {units.mode!r}")
+    factor = units.per_nkt(header)
     floats = _Floats()
 
     # Once per run: the distinct ground-truth contents objects in first-seen
@@ -267,7 +268,7 @@ def _render(report: RunReport, units: UnitsConfig) -> str:
             )
             slots.append((id(c.contents), tail if j == last else tail + "," + _CHAMBER))
         head = (
-            f'{"," if k else ""}\n    {{\n     "Q": {floats[scale(step.heat)]},'
+            f'{"," if k else ""}\n    {{\n     "Q": {floats[step.heat / nkt * factor]},'
             f'\n     "chambers": [{_CHAMBER}'
         )
         end = (
@@ -275,7 +276,7 @@ def _render(report: RunReport, units: UnitsConfig) -> str:
             f'\n     "index": {step.index}\n    }}'
         )
         steps.append((head, slots, end))
-    total = floats[scale(result.total_heat)]
+    total = floats[result.total_heat / nkt * factor]
     steps_end = "\n   ]" if steps else "]"
 
     out = [

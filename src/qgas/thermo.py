@@ -203,8 +203,10 @@ def isothermal_heat(
 
 
 def contents_equal(a: GasContents, b: GasContents, tol: float = 1e-9) -> bool:
-    """Compare contents by what they hold: quantum contents as density
-    matrices, classical bags as merged weight maps."""
+    """Compare contents by what they hold (an object equals itself unread):
+    quantum contents as density matrices, classical bags as merged weight maps."""
+    if a is b:
+        return True
     if isinstance(a, QuantumContents) and isinstance(b, QuantumContents):
         return a.assembled().isclose(b.assembled(), tol)
     if isinstance(a, ClassicalContents) and isinstance(b, ClassicalContents):
@@ -250,8 +252,3 @@ def audit_cycle(
         second_law_satisfied=satisfied,
         apparent_violation_explained=ledger.cycle_claimed and not actual,
     )
-
-
-def pressure(chamber: GasChamber) -> float:
-    """Ideal-gas pressure N k T / V with k = 1, derived on demand."""
-    return chamber.particles * chamber.temperature / chamber.volume

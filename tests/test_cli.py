@@ -109,6 +109,35 @@ class TestRunCommand:
         assert out.read_bytes() == execute(parse(scenario_text("peres_tatiana"))).to_json().encode()
         assert capsys.readouterr().out == PERES_TATIANA_SUMMARY
 
+    @pytest.mark.parametrize(
+        "flags, line",
+        [
+            ([], "total Q = -1.94207e-07 NkT\n"),
+            (
+                ["--units", "absolute", "--kB", "2.0", "--N", "10.0", "--T", "3.0"],
+                "total Q = -1.1652408e-05 absolute\n",
+            ),
+        ],
+        ids=["nkt", "absolute"],
+    )
+    def test_script_without_observers_prints_its_total_heat(self, tmp_path, capsys, flags, line):
+        # No OBSERVER and no EXPECT line: the total Q is the whole summary,
+        # spelled as the report spells a total_Q.
+        path = tmp_path / "tilt.qg"
+        path.write_text(
+            "HEADER dim=2 temperature=1.0 particles=1.0\n"
+            "DEFINE_STATE s proj(ket(0.9553069323282575, 0.29561573883265113))\n"
+            "DEFINE_INSTRUMENT tilt up=proj(ket(0.955336489125606, 0.29552020666133955))"
+            " down=proj(ket(-0.29552020666133955, 0.955336489125606))\n"
+            "CHAMBER main 1.0 s\n"
+            "SEPARATE tilt\n"
+        )
+        assert main(["run", str(path), *flags]) == 0
+        assert capsys.readouterr().out == line
+        heat = execute(parse(path.read_text())).total_heat_nkt()
+        scale = 1.0 if not flags else 2.0 * 10.0 * 3.0
+        assert float(line.split()[3]) == round(heat * scale, 12)
+
     def test_absolute_units(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import BLEND_SEPARATION_HEAT, LN2, P_MINUS, P_PLUS
+from conftest import BLEND_SEPARATION_HEAT, LN2, P_MINUS, P_PLUS, random_density
 from qgas import linalg, spin
 from qgas.diaphragm import classical_separate, mix, separate
 from qgas.errors import (
@@ -191,6 +193,88 @@ class TestMix:
         assert merged.particles == pytest.approx(parent.particles, abs=1e-12)
         assert contents_equal(merged.contents, parent.contents, tol=1e-9)
         assert result.heat + mixing_heat == pytest.approx(0.0, abs=1e-12)
+
+
+def one_gas(kind: str):
+    """One contents object: a mixed d = 2 or d = 4 state, or a species bag."""
+    if kind == "classical":
+        return ClassicalContents(((0.25, "argon"), (0.5, "neon"), (0.25, "argon")))
+    return QuantumContents(random_density(np.random.default_rng(7), int(kind[1:])))
+
+
+class TestPoolingOneGas:
+    """Chambers that all hold one contents object pool into that object."""
+
+    @pytest.mark.parametrize("kind", ["d2", "d4", "classical"])
+    def test_free_mix_keeps_the_object(self, kind):
+        gas = one_gas(kind)
+        parts = [
+            GasChamber(f, 1.0, 2.0 * f, gas, f"g{k}") for k, f in enumerate((0.2, 0.3, 0.5))
+        ]
+        merged, heat = mix(parts, distinguishing=False, label="gas")
+        assert merged.contents is gas
+        assert heat == 0.0
+        assert merged.volume == sum(c.volume for c in parts)
+        assert merged.particles == sum(c.particles for c in parts)
+        assert merged.label == "gas"
+
+    @pytest.mark.parametrize("kind", ["d2", "d4", "classical"])
+    def test_distinguishing_mix_of_one_gas_still_fails(self, kind):
+        gas = one_gas(kind)
+        parts = [GasChamber(0.5, 1.0, 0.5, gas, label) for label in ("a", "b")]
+        with pytest.raises(NotOrthogonalError):
+            mix(parts, distinguishing=True)
+
+    @pytest.mark.parametrize("kind", ["d2", "d4", "classical"])
+    def test_equal_but_distinct_contents_still_merge(self, kind, monkeypatch):
+        gas = one_gas(kind)
+        twin = type(gas)(gas.state if kind != "classical" else gas.species)
+        assert twin is not gas and contents_equal(twin, gas, tol=0.0)
+        merges = []
+        merge = type(gas).merge
+
+        def counted(parts):
+            merges.append(parts)
+            return merge(parts)
+
+        monkeypatch.setattr(type(gas), "merge", staticmethod(counted))
+        parts = [GasChamber(0.5, 1.0, 0.5, c, label) for c, label in ((gas, "a"), (twin, "b"))]
+        merged, heat = mix(parts, distinguishing=False)
+        assert len(merges) == 1
+        assert merged.contents is not gas and merged.contents is not twin
+        assert contents_equal(merged.contents, gas, tol=1e-12)
+        assert heat == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["d2", "d4", "classical"]),
+        species=st.integers(1, 16),
+        count=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kept_object_is_the_merge_it_skips(self, kind, species, count, seed):
+        # The shortcut agrees with the arithmetic: merging the fragments at
+        # their particle shares gives back the gas, within 1e-12.
+        rng = np.random.default_rng(seed)
+        if kind == "classical":
+            weights = rng.uniform(0.05, 1.0, size=species)
+            gas = ClassicalContents(
+                tuple((w, f"s{k:02d}") for k, w in enumerate(weights / weights.sum()))
+            )
+        else:
+            dim = int(kind[1:])
+            gas = QuantumContents(random_density(rng, dim, int(rng.integers(1, dim + 1))))
+        fractions = rng.uniform(0.05, 1.0, size=count)
+        fractions = fractions / fractions.sum()
+        parts = [
+            GasChamber(f, 1.0, f, gas, f"g{k}") for k, f in enumerate(fractions.tolist())
+        ]
+        merged, _ = mix(parts, distinguishing=False)
+        assert merged.contents is gas
+        total = sum(c.particles for c in parts)
+        pooled = type(gas).merge([(c.particles / total, c.contents) for c in parts])
+        assert pooled is not gas
+        assert contents_equal(merged.contents, pooled, tol=1e-12)
 
 
 class TestClassical:

@@ -15,6 +15,7 @@ from qgas.protocol.interpreter import execute
 from qgas.protocol.parser import parse
 from qgas.scenarios import scenario_text
 from qgas.statistics import DensityMatrix
+from qgas.thermo import ClassicalContents
 
 PRELUDE = (
     "HEADER dim=2 temperature=1.0 particles=1.0\n"
@@ -308,3 +309,62 @@ def test_free_mix_and_rotation_each_build_one_state(monkeypatch):
     # the rotation swaps the first and last basis states.
     expected = np.diag([0.5, 0.21875, 0.0625, 0.21875])
     assert np.abs(contents.state.matrix.entries - expected).max() <= 1e-12
+
+
+PARTITION_AND_REMOVE = (
+    "HEADER dim=4 temperature=1.0 particles=1.0\n"
+    "DEFINE_STATE a mix(0.5*proj(ket(1, 0, 0, 0)) + 0.25*proj(ket(0, 1, 0, 0))"
+    " + 0.25*proj(ket(0, 0, 0, 1)))\n"
+    "CHAMBER gas 1.0 a\n"
+    "PARTITION gas 0.2 0.3 0.5 -> g0 g1 g2\n"
+    "REMOVE_PARTITION -> gas\n"
+)
+
+
+def test_removing_the_walls_of_one_gas_builds_no_state(monkeypatch):
+    built = []
+    validate = DensityMatrix.__post_init__
+    dispatch = engine._Engine._dispatch
+    per_statement = {}
+
+    def counted_validate(self):
+        built.append(self)
+        validate(self)
+
+    def counted_dispatch(self, index, stmt):
+        before = len(built)
+        dispatch(self, index, stmt)
+        per_statement[type(stmt).__name__] = len(built) - before
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted_validate)
+    monkeypatch.setattr(engine._Engine, "_dispatch", counted_dispatch)
+    result = run_protocol(parse(PARTITION_AND_REMOVE))
+    assert per_statement["RemovePartitionStmt"] == 0
+    partitioned = result.steps[0].chambers[0].contents
+    assert result.initial_chambers[0].contents is partitioned
+    (chamber,) = result.final_chambers
+    assert chamber.contents is partitioned
+    assert (chamber.label, chamber.volume, chamber.particles) == ("gas", 1.0, 1.0)
+    assert result.total_heat == 0.0
+
+
+def test_removing_the_walls_of_one_classical_gas_merges_nothing(monkeypatch):
+    merges = []
+    merge = ClassicalContents.merge
+
+    def counted(parts):
+        merges.append(parts)
+        return merge(parts)
+
+    monkeypatch.setattr(ClassicalContents, "merge", staticmethod(counted))
+    text = (
+        "HEADER classical temperature=1.0 particles=1.0\n"
+        "CLASSICAL_CHAMBER gas 1.0 argon=0.25 neon=0.5 xenon=0.25\n"
+        "PARTITION gas 0.2 0.3 0.5 -> g0 g1 g2\n"
+        "REMOVE_PARTITION -> gas\n"
+    )
+    result = run_protocol(parse(text))
+    assert merges == []
+    (chamber,) = result.final_chambers
+    assert chamber.contents is result.initial_chambers[0].contents
+    assert result.total_heat == 0.0

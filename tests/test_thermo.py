@@ -17,7 +17,6 @@ from qgas.thermo import (
     audit_cycle,
     contents_equal,
     isothermal_heat,
-    pressure,
 )
 
 LN2 = math.log(2.0)
@@ -77,6 +76,19 @@ class TestContentsEqual:
         assert contents_equal(blend, blend)
         bag = ClassicalContents(((0.25, "a"), (0.75, "b")))
         assert contents_equal(bag, bag)
+
+    def test_an_object_equals_itself_unread(self, monkeypatch):
+        def unread(*args, **kwargs):
+            raise AssertionError("contents read")
+
+        monkeypatch.setattr(ClassicalContents, "weight_map", unread)
+        monkeypatch.setattr(DensityMatrix, "isclose", unread)
+        blend = quantum((0.5, spin.z_plus()), (0.5, spin.x_plus()))
+        bag = ClassicalContents(((0.25, "a"), (0.75, "b")))
+        assert contents_equal(blend, blend)
+        assert contents_equal(bag, bag, tol=0.0)
+        with pytest.raises(AssertionError, match="contents read"):
+            contents_equal(blend, quantum((0.5, spin.z_plus()), (0.5, spin.x_plus())))
 
     def test_classical_weight_maps_merge_duplicates(self):
         a = ClassicalContents(((0.5, "x"), (0.5, "x")))
@@ -224,7 +236,3 @@ class TestChamber:
             GasChamber(1.0, -1.0, 1.0, contents)
         with pytest.raises(NonPositiveInputError):
             GasChamber(1.0, 1.0, float("inf"), contents)
-
-    def test_pressure_on_demand(self):
-        c = GasChamber(0.5, 2.0, 0.25, quantum((1.0, spin.z_plus())))
-        assert pressure(c) == pytest.approx(0.25 * 2.0 / 0.5)
