@@ -17,8 +17,8 @@ from qgas import (
     GasChamber,
     ProjectiveInstrument,
     QuantumContents,
+    eigen_instrument,
     mix_states,
-    mixture_eigen_instrument,
     separate,
 )
 from qgas import spin
@@ -52,9 +52,8 @@ print(f"Compare ln 2 = {np.log(2):.6f}: complete separation, maximal cost.\n")
 print("=" * 72)
 print("2. Non-distinguishable pair: z+ and x+")
 print("=" * 72)
-blend, eigen_basis = mixture_eigen_instrument(
-    [0.5, 0.5], [DensityMatrix(spin.z_plus()), DensityMatrix(spin.x_plus())]
-)
+blend = mix_states([0.5, 0.5], [DensityMatrix(spin.z_plus()), DensityMatrix(spin.x_plus())])
+eigen_basis = eigen_instrument(blend)
 values = np.linalg.eigvalsh(blend.matrix.entries)[::-1]
 print(f"The blend's density matrix has eigenvalues {values[0]:.6f} and {values[1]:.6f};")
 print("its eigenvectors are the alpha+- pair, orthogonal even though z+ and x+ are not.\n")

@@ -14,9 +14,7 @@ from qgas.scenarios import scenario_text
 
 
 def bag(contents):
-    return ", ".join(f"{w:.2f} {name}" for name, w in sorted(
-        contents.weight_map().items(), key=lambda kv: kv[0]
-    ))
+    return ", ".join(f"{w:.2f} {name}" for name, w in sorted(contents.weights.items()))
 
 
 for name in ("jaynes_johann", "jaynes_marie_completed"):

@@ -8,14 +8,14 @@ where p = <v|lambda|v> is most extreme, i.e. at the eigenbasis of lambda.
 
 import numpy as np
 
-from qgas import DensityMatrix, GasChamber, QuantumContents, mixture_eigen_instrument, separate
+from qgas import (
+    DensityMatrix, GasChamber, QuantumContents, eigen_instrument, mix_states, separate,
+)
 from qgas import spin
 
-blend, eigen_instrument = mixture_eigen_instrument(
-    [0.5, 0.5], [DensityMatrix(spin.z_plus()), DensityMatrix(spin.x_plus())]
-)
+blend = mix_states([0.5, 0.5], [DensityMatrix(spin.z_plus()), DensityMatrix(spin.x_plus())])
 parent = GasChamber(1.0, 1.0, 1.0, QuantumContents(blend))
-eigen_heat = separate(parent, eigen_instrument).heat
+eigen_heat = separate(parent, eigen_instrument(blend)).heat
 
 thetas = np.linspace(0.0, np.pi / 2, 10_000, endpoint=False)
 lam = blend.matrix.entries.real

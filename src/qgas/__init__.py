@@ -42,9 +42,9 @@ from .statistics import (
     are_orthogonal,
     coarse_grain,
     distinguishing_povm_from_orthogonal,
+    eigen_instrument,
     is_one_shot_distinguishing,
     mix_states,
-    mixture_eigen_instrument,
     outcome_probability,
     verify_orthogonality_theorem,
 )
@@ -71,7 +71,7 @@ __all__ = [
     "outcome_probability", "apply_instrument", "apply_unitary",
     "are_orthogonal", "is_one_shot_distinguishing", "coarse_grain",
     "verify_orthogonality_theorem", "distinguishing_povm_from_orthogonal",
-    "mixture_eigen_instrument", "mix_states",
+    "eigen_instrument", "mix_states",
     "QuantumContents", "ClassicalContents", "GasChamber", "HeatLedger",
     "CycleVerdict", "isothermal_heat", "contents_equal", "audit_cycle",
     "SeparationResult", "separate", "classical_separate", "mix",

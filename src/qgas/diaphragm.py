@@ -161,7 +161,7 @@ def classical_separate(
         if verdict not in ("transmitted", "reflected"):
             raise UnknownSpeciesError(f"permeability verdict {verdict!r}")
     groups: dict[str, dict[str, float]] = {"transmitted": {}, "reflected": {}}
-    for name, w in chamber.contents.weight_map().items():
+    for name, w in chamber.contents.weights.items():
         if name not in permeability:
             raise UnknownSpeciesError(f"species {name!r} missing from permeability map")
         groups[permeability[name]][name] = w
@@ -171,6 +171,5 @@ def classical_separate(
         p = sum(bag.values())
         outcomes.append(Outcome(verdict, p, None))
         if p >= PROBABILITY_FLOOR:
-            bag_contents = ClassicalContents(tuple((w / p, name) for name, w in bag.items()))
-            parts.append((verdict, p, bag_contents))
+            parts.append((verdict, p, ClassicalContents({name: w / p for name, w in bag.items()})))
     return _split(chamber, parts, tuple(outcomes))

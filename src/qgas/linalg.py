@@ -127,15 +127,6 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return len(self.eigenvalues)
 
-    def reassemble(self) -> HermitianMatrix:
-        """Sum of eigenvalue-weighted eigenprojectors; reproduces the input."""
-        dim = self.eigenvectors[0].dim
-        acc = np.zeros((dim, dim), dtype=complex)
-        for value, vec in zip(self.eigenvalues, self.eigenvectors):
-            v = vec.amplitudes
-            acc += value * np.outer(v, v.conj())
-        return HermitianMatrix((acc + acc.conj().T) / 2)
-
     def clusters(self) -> list[list[int]]:
         """Indices grouped into degenerate clusters (gaps below DEGENERACY_GAP)."""
         groups: list[list[int]] = []

@@ -3,12 +3,12 @@
 Ground truth is always simulated at the largest dimension in play; an
 observer is a pure view function over it.  A quantum observer either sees
 the full space or a partial trace over one tensor factor (their measurement
-repertoire spans only part of the operator space); a classical observer sees
-species names through a merge map (species they cannot tell apart collapse
-to one name).  Heats are measured quantities and are shared by everyone:
-only the *description* of the gas contents is observer-relative, which is
-exactly why one observer can book a completed cycle while another sees an
-open path.
+repertoire spans only part of the operator space); a classical observer
+reads the weight map through a merge map (species they cannot tell apart
+collapse to one name, and their weights add).  Heats are measured
+quantities and are shared by everyone: only the *description* of the gas
+contents is observer-relative, which is exactly why one observer can book a
+completed cycle while another sees an open path.
 
 :class:`Observer` is the one observer type: the scenario parser builds the
 OBSERVER lines of a HEADER into it, and API callers build it directly.
@@ -83,8 +83,8 @@ def view_contents(observer: Observer, truth: GasContents) -> GasContents:
 def view_batch(observer: Observer, truths: Sequence[GasContents]) -> Iterator[GasContents]:
     """:func:`view_contents` of each ground-truth contents, in order.  Every
     truth is checked first.  A reducing observer's partial traces are taken
-    as one stack and validated by one ``DensityMatrix.stack``; species
-    merges are made one at a time as the views are read."""
+    as one stack and validated by one ``DensityMatrix.stack``; a merging
+    observer's weight maps are renamed one at a time as the views are read."""
     for truth in truths:
         _check_viewable(observer, truth)
     if observer.kind == "classical" and observer.species_map:
@@ -120,23 +120,13 @@ def _check_viewable(observer: Observer, truth: GasContents) -> None:
 
 
 def _merged(mapping: dict[str, str], truth: ClassicalContents) -> ClassicalContents:
-    """The species bag with each name renamed by ``mapping`` and pooled."""
+    """The weight map with each species renamed by ``mapping``; species
+    that get one name pool their weights."""
     merged: dict[str, float] = {}
-    for weight, name in truth.species:
+    for name, weight in truth.weights.items():
         seen = mapping.get(name, name)
         merged[seen] = merged.get(seen, 0.0) + weight
-    return ClassicalContents(tuple((w, name) for name, w in merged.items()))
-
-
-def view_chamber(observer: Observer, chamber: GasChamber) -> GasChamber:
-    """Same volumes, temperature, and particle count; reduced contents."""
-    return GasChamber(
-        chamber.volume,
-        chamber.temperature,
-        chamber.particles,
-        view_contents(observer, chamber.contents),
-        chamber.label,
-    )
+    return ClassicalContents(merged)
 
 
 def build_willard_povm() -> Povm:
@@ -150,4 +140,3 @@ def build_willard_povm() -> Povm:
             ("E-", linalg.tensor(spin.alpha_minus(), eye2)),
         )
     )
-

@@ -14,10 +14,11 @@ The statements in ``ast.OPERATIONS`` are the steps.  The first step
 freezes the initial configuration, and every step appends one entry to the
 shared heat ledger and one snapshot of the ground-truth chamber list;
 observers are views applied when a snapshot is read.  For its cycle
-verdict, each observer views the initial and final chambers in one
-``view_batch`` call.  The observers default to the ones the script's
-HEADER declares.  Statements dispatch through one handler table; quantum
-and classical statements share their handlers.  Every step must conserve
+verdict, each observer views the contents of the initial and final chambers
+in one ``view_batch`` call, each contents object once; the report reuses
+these views.  The observers default to the ones the script's HEADER
+declares.  Statements dispatch through one handler table; quantum and
+classical statements share their handlers.  Every step must conserve
 the gas: the chambers' volumes still sum to ``CONTAINER_VOLUME`` and their
 particles to the header's, within relative ``VOLUME_REL_TOL``.
 """
@@ -162,10 +163,12 @@ class _Engine:
         final = tuple(self.chambers)
         views: dict[str, ObserverView] = {}
         chambers = initial + final
+        truths = {id(c.contents): c.contents for c in chambers}
         for obs in self.observers:
+            viewed = dict(zip(truths, view_batch(obs, list(truths.values()))))
             seen = tuple(
-                GasChamber(c.volume, c.temperature, c.particles, view, c.label)
-                for c, view in zip(chambers, view_batch(obs, [c.contents for c in chambers]))
+                GasChamber(c.volume, c.temperature, c.particles, viewed[id(c.contents)], c.label)
+                for c in chambers
             )
             seen_initial, seen_final = seen[: len(initial)], seen[len(initial) :]
             verdict = audit_cycle(self.ledger, list(seen_initial), list(seen_final))
@@ -235,7 +238,10 @@ class _Engine:
     def _do_chamber(self, stmt: ast.ChamberStmt | ast.ClassicalChamberStmt) -> None:
         if isinstance(stmt, ast.ClassicalChamberStmt):
             total = sum(w for _, w in stmt.species)
-            contents = ClassicalContents(tuple((w / total, name) for name, w in stmt.species))
+            merged: dict[str, float] = {}
+            for name, w in stmt.species:
+                merged[name] = merged.get(name, 0.0) + w / total
+            contents = ClassicalContents(merged)
         else:
             contents = self.scope[stmt.state]
             if not isinstance(contents, QuantumContents):

@@ -18,11 +18,13 @@ So the text is rendered in three passes:
   index) and each chamber's text after its digest (particles, position,
   volume);
 * once per observer: its view of each distinct contents object of the run
-  (first-seen order), all in one ``view_batch`` call (one stacked partial
-  trace and one stacked ``eigvalsh`` validation for a reducing observer),
-  and the digest text of each view.  An observer's digests round its
-  matrices of one dimension in one ``np.round`` and hash each matrix on
-  its own, over the same bytes a single matrix gives;
+  (first-seen order) and the digest text of each view.  The views of the
+  initial and final contents are the ones the engine made for the cycle
+  verdict; the rest come from one ``view_batch`` call (one stacked partial
+  trace and one stacked ``eigvalsh`` validation for a reducing observer).
+  An observer's digests round its matrices of one dimension in one
+  ``np.round`` and hash each matrix on its own, over the same bytes a
+  single matrix gives;
 * then each step's chambers are spliced from those pieces, so PARTITION
   siblings and a chamber left unchanged between steps reuse one digest.
 
@@ -103,8 +105,8 @@ class RunReport:
 
 def execute(protocol: ast.Protocol, observers: list[Observer] | None = None) -> RunReport:
     """Run the protocol and evaluate its EXPECT lines."""
-    result = run_protocol(protocol, observers)
-    return RunReport(result, tuple(_check_expectations(protocol, result)))
+    report = RunReport(run_protocol(protocol, observers), ())
+    return RunReport(report.result, tuple(_check_expectations(protocol, report)))
 
 
 # CycleVerdict.status -> the outcome word an EXPECT verdict line uses.
@@ -115,9 +117,8 @@ _VERDICT_WORDS = {
 }
 
 
-def _check_expectations(protocol: ast.Protocol, result: RunResult):
-    header = protocol.header
-    total_nkt = result.total_heat / (header.particles * header.temperature)
+def _check_expectations(protocol: ast.Protocol, report: RunReport):
+    total_nkt = report.total_heat_nkt()
     for stmt in protocol.statements:
         if isinstance(stmt, ast.ExpectTotalHeat):
             passed = abs(total_nkt - stmt.value) <= stmt.tol
@@ -129,7 +130,7 @@ def _check_expectations(protocol: ast.Protocol, result: RunResult):
                 expected=stmt.value,
             )
         elif isinstance(stmt, ast.ExpectVerdict):
-            view = result.views.get(stmt.observer)
+            view = report.result.views.get(stmt.observer)
             if view is None:
                 observed = "observer absent from this run"
             else:
@@ -208,7 +209,7 @@ def _digest_texts(views: Iterable[GasContents], floats: _Floats) -> list[str]:
         else:
             assert isinstance(view, ClassicalContents)
             bag = _ITEM.join(
-                f"{_escape(name)}: {floats[w]}" for name, w in sorted(view.weight_map().items())
+                f"{_escape(name)}: {floats[w]}" for name, w in sorted(view.weights.items())
             )
             species = f"{{\n         {bag}\n        }}" if bag else "{}"
             texts.append(
@@ -284,9 +285,22 @@ def _render(report: RunReport, units: UnitsConfig) -> str:
         '\n "observers": ['
     ]
     append = out.append
+    ends = result.initial_chambers + result.final_chambers
     for n, obs in enumerate(result.observers):
         # Once per observer: the digest of its view of each contents object.
-        views = view_batch(obs, list(truths.values()))
+        # The engine's views of the initial and final contents are reused;
+        # the rest are viewed in one batch, read as they are digested, and
+        # dropped with the generator whose frame holds the batch.
+        view = result.views[obs.name]
+        known = {
+            id(c.contents): v.contents
+            for c, v in zip(ends, view.initial_chambers + view.final_chambers)
+        }
+        views = (
+            known[key] if key in known else next(rest)
+            for rest in [view_batch(obs, [t for key, t in truths.items() if key not in known])]
+            for key in truths
+        )
         digests = dict(zip(truths, _digest_texts(views, floats)))
         append(f'{"," if n else ""}\n  {{\n   "name": {_escape(obs.name)},\n   "steps": [')
         for head, slots, end in steps:

@@ -58,7 +58,3 @@ def alpha_plus() -> HermitianMatrix:
 
 def alpha_minus() -> HermitianMatrix:
     return projector_from_vector(alpha_minus_ket())
-
-
-def hadamard() -> np.ndarray:
-    return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / _SQRT2

@@ -184,13 +184,6 @@ class ProjectiveInstrument(Povm):
                 if cross > ZERO_TOL:
                     raise NotProjectiveError(f"projectors {a} and {b} overlap ({cross:.2e})")
 
-    @property
-    def projectors(self) -> tuple[tuple[str, HermitianMatrix], ...]:
-        return self.elements
-
-    def as_povm(self) -> Povm:
-        return Povm(self.elements)
-
 
 @dataclass(frozen=True)
 class Outcome:
@@ -270,10 +263,10 @@ def apply_instrument(rho: DensityMatrix, inst: ProjectiveInstrument) -> OutcomeD
     no post-state.  Each symmetrised P rho P is divided by its own trace, so
     a post-state's trace is 1 however small p is; the post-states are
     validated as one stack."""
-    probabilities = [outcome_probability(rho, proj) for _, proj in inst.projectors]
+    probabilities = [outcome_probability(rho, proj) for _, proj in inst.elements]
     projected = np.array([
         proj.entries @ rho.matrix.entries @ proj.entries
-        for (_, proj), p in zip(inst.projectors, probabilities)
+        for (_, proj), p in zip(inst.elements, probabilities)
         if p >= PROBABILITY_FLOOR
     ])
     projected = (projected + projected.conj().swapaxes(1, 2)) / 2
@@ -281,7 +274,7 @@ def apply_instrument(rho: DensityMatrix, inst: ProjectiveInstrument) -> OutcomeD
     posts = iter(DensityMatrix.stack(projected / traces[:, None, None]))
     return OutcomeDistribution(tuple(
         Outcome(label, p, next(posts) if p >= PROBABILITY_FLOOR else None)
-        for (label, _), p in zip(inst.projectors, probabilities)
+        for (label, _), p in zip(inst.elements, probabilities)
     ))
 
 
@@ -463,11 +456,3 @@ def eigen_instrument(rho: DensityMatrix) -> ProjectiveInstrument:
         vectors = [decomp.eigenvectors[k].amplitudes for k in cluster]
         projectors.append((f"e{index}", _span_projector(rho.dim, vectors)))
     return ProjectiveInstrument(tuple(projectors))
-
-
-def mixture_eigen_instrument(
-    weights: Sequence[float], states: Sequence[DensityMatrix]
-) -> tuple[DensityMatrix, ProjectiveInstrument]:
-    """Mix the states; return the mixture and its :func:`eigen_instrument`."""
-    mixture = mix_states(weights, states)
-    return mixture, eigen_instrument(mixture)

@@ -9,12 +9,13 @@ law simply does not apply, whatever the sign of Q.
 
 Gas contents come in two variants: a quantum state (one density matrix
 on the particles' internal degree of freedom, however it was prepared) or
-a classical bag of named species.  Each variant says how its contents
-pool (``merge``) and when two gases are one-shot distinguishable
-(``orthogonal_to``: states orthogonal by ``statistics.are_orthogonal``, or
-disjoint species bags); :func:`contents_equal`, observer views and report
-digests also branch on the variant.  Boltzmann's constant defaults to 1 so
-that every heat reads directly in units of N k T.
+a classical weight map (one weight per species name).  Each variant says
+how its contents pool (``merge``) and when two gases are one-shot
+distinguishable (``orthogonal_to``: states orthogonal by
+``statistics.are_orthogonal``, or weight maps with no species in common);
+:func:`contents_equal`, observer views and report digests also branch on
+the variant.  Boltzmann's constant defaults to 1 so that every heat reads
+directly in units of N k T.
 """
 
 from __future__ import annotations
@@ -79,13 +80,17 @@ class QuantumContents:
 
 @dataclass(frozen=True)
 class ClassicalContents:
-    """Weighted bag of classical species names."""
+    """The weight of each classical species, one entry per name.
 
-    species: tuple[tuple[float, str], ...]
+    The map is the classical counterpart of a density matrix: every verdict
+    and digest reads it, and writers pass in the dict they build.
+    """
+
+    weights: dict[str, float]
 
     def __post_init__(self):
         """A nonempty bag of positive weights summing to 1."""
-        weights = [w for w, _ in self.species]
+        weights = list(self.weights.values())
         if not weights:
             raise NotConvexError("species bag must be nonempty")
         if any(w <= 0 for w in weights):
@@ -93,24 +98,18 @@ class ClassicalContents:
         if abs(sum(weights) - 1.0) > WEIGHT_TOL:
             raise NotConvexError(f"weights sum to {sum(weights)!r}")
 
-    def weight_map(self) -> dict[str, float]:
-        merged: dict[str, float] = {}
-        for w, name in self.species:
-            merged[name] = merged.get(name, 0.0) + w
-        return merged
-
     @classmethod
     def merge(cls, parts) -> "ClassicalContents":
         """Pool (particle share, contents) pairs, summing each species."""
         merged: dict[str, float] = {}
         for share, contents in parts:
-            for name, w in contents.weight_map().items():
+            for name, w in contents.weights.items():
                 merged[name] = merged.get(name, 0.0) + share * w
-        return cls(tuple((w, name) for name, w in merged.items()))
+        return cls(merged)
 
     def orthogonal_to(self, other: "ClassicalContents") -> str | None:
         """None if the bags share no species, else the shared species."""
-        shared = set(self.weight_map()) & set(other.weight_map())
+        shared = self.weights.keys() & other.weights.keys()
         if shared:
             return f"share species {sorted(shared)}; no diaphragm separates a gas from itself"
         return None
@@ -204,13 +203,13 @@ def isothermal_heat(
 
 def contents_equal(a: GasContents, b: GasContents, tol: float = 1e-9) -> bool:
     """Compare contents by what they hold (an object equals itself unread):
-    quantum contents as density matrices, classical bags as merged weight maps."""
+    quantum contents as density matrices, classical bags as weight maps."""
     if a is b:
         return True
     if isinstance(a, QuantumContents) and isinstance(b, QuantumContents):
         return a.assembled().isclose(b.assembled(), tol)
     if isinstance(a, ClassicalContents) and isinstance(b, ClassicalContents):
-        wa, wb = a.weight_map(), b.weight_map()
+        wa, wb = a.weights, b.weights
         names = set(wa) | set(wb)
         return all(abs(wa.get(n, 0.0) - wb.get(n, 0.0)) <= tol for n in names)
     raise VariantMismatchError(

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, settings
 
 from qgas import linalg, spin
 from qgas.statistics import DensityMatrix
+from qgas.thermo import ClassicalContents
 
 settings.register_profile(
     "suite",
@@ -93,6 +94,13 @@ def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) 
         v = u[:, k]
         acc += weights[k] * np.outer(v, v.conj())
     return DensityMatrix(linalg.make_hermitian(acc))
+
+
+def random_bag(rng: np.random.Generator, names: list[str]) -> ClassicalContents:
+    """A weight map over the given species, each weight at least 0.05 before
+    normalising."""
+    weights = rng.uniform(0.05, 1.0, size=len(names))
+    return ClassicalContents(dict(zip(names, (weights / weights.sum()).tolist())))
 
 
 def _mixture_on_columns(columns: np.ndarray, rng: np.random.Generator) -> DensityMatrix:

@@ -27,8 +27,9 @@ from qgas.statistics import (
     DensityMatrix,
     ProjectiveInstrument,
     distinguishing_povm_from_orthogonal,
+    eigen_instrument,
     is_one_shot_distinguishing,
-    mixture_eigen_instrument,
+    mix_states,
     verify_orthogonality_theorem,
 )
 from qgas.thermo import GasChamber, QuantumContents
@@ -182,7 +183,8 @@ def test_criterion_09_contradiction_guard():
 def test_criterion_10_eigenbasis_separation_is_work_optimal():
     z_plus = DensityMatrix(spin.z_plus())
     x_plus = DensityMatrix(spin.x_plus())
-    blend, eigen_instrument = mixture_eigen_instrument([0.5, 0.5], [z_plus, x_plus])
+    blend = mix_states([0.5, 0.5], [z_plus, x_plus])
+    eigen_basis = eigen_instrument(blend)
 
     # Independent oracle: for the basis {P_theta, I - P_theta} with
     # |v> = (cos t, sin t), the separation heat is p ln p + (1-p) ln(1-p)
@@ -195,7 +197,7 @@ def test_criterion_10_eigenbasis_separation_is_work_optimal():
     heats = p * np.log(p) + (1.0 - p) * np.log(1.0 - p)
 
     parent = GasChamber(1.0, 1.0, 1.0, QuantumContents(blend))
-    eigen_heat = separate(parent, eigen_instrument).heat
+    eigen_heat = separate(parent, eigen_basis).heat
 
     # The eigenbasis beats every scanned basis, and the best scanned basis
     # is the grid point nearest the eigenbasis angle pi/8.

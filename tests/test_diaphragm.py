@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BLEND_SEPARATION_HEAT, LN2, P_MINUS, P_PLUS, random_density
+from conftest import BLEND_SEPARATION_HEAT, LN2, P_MINUS, P_PLUS, random_bag, random_density
 from qgas import linalg, spin
 from qgas.diaphragm import classical_separate, mix, separate
 from qgas.errors import (
@@ -19,8 +19,8 @@ from qgas.statistics import (
     DensityMatrix,
     ProjectiveInstrument,
     are_orthogonal,
+    eigen_instrument,
     mix_states,
-    mixture_eigen_instrument,
 )
 from qgas.thermo import ClassicalContents, GasChamber, QuantumContents, contents_equal
 
@@ -36,7 +36,7 @@ def quantum_chamber(volume, mixture, particles=None, label="") -> GasChamber:
 
 def classical_chamber(volume, bag, particles=None, label="") -> GasChamber:
     n = particles if particles is not None else volume
-    return GasChamber(volume, 1.0, n, ClassicalContents(tuple(bag)), label)
+    return GasChamber(volume, 1.0, n, ClassicalContents(bag), label)
 
 
 def z_instrument() -> ProjectiveInstrument:
@@ -108,7 +108,7 @@ class TestSeparate:
 
     def test_requires_quantum(self):
         with pytest.raises(NotQuantumError):
-            separate(classical_chamber(1.0, [(1.0, "argon")]), z_instrument())
+            separate(classical_chamber(1.0, {"argon": 1.0}), z_instrument())
 
 
 class TestMix:
@@ -173,7 +173,7 @@ class TestMix:
 
     def test_quantum_and_classical_chambers_do_not_mix(self):
         quantum = quantum_chamber(0.5, [(1.0, spin.z_plus())], label="upper")
-        classical = classical_chamber(0.5, [(1.0, "argon")], label="lower")
+        classical = classical_chamber(0.5, {"argon": 1.0}, label="lower")
         for distinguishing in (True, False):
             with pytest.raises(VariantMismatchError):
                 mix([quantum, classical], distinguishing)
@@ -183,7 +183,7 @@ class TestMix:
         # same diaphragms restores the chamber at zero net heat.
         z_plus = DensityMatrix(spin.z_plus())
         x_plus = DensityMatrix(spin.x_plus())
-        _, instrument = mixture_eigen_instrument([0.5, 0.5], [z_plus, x_plus])
+        instrument = eigen_instrument(mix_states([0.5, 0.5], [z_plus, x_plus]))
         parent = quantum_chamber(
             1.0, [(0.5, spin.z_plus()), (0.5, spin.x_plus())], label="parent"
         )
@@ -198,7 +198,7 @@ class TestMix:
 def one_gas(kind: str):
     """One contents object: a mixed d = 2 or d = 4 state, or a species bag."""
     if kind == "classical":
-        return ClassicalContents(((0.25, "argon"), (0.5, "neon"), (0.25, "argon")))
+        return ClassicalContents({"argon": 0.5, "neon": 0.5})
     return QuantumContents(random_density(np.random.default_rng(7), int(kind[1:])))
 
 
@@ -228,7 +228,7 @@ class TestPoolingOneGas:
     @pytest.mark.parametrize("kind", ["d2", "d4", "classical"])
     def test_equal_but_distinct_contents_still_merge(self, kind, monkeypatch):
         gas = one_gas(kind)
-        twin = type(gas)(gas.state if kind != "classical" else gas.species)
+        twin = type(gas)(gas.state if kind != "classical" else gas.weights)
         assert twin is not gas and contents_equal(twin, gas, tol=0.0)
         merges = []
         merge = type(gas).merge
@@ -257,10 +257,7 @@ class TestPoolingOneGas:
         # their particle shares gives back the gas, within 1e-12.
         rng = np.random.default_rng(seed)
         if kind == "classical":
-            weights = rng.uniform(0.05, 1.0, size=species)
-            gas = ClassicalContents(
-                tuple((w, f"s{k:02d}") for k, w in enumerate(weights / weights.sum()))
-            )
+            gas = random_bag(rng, [f"s{k:02d}" for k in range(species)])
         else:
             dim = int(kind[1:])
             gas = QuantumContents(random_density(rng, dim, int(rng.integers(1, dim + 1))))
@@ -280,7 +277,7 @@ class TestPoolingOneGas:
 class TestClassical:
     def test_separation_heat(self):
         parent = classical_chamber(
-            1.0, [(0.5, "argon_a"), (0.5, "argon_b")], label="main"
+            1.0, {"argon_a": 0.5, "argon_b": 0.5}, label="main"
         )
         result = classical_separate(
             parent, {"argon_a": "reflected", "argon_b": "transmitted"}
@@ -289,34 +286,50 @@ class TestClassical:
         assert {c.label for c in result.chambers} == {"main/transmitted", "main/reflected"}
         for c in result.chambers:
             assert c.volume == pytest.approx(0.5)
-            assert len(c.contents.weight_map()) == 1
+            assert len(c.contents.weights) == 1
 
     def test_mixing_separated_species(self):
-        a = classical_chamber(0.5, [(1.0, "argon_a")], label="upper")
-        b = classical_chamber(0.5, [(1.0, "argon_b")], label="lower")
+        a = classical_chamber(0.5, {"argon_a": 1.0}, label="upper")
+        b = classical_chamber(0.5, {"argon_b": 1.0}, label="lower")
         merged, heat = mix([a, b], distinguishing=True)
         assert heat == pytest.approx(LN2, abs=1e-12)
-        assert merged.contents.weight_map() == pytest.approx(
+        assert merged.contents.weights == pytest.approx(
             {"argon_a": 0.5, "argon_b": 0.5}
         )
 
     def test_single_species_chamber_unchanged(self):
-        only = classical_chamber(1.0, [(1.0, "argon")], label="main")
+        only = classical_chamber(1.0, {"argon": 1.0}, label="main")
         result = classical_separate(only, {"argon": "transmitted"})
         assert len(result.chambers) == 1
         assert result.chambers[0].volume == pytest.approx(1.0)
         assert result.heat == 0.0
 
     def test_unknown_species(self):
-        parent = classical_chamber(1.0, [(0.5, "argon_a"), (0.5, "argon_b")])
+        parent = classical_chamber(1.0, {"argon_a": 0.5, "argon_b": 0.5})
         with pytest.raises(UnknownSpeciesError):
             classical_separate(parent, {"argon_a": "transmitted"})
 
     def test_mixing_same_species_cannot_distinguish(self):
-        a = classical_chamber(0.5, [(1.0, "argon")], label="upper")
-        b = classical_chamber(0.5, [(1.0, "argon")], label="lower")
+        a = classical_chamber(0.5, {"argon": 1.0}, label="upper")
+        b = classical_chamber(0.5, {"argon": 1.0}, label="lower")
         with pytest.raises(NotOrthogonalError):
             mix([a, b], distinguishing=True)
         merged, heat = mix([a, b], distinguishing=False)
         assert heat == 0.0
-        assert merged.contents.weight_map() == pytest.approx({"argon": 1.0})
+        assert merged.contents.weights == pytest.approx({"argon": 1.0})
+
+    @settings(max_examples=40, deadline=None)
+    @given(species=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+    def test_separating_by_species_then_remixing_restores_the_bag(self, species, seed):
+        # Species groups share no name, so the distinguishing mix runs the
+        # separation backwards: same bag, and the heats cancel.
+        rng = np.random.default_rng(seed)
+        bag = random_bag(rng, [f"s{k:02d}" for k in range(species)])
+        permeability = {
+            name: ("transmitted", "reflected")[int(rng.integers(0, 2))] for name in bag.weights
+        }
+        result = classical_separate(GasChamber(1.0, 1.0, 1.0, bag, "main"), permeability)
+        merged, heat = mix(list(result.chambers), distinguishing=True, label="main")
+        assert merged.volume == pytest.approx(1.0, abs=1e-12)
+        assert contents_equal(merged.contents, bag, tol=1e-12)
+        assert result.heat + heat == pytest.approx(0.0, abs=1e-12)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import BLEND_SEPARATION_HEAT, LN2, P_MINUS, P_PLUS, load_workloads
 from qgas.errors import ExecutionError, NotOrthogonalError
-from qgas.protocol import interpreter
+from qgas.protocol import engine, interpreter
 from qgas.protocol.interpreter import UnitsConfig, execute
 from qgas.protocol.parser import parse
 from qgas.scenarios import BUNDLED, scenario_text
@@ -255,30 +255,37 @@ class TestWriter:
         assert report.to_json() == reference_json(payload)
 
 
-@pytest.mark.parametrize("name", ["peres_tatiana", "jaynes_marie_completed"])
+@pytest.mark.parametrize("name", ["peres_tatiana", "jaynes_johann", "jaynes_marie_completed"])
 def test_each_view_of_a_contents_object_is_digested_once(name, monkeypatch):
-    report = run_bundled(name)
+    # Engine and report together view each (observer, contents object) pair
+    # once: the report reuses the engine's views of the initial and final
+    # chambers, and the engine views a contents object held twice once.
     calls, digested = [], []
-    view_batch = interpreter.view_batch
     digest_texts = interpreter._digest_texts
 
-    def counting(observer, truths):
-        calls.extend((observer.name, id(contents)) for contents in truths)
-        return view_batch(observer, truths)
+    def counting(view_batch):
+        def counted(observer, truths):
+            calls.extend((observer.name, id(contents)) for contents in truths)
+            return view_batch(observer, truths)
+        return counted
 
     def counting_digests(views, floats):
         views = list(views)
         digested.extend(views)
         return digest_texts(views, floats)
 
-    monkeypatch.setattr(interpreter, "view_batch", counting)
+    for module in (engine, interpreter):
+        monkeypatch.setattr(module, "view_batch", counting(module.view_batch))
     monkeypatch.setattr(interpreter, "_digest_texts", counting_digests)
+    report = run_bundled(name)
     payload = report.to_json_dict()
-    steps = report.result.steps
+    result = report.result
+    steps = result.steps
     distinct = {id(c.contents) for step in steps for c in step.chambers}
     assert len(distinct) < sum(len(step.chambers) for step in steps)
-    assert len(calls) == len(set(calls)) == len(report.result.observers) * len(distinct)
-    assert len(digested) == len(report.result.observers) * len(distinct)
+    viewed = distinct | {id(c.contents) for c in result.initial_chambers + result.final_chambers}
+    assert len(calls) == len(set(calls)) == len(result.observers) * len(viewed)
+    assert len(digested) == len(result.observers) * len(distinct)
 
     # PARTITION siblings hold one contents object, so they show one digest.
     (k,) = [i for i, step in enumerate(steps) if step.description.startswith("partition")]

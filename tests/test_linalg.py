@@ -24,7 +24,7 @@ from qgas.linalg import (
     trace_product,
     two_state_rotation,
 )
-from qgas.statistics import DensityMatrix, mixture_eigen_instrument
+from qgas.statistics import DensityMatrix, eigen_instrument
 
 
 def tau_matrix() -> linalg.HermitianMatrix:
@@ -158,8 +158,8 @@ class TestEig:
             leading = next(x for x in vec.amplitudes if abs(x) > 1e-6)
             assert abs(leading.imag) < 1e-9
             assert leading.real > 0
-        _, instrument = mixture_eigen_instrument([1.0], [DensityMatrix(rho)])
-        ranks = [round(p.trace()) for _, p in instrument.projectors]
+        instrument = eigen_instrument(DensityMatrix(rho))
+        ranks = [round(p.trace()) for _, p in instrument.elements]
         assert ranks == [1, 2, 1]
 
     def test_phase_convention(self):
@@ -220,7 +220,11 @@ class TestInvariants:
     @given(hermitian_matrices())
     def test_spectral_reassembly(self, h):
         decomp = eig_hermitian(h)
-        assert decomp.reassemble().isclose(h, 1e-9)
+        reassembled = sum(
+            value * np.outer(v.amplitudes, v.amplitudes.conj())
+            for value, v in zip(decomp.eigenvalues, decomp.eigenvectors)
+        )
+        assert np.max(np.abs(reassembled - h.entries)) <= 1e-9
         basis = np.column_stack([v.amplitudes for v in decomp.eigenvectors])
         assert np.max(np.abs(basis.conj().T @ basis - np.eye(h.dim))) < 1e-9
         for value, vec in zip(decomp.eigenvalues, decomp.eigenvectors):

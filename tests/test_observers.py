@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import BLEND_SEPARATION_HEAT, LN2, P_MINUS, P_PLUS, random_density
+from conftest import BLEND_SEPARATION_HEAT, LN2, P_MINUS, P_PLUS, random_bag, random_density
 from qgas import linalg, spin
 from qgas.errors import IncompatibleReductionError
-from qgas.observers import Observer, build_willard_povm, view_chamber, view_contents
+from qgas.observers import Observer, build_willard_povm, view_contents
 from qgas.protocol import execute
 from qgas.protocol.engine import run_protocol
 from qgas.protocol.parser import parse
@@ -45,13 +47,11 @@ class TestViewContents:
 
     def test_classical_merge(self):
         johann = Observer.classical("johann", {"argon_a": "argon", "argon_b": "argon"})
-        blend = ClassicalContents(((0.5, "argon_a"), (0.5, "argon_b")))
-        assert contents_equal(
-            view_contents(johann, blend), ClassicalContents(((1.0, "argon"),))
-        )
+        blend = ClassicalContents({"argon_a": 0.5, "argon_b": 0.5})
+        assert contents_equal(view_contents(johann, blend), ClassicalContents({"argon": 1.0}))
 
     def test_observer_without_species_map_sees_truth(self):
-        truth = ClassicalContents(((0.25, "argon"), (0.75, "neon")))
+        truth = ClassicalContents({"argon": 0.25, "neon": 0.75})
         assert view_contents(Observer.classical("exact"), truth) is truth
 
     def test_incompatible_reduction(self):
@@ -74,6 +74,32 @@ class TestViewContents:
             ]
             view_first = mix_states(weights, views)
             assert mixture_first.isclose(view_first, 1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        species=st.integers(1, 16),
+        count=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_species_merge_commutes_with_pooling(self, species, count, seed):
+        # The classical twin of the test above: an observer who merges
+        # species sees the pool of the bags as the pool of their views.
+        rng = np.random.default_rng(seed)
+        names = [f"s{k:02d}" for k in range(species)]
+        coarse = Observer.classical(
+            "coarse", {name: f"g{int(rng.integers(0, 4))}" for name in names}
+        )
+        bags = []
+        for _ in range(count):
+            chosen = rng.choice(names, int(rng.integers(1, species + 1)), replace=False)
+            bags.append(random_bag(rng, chosen.tolist()))
+        shares = rng.uniform(0.1, 1.0, size=count)
+        shares = (shares / shares.sum()).tolist()
+        pool_first = view_contents(coarse, ClassicalContents.merge(list(zip(shares, bags))))
+        view_first = ClassicalContents.merge(
+            [(share, view_contents(coarse, bag)) for share, bag in zip(shares, bags)]
+        )
+        assert contents_equal(pool_first, view_first, tol=1e-12)
 
 
 class TestWillardPovm:
@@ -145,45 +171,34 @@ class TestPeresRun:
     def test_tatiana_step_states_follow_the_story(self, run):
         steps = {s.description: s for s in run.steps}
         lam = quantum((0.5, spin.z_plus()), (0.5, spin.x_plus()))
+        tatiana = run.views["tatiana"].observer
 
-        mixed = [
-            view_chamber(run.views["tatiana"].observer, c)
-            for c in steps["distinguishing mix of upper, lower"].chambers
-        ]
+        mixed = steps["distinguishing mix of upper, lower"].chambers
         assert len(mixed) == 1
-        assert contents_equal(mixed[0].contents, lam, tol=1e-9)
+        assert contents_equal(view_contents(tatiana, mixed[0].contents), lam, tol=1e-9)
 
-        separated = [
-            view_chamber(run.views["tatiana"].observer, c)
-            for c in steps["separate with alpha_diaphragms"].chambers
-        ]
+        separated = steps["separate with alpha_diaphragms"].chambers
         assert [c.volume for c in separated] == pytest.approx([P_PLUS, P_MINUS], abs=1e-6)
-        assert contents_equal(separated[0].contents, quantum((1.0, spin.alpha_plus())), 1e-9)
-        assert contents_equal(separated[1].contents, quantum((1.0, spin.alpha_minus())), 1e-9)
+        seen = [view_contents(tatiana, c.contents) for c in separated]
+        assert contents_equal(seen[0], quantum((1.0, spin.alpha_plus())), 1e-9)
+        assert contents_equal(seen[1], quantum((1.0, spin.alpha_minus())), 1e-9)
 
-        halves = [
-            view_chamber(run.views["tatiana"].observer, c)
-            for c in steps["partition whole"].chambers
-        ]
+        halves = steps["partition whole"].chambers
         assert [c.volume for c in halves] == pytest.approx([0.5, 0.5], abs=1e-12)
         for half in halves:
-            assert contents_equal(half.contents, quantum((1.0, spin.z_plus())), 1e-9)
+            seen = view_contents(tatiana, half.contents)
+            assert contents_equal(seen, quantum((1.0, spin.z_plus())), 1e-9)
 
-        final = [
-            view_chamber(run.views["tatiana"].observer, c)
-            for c in steps["rotate lower"].chambers
-        ]
-        assert contents_equal(final[0].contents, quantum((1.0, spin.z_plus())), 1e-9)
-        assert contents_equal(final[1].contents, quantum((1.0, spin.x_plus())), 1e-9)
+        final = [view_contents(tatiana, c.contents) for c in steps["rotate lower"].chambers]
+        assert contents_equal(final[0], quantum((1.0, spin.z_plus())), 1e-9)
+        assert contents_equal(final[1], quantum((1.0, spin.x_plus())), 1e-9)
 
     def test_willard_post_mix_chamber_is_tau(self, run):
         steps = {s.description: s for s in run.steps}
-        mixed = [
-            view_chamber(run.views["willard"].observer, c)
-            for c in steps["distinguishing mix of upper, lower"].chambers
-        ]
+        mixed = steps["distinguishing mix of upper, lower"].chambers
         assert len(mixed) == 1
-        assert contents_equal(mixed[0].contents, tau_contents(), tol=1e-9)
+        seen = view_contents(run.views["willard"].observer, mixed[0].contents)
+        assert contents_equal(seen, tau_contents(), tol=1e-9)
 
     def test_willard_post_separation_ensemble_weights(self, run):
         # After the alpha diaphragms have acted on every particle the
@@ -192,12 +207,12 @@ class TestPeresRun:
         # that blend is NOT the pre-measurement state: the separation is the
         # irreversible step.
         steps = {s.description: s for s in run.steps}
-        separated = [
-            view_chamber(run.views["willard"].observer, c)
-            for c in steps["separate with alpha_diaphragms"].chambers
-        ]
+        willard = run.views["willard"].observer
+        separated = steps["separate with alpha_diaphragms"].chambers
         assert len(separated) == 2
-        union = quantum(*[(c.particles, c.contents.state.matrix) for c in separated])
+        union = quantum(*[
+            (c.particles, view_contents(willard, c.contents).state.matrix) for c in separated
+        ])
         weights = (P_PLUS / 2, P_PLUS / 2, P_MINUS / 2, P_MINUS / 2)
         kets = [
             linalg.tensor_vector(alpha, hidden)

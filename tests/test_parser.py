@@ -366,7 +366,7 @@ class TestRepeatedSpecies:
         protocol = parse(self.CLASSICAL + "CLASSICAL_CHAMBER u 1.0 a=1 a=1\n")
         assert protocol.statements[0].species == (("a", 1.0), ("a", 1.0))
         chamber = execute(protocol).result.final_chambers[0]
-        assert chamber.contents.weight_map() == {"a": 1.0}
+        assert chamber.contents.weights == {"a": 1.0}
 
 
 class TestFractionFloor:

@@ -27,7 +27,6 @@ from qgas.statistics import (
     eigen_instrument,
     is_one_shot_distinguishing,
     mix_states,
-    mixture_eigen_instrument,
     outcome_probability,
     support_projector,
 )
@@ -194,7 +193,8 @@ class TestApplyUnitary:
         assert apply_unitary(x_plus, np.eye(2)).isclose(x_plus, 1e-15)
 
     def test_hadamard_takes_z_to_x(self, z_plus, x_plus):
-        assert apply_unitary(z_plus, spin.hadamard()).isclose(x_plus, 1e-12)
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+        assert apply_unitary(z_plus, hadamard).isclose(x_plus, 1e-12)
 
     def test_not_unitary_rejected(self, z_plus):
         with pytest.raises(NotUnitaryError):
@@ -226,11 +226,11 @@ class TestOrthogonality:
 
 class TestDistinguishing:
     def test_z_basis_distinguishes_z_pair(self, z_plus, z_minus):
-        povm = z_instrument().as_povm()
+        povm = z_instrument()
         assert is_one_shot_distinguishing(povm, (("down",), ("up",)), z_plus, z_minus)
 
     def test_alpha_povm_cannot_distinguish_z_x(self, z_plus, x_plus):
-        povm = alpha_instrument().as_povm()
+        povm = alpha_instrument()
         for grouping in ((("plus",), ("minus",)), (("minus",), ("plus",))):
             assert not is_one_shot_distinguishing(povm, grouping, z_plus, x_plus)
 
@@ -240,7 +240,7 @@ class TestDistinguishing:
             is_one_shot_distinguishing(povm, (("I",), ()), z_plus, z_minus)
 
     def test_grouping_must_cover(self, z_plus, z_minus):
-        povm = z_instrument().as_povm()
+        povm = z_instrument()
         with pytest.raises(InvalidPartitionError):
             is_one_shot_distinguishing(povm, (("up",), ("up",)), z_plus, z_minus)
 
@@ -258,7 +258,7 @@ class TestCoarseGrain:
     def test_group_probability_reaches_one(self, z_plus, z_minus):
         # Grouping a distinguishing POVM turns "some outcome fires" into
         # probability exactly 1 on the other preparation.
-        povm = z_instrument().as_povm()
+        povm = z_instrument()
         coarse = coarse_grain(povm, [("E", ("down",)), ("F", ("up",))])
         assert outcome_probability(z_minus, coarse.element("E")) == pytest.approx(1.0, abs=1e-12)
         assert outcome_probability(z_plus, coarse.element("E")) == 0.0
@@ -289,29 +289,32 @@ class TestCoarseGrain:
 
 class TestMixtureEigenInstrument:
     def test_blend_gives_alpha_basis(self, z_plus, x_plus, alpha_plus, alpha_minus):
-        mixture, instrument = mixture_eigen_instrument([0.5, 0.5], [z_plus, x_plus])
+        mixture = mix_states([0.5, 0.5], [z_plus, x_plus])
+        instrument = eigen_instrument(mixture)
         expected = linalg.make_hermitian(np.array([[3, 1], [1, 1]]) / 4)
         assert mixture.matrix.isclose(expected, 1e-12)
         assert instrument.labels == ("e0", "e1")
-        assert instrument.projectors[0][1].isclose(alpha_plus.matrix, 1e-12)
-        assert instrument.projectors[1][1].isclose(alpha_minus.matrix, 1e-12)
+        assert instrument.elements[0][1].isclose(alpha_plus.matrix, 1e-12)
+        assert instrument.elements[1][1].isclose(alpha_minus.matrix, 1e-12)
 
     def test_single_state(self, z_plus):
-        mixture, instrument = mixture_eigen_instrument([1.0], [z_plus])
+        mixture = mix_states([1.0], [z_plus])
+        instrument = eigen_instrument(mixture)
         assert mixture.isclose(z_plus, 1e-15)
-        assert len(instrument.projectors) == 2
-        assert instrument.projectors[0][1].isclose(spin.z_plus(), 1e-12)
-        assert instrument.projectors[1][1].isclose(spin.z_minus(), 1e-12)
+        assert len(instrument.elements) == 2
+        assert instrument.elements[0][1].isclose(spin.z_plus(), 1e-12)
+        assert instrument.elements[1][1].isclose(spin.z_minus(), 1e-12)
 
     def test_fully_degenerate_single_projector(self, z_plus, z_minus):
-        mixture, instrument = mixture_eigen_instrument([0.5, 0.5], [z_plus, z_minus])
+        mixture = mix_states([0.5, 0.5], [z_plus, z_minus])
+        instrument = eigen_instrument(mixture)
         assert mixture.matrix.isclose(linalg.make_hermitian(np.eye(2) / 2), 1e-15)
-        assert len(instrument.projectors) == 1
-        assert instrument.projectors[0][1].isclose(linalg.identity(2), 1e-12)
+        assert len(instrument.elements) == 1
+        assert instrument.elements[0][1].isclose(linalg.identity(2), 1e-12)
 
     def test_not_convex(self, z_plus, x_plus):
         with pytest.raises(NotConvexError):
-            mixture_eigen_instrument([0.7, 0.7], [z_plus, x_plus])
+            mix_states([0.7, 0.7], [z_plus, x_plus])
 
     def test_eigendata_reassembles_mixture(self):
         rng = np.random.default_rng(29)
@@ -321,10 +324,11 @@ class TestMixtureEigenInstrument:
             weights = rng.uniform(0.1, 1.0, size=count)
             weights = list(weights / weights.sum())
             states = [random_density(rng, dim) for _ in range(count)]
-            mixture, instrument = mixture_eigen_instrument(weights, states)
+            mixture = mix_states(weights, states)
+            instrument = eigen_instrument(mixture)
             # Rebuild from the eigenprojectors weighted by their probabilities.
             acc = np.zeros((dim, dim), dtype=complex)
-            for label, proj in instrument.projectors:
+            for label, proj in instrument.elements:
                 p = outcome_probability(mixture, proj)
                 rank = round(proj.trace())
                 dist = apply_instrument(mixture, instrument)
