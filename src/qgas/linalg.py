@@ -169,21 +169,23 @@ def identity(dim: int) -> HermitianMatrix:
     return HermitianMatrix(np.eye(dim, dtype=complex))
 
 
-def zero(dim: int) -> HermitianMatrix:
-    return HermitianMatrix(np.zeros((dim, dim), dtype=complex))
-
-
 def trace_product(a: HermitianMatrix, b: HermitianMatrix) -> float:
     """tr(AB), guaranteed real for Hermitian inputs.
 
     Any imaginary rounding residue is checked against 1e-12 and discarded.
     """
-    if a.dim != b.dim:
-        raise DimMismatchError(f"dims {a.dim} and {b.dim}")
-    value = complex(np.sum(a.entries * b.entries.T))
-    if abs(value.imag) > HERMITIAN_TOL:
-        raise NotHermitianError(f"trace product residue {value.imag:.3e}")
-    return value.real
+    return trace_products(a, b.entries[None])[0]
+
+
+def trace_products(a: HermitianMatrix, stack: np.ndarray) -> list[float]:
+    """:func:`trace_product` of ``a`` with each matrix of a (k, d, d) stack, in one reduction."""
+    if a.dim != stack.shape[-1]:
+        raise DimMismatchError(f"dims {a.dim} and {stack.shape[-1]}")
+    values = (a.entries * stack.swapaxes(1, 2)).reshape(len(stack), -1).sum(axis=1)
+    for residue in values.imag.tolist():
+        if abs(residue) > HERMITIAN_TOL:
+            raise NotHermitianError(f"trace product residue {residue:.3e}")
+    return values.real.tolist()
 
 
 def tensor(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:

@@ -126,7 +126,7 @@ def _check_expectations(protocol: ast.Protocol, report: RunReport):
                 kind="Q_total",
                 description=f"line {stmt.line}: Q_total = {stmt.value} NkT within {stmt.tol}",
                 passed=passed,
-                observed=round(total_nkt, 12),
+                observed=_round(total_nkt),
                 expected=stmt.value,
             )
         elif isinstance(stmt, ast.ExpectVerdict):

@@ -4,7 +4,8 @@ A DEFINE_STATE expression evaluates to a ket, a plain ``StateVector``, or
 to gas contents.  A state is a :class:`QuantumContents` holding one density
 matrix: ``mix(...)`` and ``tensor(...)`` evaluate each term and build one
 matrix from them, since every verdict reads the matrix and none the
-decomposition it was written with.  One evaluated state serves every
+decomposition it was written with; the ``proj(ket)`` terms of one mix are
+validated as one ``DensityMatrix.stack``.  One evaluated state serves every
 statement that names it.  Unitary expressions give complex arrays.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import linalg
-from ..errors import ExecutionError, QuantumGasError
+from ..errors import DimMismatchError, ExecutionError, QuantumGasError
 from ..statistics import DensityMatrix, ProjectiveInstrument, eigen_instrument, mix_states
 from ..thermo import WEIGHT_TOL, QuantumContents
 from . import ast
@@ -41,21 +42,23 @@ def eval_value(expr: ast.Expr, scope: Scope) -> Value:
         except QuantumGasError as exc:
             raise _fail(expr, f"bad ket: {exc}") from exc
     if isinstance(expr, ast.ProjExpr):
-        inner = eval_value(expr.arg, scope)
-        if not isinstance(inner, linalg.StateVector):
-            raise _fail(expr, "proj(...) needs a ket argument")
-        return QuantumContents(DensityMatrix(linalg.projector_from_vector(inner)))
+        return QuantumContents(DensityMatrix(_unvalidated(expr, scope)))
     if isinstance(expr, ast.MixExpr):
-        weights, states = [], []
+        weights, terms = [], []
         for weight, term in expr.terms:
-            value = eval_value(term, scope)
-            if not isinstance(value, QuantumContents):
+            value = _unvalidated(term, scope)
+            if isinstance(value, linalg.StateVector):
                 raise _fail(expr, "mix(...) terms must be states; wrap kets in proj()")
             weights.append(weight)
-            states.append(value.assembled())
+            terms.append(value.assembled() if isinstance(value, QuantumContents) else value)
         total = sum(weights)
         if abs(total - 1.0) > WEIGHT_TOL or any(w <= 0 for w in weights):
             raise _fail(expr, f"mixture weights must be convex (sum {total!r})")
+        if others := [t.dim for t in terms if t.dim != terms[0].dim]:  # mix_states' error
+            raise DimMismatchError(f"state dims {others[0]} != {terms[0].dim}")
+        projectors = [t.entries for t in terms if isinstance(t, linalg.HermitianMatrix)]
+        fresh = iter(DensityMatrix.stack(projectors))
+        states = [next(fresh) if isinstance(t, linalg.HermitianMatrix) else t for t in terms]
         return QuantumContents(mix_states(weights, states))
     if isinstance(expr, ast.TensorExpr):
         left = eval_value(expr.left, scope)
@@ -72,6 +75,16 @@ def eval_value(expr: ast.Expr, scope: Scope) -> Value:
     if isinstance(expr, ast.EigenbasisExpr):
         raise _fail(expr, "eigenbasis-of(...) is only valid in DEFINE_INSTRUMENT")
     raise _fail(expr, f"unsupported expression {type(expr).__name__}")
+
+
+def _unvalidated(expr: ast.Expr, scope: Scope) -> Value | linalg.HermitianMatrix:
+    """The value of ``expr``, but a ``proj(ket)`` as its projector, not yet a validated state."""
+    if not isinstance(expr, ast.ProjExpr):
+        return eval_value(expr, scope)
+    inner = eval_value(expr.arg, scope)
+    if not isinstance(inner, linalg.StateVector):
+        raise _fail(expr, "proj(...) needs a ket argument")
+    return linalg.projector_from_vector(inner)
 
 
 def eval_projector(expr: ast.Expr, scope: Scope) -> linalg.HermitianMatrix:

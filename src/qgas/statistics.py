@@ -5,8 +5,10 @@ and the outcome statistics follow the trace rule p_i = tr(rho E_i).  A
 projective instrument is the POVM of mutually orthogonal projectors whose
 update rho -> P_i rho P_i / tr(P_i rho P_i) is the only one used here (an
 outcome below ``PROBABILITY_FLOOR`` gets no post-state); completely
-positive maps are deliberately out of scope.  :func:`are_orthogonal` is
-the one orthogonality predicate; the thermo layer asks it too.
+positive maps are deliberately out of scope.  A POVM keeps its elements
+as one (k, d, d) ``stack``: one stacked product or ``eigvalsh`` checks
+it, and :func:`apply_instrument` measures with it.  :func:`are_orthogonal`
+is the one orthogonality predicate; the thermo layer asks it too.
 
 The module also makes the equivalence between one-shot distinguishability
 and orthogonality executable in both directions:
@@ -21,6 +23,7 @@ and orthogonality executable in both directions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -120,10 +123,12 @@ def _lookup(pairs, label: str):
 @dataclass(frozen=True)
 class Povm:
     """Positive semidefinite elements, one per distinct outcome label, of one
-    dimension, summing to identity.  A subclass may narrow ``_check_element``
-    and fill ``_check_pairs``; ``_error`` and ``_noun`` name its failures."""
+    dimension, summing to identity, checked and kept as one read-only
+    (k, d, d) ``stack`` in label order (not part of equality or repr).  A
+    subclass narrows ``_check_stack``; ``_error`` and ``_noun`` name its failures."""
 
     elements: tuple[tuple[str, HermitianMatrix], ...]
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     _error = NotPovmError
     _noun = "element"
@@ -135,23 +140,21 @@ class Povm:
         if len(set(labels)) != len(labels):
             raise self._error(f"duplicate outcome labels in {labels}")
         dim = self.elements[0][1].dim
-        total = np.zeros((dim, dim), dtype=complex)
         for label, mat in self.elements:
             if mat.dim != dim:
                 raise DimMismatchError(f"{self._noun} {label} has dim {mat.dim} != {dim}")
-            self._check_element(label, mat.entries)
-            total += mat.entries
-        self._check_pairs()
-        if float(np.max(np.abs(total - np.eye(dim)))) > ZERO_TOL:
+        stack = np.array([mat.entries for _, mat in self.elements])
+        stack.setflags(write=False)
+        self._check_stack(labels, stack)
+        if float(np.max(np.abs(stack.sum(axis=0) - np.eye(dim)))) > ZERO_TOL:
             raise self._error(f"{self._noun}s do not sum to the identity")
+        object.__setattr__(self, "stack", stack)
 
-    def _check_element(self, label: str, entries: np.ndarray) -> None:
-        smallest = float(np.linalg.eigvalsh(entries)[0])
-        if smallest < -ZERO_TOL:
-            raise NotPovmError(f"element {label} is not PSD ({smallest!r})")
-
-    def _check_pairs(self) -> None:
-        pass
+    def _check_stack(self, labels: list[str], stack: np.ndarray) -> None:
+        """Every element PSD, by one ``eigvalsh`` over the stack."""
+        for label, smallest in zip(labels, np.linalg.eigvalsh(stack)[:, 0].tolist()):
+            if smallest < -ZERO_TOL:
+                raise NotPovmError(f"element {label} is not PSD ({smallest!r})")
 
     @property
     def dim(self) -> int:
@@ -172,17 +175,18 @@ class ProjectiveInstrument(Povm):
     _error = NotProjectiveError
     _noun = "projector"
 
-    def _check_element(self, label: str, entries: np.ndarray) -> None:
-        residual = float(np.max(np.abs(entries @ entries - entries)))
-        if residual > ZERO_TOL:
-            raise NotProjectiveError(f"{label} not idempotent ({residual:.2e})")
-
-    def _check_pairs(self) -> None:
-        for i, (a, p) in enumerate(self.elements):
-            for b, q in self.elements[i + 1:]:
-                cross = float(np.max(np.abs(p.entries @ q.entries)))
-                if cross > ZERO_TOL:
-                    raise NotProjectiveError(f"projectors {a} and {b} overlap ({cross:.2e})")
+    def _check_stack(self, labels: list[str], stack: np.ndarray) -> None:
+        """One stacked product P_i P_j: its diagonal less the stack gives each
+        idempotency residual, the rest each pairwise overlap, in (i, j) order."""
+        products = stack[:, None] @ stack[None]
+        products[np.diag_indices(len(stack))] -= stack
+        worst = np.abs(products).max(axis=(2, 3)).tolist()
+        for i, label in enumerate(labels):
+            if worst[i][i] > ZERO_TOL:
+                raise NotProjectiveError(f"{label} not idempotent ({worst[i][i]:.2e})")
+        for (i, a), (j, b) in combinations(enumerate(labels), 2):
+            if worst[i][j] > ZERO_TOL:
+                raise NotProjectiveError(f"projectors {a} and {b} overlap ({worst[i][j]:.2e})")
 
 
 @dataclass(frozen=True)
@@ -253,22 +257,23 @@ def mix_states(weights: Sequence[float], states: Sequence[DensityMatrix]) -> Den
 
 
 def outcome_probability(rho: DensityMatrix, element: HermitianMatrix) -> float:
-    """Trace rule p = tr(rho E), clamped to [0, 1]; trace_product checks the dims."""
-    p = trace_product(rho.matrix, element)
-    return min(1.0, max(0.0, p))
+    """Trace rule p = tr(rho E), clamped to [0, 1]; trace_products checks the dims."""
+    return _probabilities(rho, element.entries[None])[0]
+
+
+def _probabilities(rho: DensityMatrix, stack: np.ndarray) -> list[float]:
+    return [min(1.0, max(0.0, p)) for p in linalg.trace_products(rho.matrix, stack)]
 
 
 def apply_instrument(rho: DensityMatrix, inst: ProjectiveInstrument) -> OutcomeDistribution:
-    """Projective update per outcome; outcomes below PROBABILITY_FLOOR carry
-    no post-state.  Each symmetrised P rho P is divided by its own trace, so
-    a post-state's trace is 1 however small p is; the post-states are
-    validated as one stack."""
-    probabilities = [outcome_probability(rho, proj) for _, proj in inst.elements]
-    projected = np.array([
-        proj.entries @ rho.matrix.entries @ proj.entries
-        for (_, proj), p in zip(inst.elements, probabilities)
-        if p >= PROBABILITY_FLOOR
-    ])
+    """Projective update per outcome, over the instrument's stack: every
+    p = tr(rho P) in one reduction and every P rho P in one stacked matmul.
+    Outcomes below PROBABILITY_FLOOR carry no post-state.  Each symmetrised
+    P rho P is divided by its own trace, so a post-state's trace is 1
+    however small p is; the post-states are validated as one stack."""
+    probabilities = _probabilities(rho, inst.stack)
+    kept = inst.stack[[p >= PROBABILITY_FLOOR for p in probabilities]]
+    projected = kept @ rho.matrix.entries @ kept
     projected = (projected + projected.conj().swapaxes(1, 2)) / 2
     traces = np.trace(projected, axis1=1, axis2=2).real
     posts = iter(DensityMatrix.stack(projected / traces[:, None, None]))
@@ -334,27 +339,25 @@ def is_one_shot_distinguishing(
 def coarse_grain(povm: Povm, grouping: Sequence[tuple[str, Sequence[str]]]) -> Povm:
     """Merge POVM outcomes: one element per group, summing its members."""
     member_lists = _partition(povm, [members for _, members in grouping])
-    elements = []
-    for (group_label, _), members in zip(grouping, member_lists):
-        acc = linalg.zero(povm.dim)
-        for label in members:
-            acc = acc + povm.element(label)
-        elements.append((group_label, acc))
-    return Povm(tuple(elements))
+    rows = dict(zip(povm.labels, povm.stack))
+    return Povm(tuple(
+        (group_label, HermitianMatrix(sum(rows[label] for label in members)))
+        for (group_label, _), members in zip(grouping, member_lists)
+    ))
 
 
 def support_projector(rho: DensityMatrix) -> HermitianMatrix:
     """Projector onto the span of eigenvectors with eigenvalue above ZERO_TOL."""
     positive = _positive_part(eig_hermitian(rho.matrix))
-    return _span_projector(rho.dim, [v for _, v in positive])
+    return _span_projectors(np.array([v for _, v in positive]), [range(len(positive))])[0]
 
 
-def _span_projector(dim: int, vectors) -> HermitianMatrix:
-    """The sum of |v><v| over the given amplitude arrays, symmetrised."""
-    acc = np.zeros((dim, dim), dtype=complex)
-    for v in vectors:
-        acc += np.outer(v, v.conj())
-    return HermitianMatrix((acc + acc.conj().T) / 2)
+def _span_projectors(vectors: np.ndarray, groups) -> list[HermitianMatrix]:
+    """For each group of consecutive rows of ``vectors``, the symmetrised sum
+    of |v><v| over its rows; every |v><v| comes from one broadcast multiply."""
+    outer = vectors[:, :, None] * vectors[:, None, :].conj()
+    sums = np.array([outer[group[0]:group[-1] + 1].sum(axis=0) for group in groups])
+    return [HermitianMatrix(m) for m in (sums + sums.conj().swapaxes(1, 2)) / 2]
 
 
 def _positive_part(decomp: SpectralDecomposition):
@@ -447,12 +450,10 @@ def eigen_instrument(rho: DensityMatrix) -> ProjectiveInstrument:
     """The instrument of rho's eigenprojectors.
 
     Degenerate eigenvalue clusters (gap below 1e-9) are merged into a single
-    projector, so the projectors always sum to the identity; projector labels
-    are e0, e1, ... in descending eigenvalue order.
+    projector, the sum of their |v><v|, so the projectors always sum to the
+    identity; projector labels are e0, e1, ... in descending eigenvalue order.
     """
     decomp = eig_hermitian(rho.matrix)
-    projectors = []
-    for index, cluster in enumerate(decomp.clusters()):
-        vectors = [decomp.eigenvectors[k].amplitudes for k in cluster]
-        projectors.append((f"e{index}", _span_projector(rho.dim, vectors)))
-    return ProjectiveInstrument(tuple(projectors))
+    vectors = np.array([v.amplitudes for v in decomp.eigenvectors])
+    projectors = _span_projectors(vectors, decomp.clusters())
+    return ProjectiveInstrument(tuple((f"e{i}", p) for i, p in enumerate(projectors)))

@@ -3,15 +3,17 @@
 ``perfbench/tracing.py`` wraps ``_Engine._dispatch``,
 ``DensityMatrix.__post_init__``, ``QuantumContents.assembled`` and
 ``RunReport.to_json`` by name.  A refactor that renames one of them would
-break ``perfbench/run.py --trace 1`` without failing any other test.  The
-tracer module is loaded from its file and never modified here.
+break ``perfbench/run.py --trace 1`` without failing any other test.  So
+would a refactor that stops calling a function whose span a per-layer
+metric reads: that metric would read 0.  The tracer module is loaded from
+its file and never modified here.
 """
 
 import importlib.util
 from pathlib import Path
 
-from qgas.protocol import execute, parse
-from qgas.scenarios import scenario_text
+from qgas.protocol import execute, interpreter, parse, parser
+from qgas.scenarios import BUNDLED, scenario_text
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -41,3 +43,36 @@ def test_tracer_hooks_record_spans_and_keep_the_report():
         "protocol.interpreter.to_json",
     } <= names
     assert traced == untraced
+
+
+# The spans that perfbench/tracing.py run_totals turns into the per-layer
+# metrics BENCHMARK.json declares.  A rewrite that stops one of them firing
+# would read 0 in that metric, not fail.
+LIVE_METRIC_SPANS = {
+    "linalg.eig_hermitian",
+    "statistics.DensityMatrix",
+    "statistics.mix_states",
+    "statistics.apply_instrument",
+    "statistics.apply_unitary",
+    "diaphragm.separate",
+    "diaphragm.mix",
+    "diaphragm.classical_separate",
+    "thermo.audit_cycle",
+    "thermo.contents_equal",
+    "protocol.parser.parse",
+}
+
+
+def test_every_live_per_layer_metric_fires_on_the_bundled_scenarios():
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        # Through the module attributes, as the bench calls them: the tracer
+        # rebinds names inside qgas, not this module's imported ``parse``.
+        for name in BUNDLED:
+            interpreter.execute(parser.parse(scenario_text(name))).to_json()
+    finally:
+        tracer.uninstall()
+    names = {span[tracing.NAME] for span in tracer.spans}
+    assert LIVE_METRIC_SPANS <= names, sorted(LIVE_METRIC_SPANS - names)

@@ -138,6 +138,30 @@ class TestRunCommand:
         scale = 1.0 if not flags else 2.0 * 10.0 * 3.0
         assert float(line.split()[3]) == round(heat * scale, 12)
 
+    def test_a_vanishing_total_heat_is_reported_as_plus_zero(self, tmp_path, capsys):
+        # The two step heats cancel to -1.5e-16 NkT.  The EXPECT's observed
+        # value is rounded as total_Q is, so neither reads -0.0.
+        path = tmp_path / "cancel.qg"
+        path.write_text(
+            "HEADER dim=2 temperature=1.0 particles=1.0\n"
+            "OBSERVER lab full\n"
+            "DEFINE_STATE s proj(ket(0.9887710779360422, 0.14943813247359924))\n"
+            "DEFINE_INSTRUMENT z a=proj(ket(1, 0)) b=proj(ket(0, 1))\n"
+            "CHAMBER c 1.0 s\n"
+            "SEPARATE z\n"
+            "MIX distinguishing -> m\n"
+            "EXPECT Q_total ~= 0 1e-9\n"
+        )
+        assert -1e-15 < execute(parse(path.read_text())).total_heat_nkt() < 0.0
+        out = tmp_path / "report.json"
+        assert main(["run", str(path), "--json", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "expect [ok] line 8: Q_total = 0.0 NkT within 1e-09: observed 0.0"
+        )
+        text = out.read_text()
+        assert '"observed": 0.0,' in text and '"total_Q": 0.0,' in text
+        assert "-0.0" not in text
+
     def test_absolute_units(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(
