@@ -9,10 +9,17 @@ deterministic eigenvector phase convention for reproducible runs.
 Tolerance policy: inputs are validated at 1e-12 (HERMITIAN_TOL) while
 derived quantities are trusted to 1e-9 (DERIVED_TOL), two decades of slack
 between input exactness and accumulated arithmetic.
+
+At these sizes numpy's Python-level N-d helpers (``np.kron``, ``np.outer``,
+``np.linalg.norm``, ``np.max``, ``np.all``, ``np.stack``) cost more than
+the arithmetic they do, so the primitives every step runs use ndarray
+methods, ufuncs and broadcasting instead.  Each makes its helper's
+floating-point operations in the same order, so results are bit-identical.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +40,7 @@ DEGENERACY_GAP = 1e-9
 
 def _as_complex_array(entries) -> np.ndarray:
     arr = np.array(entries, dtype=complex)
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.isfinite(arr).all():
         raise NonFiniteError("matrix entries must be finite")
     return arr
 
@@ -58,7 +65,7 @@ class HermitianMatrix:
         return self.entries.shape[0]
 
     def trace(self) -> float:
-        return float(np.trace(self.entries).real)
+        return float(self.entries.trace().real)
 
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
         if self.dim != other.dim:
@@ -85,7 +92,7 @@ class HermitianMatrix:
     def isclose(self, other: "HermitianMatrix", tol: float = DERIVED_TOL) -> bool:
         if self.dim != other.dim:
             return False
-        return float(np.max(np.abs(self.entries - other.entries))) <= tol
+        return float(abs(self.entries - other.entries).max()) <= tol
 
     def __repr__(self) -> str:
         return f"HermitianMatrix(dim={self.dim})"
@@ -141,9 +148,9 @@ class SpectralDecomposition:
 def make_vector(amplitudes) -> StateVector:
     """Validate and wrap a ket; norm must be 1 within 1e-12."""
     arr = np.array(amplitudes, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.isfinite(arr).all():
         raise NonFiniteError("vector amplitudes must be finite")
-    norm = float(np.linalg.norm(arr))
+    norm = _norm(arr)
     if abs(norm - 1.0) > HERMITIAN_TOL:
         raise NotNormalizedError(f"norm {norm!r} differs from 1 beyond 1e-12")
     return StateVector(arr)
@@ -159,7 +166,7 @@ def make_hermitian(entries) -> HermitianMatrix:
         raise NonSquareError(f"shape {arr.shape} is not square")
     if arr.shape[0] < 1:
         raise NonSquareError("dimension must be at least 1")
-    asym = float(np.max(np.abs(arr - arr.conj().T)))
+    asym = float(abs(arr - arr.conj().T).max())
     if asym > HERMITIAN_TOL:
         raise NotHermitianError(f"asymmetry {asym:.3e} exceeds 1e-12")
     return HermitianMatrix((arr + arr.conj().T) / 2)
@@ -188,14 +195,24 @@ def trace_products(a: HermitianMatrix, stack: np.ndarray) -> list[float]:
     return values.real.tolist()
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two vectors or two matrices, the first factor
+    the slow index: ``np.kron``'s products in its layout, by one broadcast
+    multiply."""
+    if a.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(-1)
+    product = a[:, None, :, None] * b[None, :, None, :]
+    return product.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def tensor(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
     """Kronecker product; the first factor is the slow index."""
-    return HermitianMatrix(np.kron(a.entries, b.entries))
+    return HermitianMatrix(kron(a.entries, b.entries))
 
 
 def tensor_vector(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product of kets, same index convention as :func:`tensor`."""
-    return StateVector(np.kron(a.amplitudes, b.amplitudes))
+    return StateVector(kron(a.amplitudes, b.amplitudes))
 
 
 def partial_trace(
@@ -224,8 +241,18 @@ def partial_traces(stack: np.ndarray, dims: tuple[int, int], keep: str = "first"
 
 def projector_from_vector(v: StateVector) -> HermitianMatrix:
     """Rank-1 projector |v><v|; idempotent with unit trace."""
-    outer = np.outer(v.amplitudes, v.amplitudes.conj())
+    outer = _ketbra(v.amplitudes, v.amplitudes)
     return HermitianMatrix((outer + outer.conj().T) / 2)
+
+
+def _ketbra(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x><y|, the products of ``np.outer(x, y.conj())``."""
+    return x[:, None] * y.conj()[None, :]
+
+
+def _norm(x: np.ndarray) -> float:
+    """The Euclidean norm of a complex vector by ``np.linalg.norm``'s formula."""
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
@@ -270,15 +297,15 @@ def two_state_rotation(a: StateVector, b: StateVector) -> np.ndarray:
     bv = b.amplitudes
     c = complex(np.vdot(av, bv))
     residual = bv - c * av
-    s = float(np.linalg.norm(residual))
+    s = _norm(residual)
     eye = np.eye(n, dtype=complex)
     if s <= 1e-12:
         phase = c / abs(c)
-        return eye + (phase - 1.0) * np.outer(av, av.conj())
+        return eye + (phase - 1.0) * _ketbra(av, av)
     e2 = residual / s
-    u = eye - np.outer(av, av.conj()) - np.outer(e2, e2.conj())
-    u += np.outer(bv, av.conj())
-    u += np.outer(s * av - np.conj(c) * e2, e2.conj())
+    u = eye - _ketbra(av, av) - _ketbra(e2, e2)
+    u += _ketbra(bv, av)
+    u += _ketbra(s * av - np.conj(c) * e2, e2)
     return u
 
 
@@ -288,4 +315,4 @@ def is_unitary(u: np.ndarray) -> bool:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
     gram = u.conj().T @ u
-    return float(np.max(np.abs(gram - np.eye(u.shape[0])))) <= 1e-10
+    return float(abs(gram - np.eye(u.shape[0])).max()) <= 1e-10

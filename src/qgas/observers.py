@@ -93,7 +93,7 @@ def view_batch(observer: Observer, truths: Sequence[GasContents]) -> Iterator[Ga
     if observer.kind == "classical" or observer.reduction is None or not truths:
         return iter(truths)
     d1, d2, keep = observer.reduction
-    stack = np.stack([truth.assembled().matrix.entries for truth in truths])
+    stack = np.array([truth.assembled().matrix.entries for truth in truths])
     reduced = DensityMatrix.stack(linalg.partial_traces(stack, (d1, d2), keep))
     return (QuantumContents(state) for state in reduced)
 

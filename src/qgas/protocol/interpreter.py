@@ -23,7 +23,7 @@ So the text is rendered in three passes:
   verdict; the rest come from one ``view_batch`` call (one stacked partial
   trace and one stacked ``eigvalsh`` validation for a reducing observer).
   An observer's digests round its matrices of one dimension in one
-  ``np.round`` and hash each matrix on its own, over the same bytes a
+  ``round`` and hash each matrix on its own, over the same bytes a
   single matrix gives;
 * then each step's chambers are spliced from those pieces, so PARTITION
   siblings and a chamber left unchanged between steps reuse one digest.
@@ -190,7 +190,7 @@ class _Floats(dict):
 
 def _canonical_bytes(stack: np.ndarray) -> list[bytes]:
     """The hashed bytes of each matrix in a stack, rounded in one call."""
-    rounded = np.round(stack, 10)
+    rounded = stack.round(10)
     re = np.where(rounded.real == 0, 0.0, rounded.real)
     im = np.where(rounded.imag == 0, 0.0, rounded.imag)
     return [r.tobytes() + i.tobytes() for r, i in zip(re, im)]
@@ -216,7 +216,7 @@ def _digest_texts(views: Iterable[GasContents], floats: _Floats) -> list[str]:
                 f'{{\n        "kind": "classical",\n        "species": {species}\n       }}'
             )
     for group in by_dim.values():
-        hashed = _canonical_bytes(np.stack([rho.matrix.entries for _, rho in group]))
+        hashed = _canonical_bytes(np.array([rho.matrix.entries for _, rho in group]))
         for (i, rho), data in zip(group, hashed):
             values = _ITEM.join([floats[v] for v in rho.eigenvalues])
             texts[i] = (

@@ -6,7 +6,9 @@ matrix: ``mix(...)`` and ``tensor(...)`` evaluate each term and build one
 matrix from them, since every verdict reads the matrix and none the
 decomposition it was written with; the ``proj(ket)`` terms of one mix are
 validated as one ``DensityMatrix.stack``.  One evaluated state serves every
-statement that names it.  Unitary expressions give complex arrays.
+statement that names it.  A ``proj(ket)`` instrument element is its
+projector matrix, which the instrument checks as a projector.  Unitary
+expressions give complex arrays.
 """
 
 from __future__ import annotations
@@ -99,9 +101,11 @@ def eval_projector(expr: ast.Expr, scope: Scope) -> linalg.HermitianMatrix:
         return linalg.tensor(
             eval_projector(expr.left, scope), eval_projector(expr.right, scope)
         )
-    value = eval_value(expr, scope)
+    value = _unvalidated(expr, scope)
     if isinstance(value, linalg.StateVector):
         return linalg.projector_from_vector(value)
+    if isinstance(value, linalg.HermitianMatrix):
+        return value  # proj(ket): the instrument checks it as a projector
     return value.assembled().matrix
 
 
@@ -109,7 +113,7 @@ def eval_unitary(expr: ast.Expr, scope: Scope) -> np.ndarray:
     if isinstance(expr, ast.IdentityExpr):
         return np.eye(expr.dim, dtype=complex)
     if isinstance(expr, ast.TensorExpr):
-        return np.kron(eval_unitary(expr.left, scope), eval_unitary(expr.right, scope))
+        return linalg.kron(eval_unitary(expr.left, scope), eval_unitary(expr.right, scope))
     if isinstance(expr, ast.RotateToExpr):
         source = _as_ket(expr.source, scope)
         target = _as_ket(expr.target, scope)

@@ -58,12 +58,13 @@ def _validated_spectra(stack: np.ndarray) -> list[tuple[float, ...]]:
     order: trace 1 within ZERO_TOL, then no eigenvalue below -ZERO_TOL.  One
     ``eigvalsh`` serves the whole stack; each member's descending spectrum
     is returned."""
-    traces = np.trace(stack, axis1=1, axis2=2).real.tolist()
+    traces = stack.trace(axis1=1, axis2=2).real.tolist()
     spectra = np.linalg.eigvalsh(stack)
     for tr, smallest in zip(traces, spectra[:, 0].tolist()):
-        if abs(tr - 1.0) > ZERO_TOL:
+        # Written so that NaN fails each check.
+        if not abs(tr - 1.0) <= ZERO_TOL:
             raise NotDensityMatrixError(f"trace {tr!r} differs from 1")
-        if smallest < -ZERO_TOL:
+        if not smallest >= -ZERO_TOL:
             raise NotDensityMatrixError(f"negative eigenvalue {smallest!r}")
     return [tuple(spectrum) for spectrum in spectra[:, ::-1].tolist()]
 
@@ -146,7 +147,7 @@ class Povm:
         stack = np.array([mat.entries for _, mat in self.elements])
         stack.setflags(write=False)
         self._check_stack(labels, stack)
-        if float(np.max(np.abs(stack.sum(axis=0) - np.eye(dim)))) > ZERO_TOL:
+        if float(abs(stack.sum(axis=0) - np.eye(dim)).max()) > ZERO_TOL:
             raise self._error(f"{self._noun}s do not sum to the identity")
         object.__setattr__(self, "stack", stack)
 
@@ -243,9 +244,9 @@ def mix_states(weights: Sequence[float], states: Sequence[DensityMatrix]) -> Den
     """Convex combination of density matrices."""
     if len(weights) != len(states) or not states:
         raise NotConvexError("need one weight per state")
-    if any(w < -1e-12 for w in weights):
+    if not all(w >= -1e-12 for w in weights):  # NaN fails too
         raise NotConvexError(f"negative weight in {list(weights)}")
-    if abs(sum(weights) - 1.0) > ZERO_TOL:
+    if not abs(sum(weights) - 1.0) <= ZERO_TOL:
         raise NotConvexError(f"weights sum to {sum(weights)!r}")
     dim = states[0].dim
     acc = np.zeros((dim, dim), dtype=complex)
@@ -275,7 +276,7 @@ def apply_instrument(rho: DensityMatrix, inst: ProjectiveInstrument) -> OutcomeD
     kept = inst.stack[[p >= PROBABILITY_FLOOR for p in probabilities]]
     projected = kept @ rho.matrix.entries @ kept
     projected = (projected + projected.conj().swapaxes(1, 2)) / 2
-    traces = np.trace(projected, axis1=1, axis2=2).real
+    traces = projected.trace(axis1=1, axis2=2).real
     posts = iter(DensityMatrix.stack(projected / traces[:, None, None]))
     return OutcomeDistribution(tuple(
         Outcome(label, p, next(posts) if p >= PROBABILITY_FLOOR else None)

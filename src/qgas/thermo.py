@@ -93,9 +93,9 @@ class ClassicalContents:
         weights = list(self.weights.values())
         if not weights:
             raise NotConvexError("species bag must be nonempty")
-        if any(w <= 0 for w in weights):
+        if not all(w > 0 for w in weights):  # NaN fails too
             raise NotConvexError(f"weights must be positive: {weights}")
-        if abs(sum(weights) - 1.0) > WEIGHT_TOL:
+        if not abs(sum(weights) - 1.0) <= WEIGHT_TOL:
             raise NotConvexError(f"weights sum to {sum(weights)!r}")
 
     @classmethod

@@ -6,13 +6,15 @@ file is read here and never rewritten.  The bench's generated workloads
 are pinned too, at two seeds each: ``perfbench/workloads.py`` is loaded
 from its file (read-only) to write the scripts.  The report digests its
 views in batches; each digest must equal the one made from a single
-``view_contents`` call.
+``view_contents`` call.  The same reports are made with numpy's N-d helpers
+that the small-matrix primitives avoid set to raise.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import load_workloads
@@ -59,3 +61,18 @@ def test_batched_digests_match_one_pair_at_a_time(name):
             for chamber, shown in zip(step.chambers, rendered["chambers"], strict=True):
                 alone = _contents_digest(view_contents(obs, chamber.contents))
                 assert shown["contents_digest"] == alone
+
+
+def test_reports_need_no_numpy_nd_helpers(monkeypatch):
+    def banned(*args, **kwargs):
+        raise AssertionError("a small-matrix primitive called a numpy N-d helper")
+
+    # The generator writes its script with numpy's helpers; only the run is guarded.
+    ((_, deep),) = load_workloads().GENERATORS["deep_protocol"](1).scripts
+    cases = [(scenario_text(name), GOLDEN[name]) for name in BUNDLED]
+    cases.append((deep, GENERATED["deep_protocol", 1]))
+    for owner, name in ((np, "kron"), (np, "outer"), (np.linalg, "norm")):
+        monkeypatch.setattr(owner, name, banned)
+    for text, digest in cases:
+        report_json = execute(parse(text)).to_json()
+        assert hashlib.sha256(report_json.encode()).hexdigest() == digest

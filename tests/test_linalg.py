@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import P_MINUS, P_PLUS, random_hermitian, random_unitary
 from qgas import linalg, spin
@@ -21,6 +22,7 @@ from qgas.linalg import (
     partial_trace,
     projector_from_vector,
     tensor,
+    tensor_vector,
     trace_product,
     two_state_rotation,
 )
@@ -295,3 +297,97 @@ class TestTwoStateRotation:
         u = two_state_rotation(spin.z_plus_ket(), spin.x_plus_ket())
         rho = u @ spin.z_plus().entries @ u.conj().T
         assert np.allclose(rho, spin.x_plus().entries, atol=1e-12)
+
+
+# Finite entries of any size, signed zeros included.
+ENTRIES = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+def complex_arrays(dims):
+    return hnp.arrays(complex, dims, elements=ENTRIES)
+
+
+def identical(x: np.ndarray, y: np.ndarray) -> bool:
+    """Equal shape and values, and equal bytes, so signed zeros match too."""
+    return np.array_equal(x, y) and x.tobytes() == y.tobytes()
+
+
+@st.composite
+def square_pairs(draw):
+    d1, d2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return draw(complex_arrays((d1, d1))), draw(complex_arrays((d2, d2)))
+
+
+@st.composite
+def unit_vectors(draw, dim):
+    raw = draw(hnp.arrays(complex, dim, elements=st.complex_numbers(max_magnitude=10)))
+    assume(np.linalg.norm(raw) > 1e-3)
+    return make_vector(raw / np.linalg.norm(raw))
+
+
+@st.composite
+def rotation_endpoints(draw):
+    """(a, b) of one dimension: independent, or b a phase times a."""
+    dim = draw(st.integers(1, 4))
+    a = draw(unit_vectors(dim))
+    if draw(st.booleans()):
+        return a, draw(unit_vectors(dim))
+    phase = np.exp(1j * draw(st.floats(-np.pi, np.pi)))
+    return a, make_vector(phase * a.amplitudes)
+
+
+def old_two_state_rotation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The formula written with np.outer and np.linalg.norm."""
+    c = complex(np.vdot(a, b))
+    residual = b - c * a
+    s = float(np.linalg.norm(residual))
+    eye = np.eye(len(a), dtype=complex)
+    if s <= 1e-12:
+        return eye + (c / abs(c) - 1.0) * np.outer(a, a.conj())
+    e2 = residual / s
+    u = eye - np.outer(a, a.conj()) - np.outer(e2, e2.conj())
+    u += np.outer(b, a.conj())
+    u += np.outer(s * a - np.conj(c) * e2, e2.conj())
+    return u
+
+
+class TestBitIdentityWithNumpyHelpers:
+    """The primitives avoid numpy's N-d helpers, and each result must equal
+    the helper's bit for bit, not within a tolerance."""
+
+    @given(square_pairs())
+    def test_kron_and_tensor_match_np_kron(self, pair):
+        a, b = pair
+        expected = np.kron(a, b)
+        assert identical(linalg.kron(a, b), expected)
+        product = tensor(linalg.HermitianMatrix(a), linalg.HermitianMatrix(b)).entries
+        assert identical(product, expected)
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_tensor_vector_matches_np_kron(self, d1, d2, data):
+        a = data.draw(complex_arrays(d1))
+        b = data.draw(complex_arrays(d2))
+        product = tensor_vector(linalg.StateVector(a), linalg.StateVector(b)).amplitudes
+        assert identical(product, np.kron(a, b))
+
+    @given(st.integers(1, 8).flatmap(unit_vectors))
+    def test_projector_matches_the_np_outer_form(self, v):
+        outer = np.outer(v.amplitudes, v.amplitudes.conj())
+        expected = (outer + outer.conj().T) / 2
+        assert identical(projector_from_vector(v).entries, expected)
+
+    @given(rotation_endpoints())
+    def test_two_state_rotation_matches_the_old_formula(self, endpoints):
+        a, b = endpoints
+        u = two_state_rotation(a, b)
+        assert identical(u, old_two_state_rotation(a.amplitudes, b.amplitudes))
+
+    @given(st.integers(1, 8).flatmap(complex_arrays))
+    def test_make_vector_reports_np_linalg_norm(self, raw):
+        norm = float(np.linalg.norm(raw))
+        if abs(norm - 1.0) <= linalg.HERMITIAN_TOL:
+            assert identical(make_vector(raw).amplitudes, raw)
+            return
+        with pytest.raises(NotNormalizedError) as err:
+            make_vector(raw)
+        assert str(err.value) == f"norm {norm!r} differs from 1 beyond 1e-12"

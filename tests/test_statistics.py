@@ -47,6 +47,16 @@ class TestTypes:
         with pytest.raises(NotDensityMatrixError):
             DensityMatrix(linalg.make_hermitian(np.eye(2)))
 
+    def test_nan_matrix_rejected(self):
+        # A NaN trace or eigenvalue fails the check a number would fail.
+        with pytest.raises(NotDensityMatrixError, match="^trace nan differs from 1$"):
+            DensityMatrix(linalg.HermitianMatrix(np.full((2, 2), np.nan)))
+        unit_trace = np.array([[1.0, np.nan], [np.nan, 0.0]])
+        with pytest.raises(NotDensityMatrixError, match="^negative eigenvalue nan$"):
+            DensityMatrix(linalg.HermitianMatrix(unit_trace))
+        with pytest.raises(NotDensityMatrixError, match="^trace nan differs from 1$"):
+            DensityMatrix.stack([spin.z_plus().entries, np.full((2, 2), np.nan)])
+
     def test_density_needs_psd(self):
         with pytest.raises(NotDensityMatrixError):
             DensityMatrix(linalg.make_hermitian(np.diag([1.5, -0.5])))
@@ -358,6 +368,10 @@ class TestMixStates:
         four = DensityMatrix(linalg.make_hermitian(np.eye(4) / 4))
         with pytest.raises(DimMismatchError):
             mix_states([0.5, 0.5], [z_plus, four])
+
+    def test_nan_weight_rejected(self, z_plus):
+        with pytest.raises(NotConvexError, match=r"^negative weight in \[nan, 1\.0\]$"):
+            mix_states([np.nan, 1.0], [z_plus, z_plus])
 
 
 class TestDensityMatrixStack:

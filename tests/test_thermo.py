@@ -107,6 +107,12 @@ class TestContentsEqual:
         with pytest.raises(NotConvexError):
             quantum((0.0, spin.z_plus()))
 
+    def test_nan_weight_rejected(self):
+        with pytest.raises(NotConvexError, match=r"^weights must be positive: \[nan\]$"):
+            ClassicalContents({"a": math.nan})
+        with pytest.raises(NotConvexError, match=r"^weights must be positive: \[0\.5, nan\]$"):
+            ClassicalContents({"a": 0.5, "b": math.nan})
+
 
 class TestQuantumContents:
     def test_assembled_once_per_object(self):
