@@ -27,7 +27,7 @@ the contents type whether two gases are distinguishable and how they pool.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     DimMismatchError,
@@ -126,7 +126,7 @@ def mix(
         raise VariantMismatchError("cannot mix quantum with classical contents")
     if len(chambers) == 1:
         only = chambers[0]
-        return (only if not label else only.relabel(label)), 0.0
+        return (only if not label else replace(only, label=label)), 0.0
     t = _check_same_temperature(chambers)
     total_v = sum(c.volume for c in chambers)
     total_n = sum(c.particles for c in chambers)

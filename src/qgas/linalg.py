@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,13 +37,6 @@ from .errors import (
 HERMITIAN_TOL = 1e-12
 DERIVED_TOL = 1e-9
 DEGENERACY_GAP = 1e-9
-
-
-def _as_complex_array(entries) -> np.ndarray:
-    arr = np.array(entries, dtype=complex)
-    if not np.isfinite(arr).all():
-        raise NonFiniteError("matrix entries must be finite")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -161,7 +155,9 @@ def make_hermitian(entries) -> HermitianMatrix:
 
     Raises NonSquareError / NonFiniteError / NotHermitianError as applicable.
     """
-    arr = _as_complex_array(entries)
+    arr = np.array(entries, dtype=complex)
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("matrix entries must be finite")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NonSquareError(f"shape {arr.shape} is not square")
     if arr.shape[0] < 1:
@@ -172,8 +168,17 @@ def make_hermitian(entries) -> HermitianMatrix:
     return HermitianMatrix((arr + arr.conj().T) / 2)
 
 
+@lru_cache(maxsize=8)
+def eye(dim: int) -> np.ndarray:
+    """The complex dim x dim identity, one shared read-only array per dimension
+    (those of the last 8 dimensions asked for are kept)."""
+    arr = np.eye(dim, dtype=complex)
+    arr.setflags(write=False)
+    return arr
+
+
 def identity(dim: int) -> HermitianMatrix:
-    return HermitianMatrix(np.eye(dim, dtype=complex))
+    return HermitianMatrix(eye(dim))
 
 
 def trace_product(a: HermitianMatrix, b: HermitianMatrix) -> float:
@@ -292,18 +297,16 @@ def two_state_rotation(a: StateVector, b: StateVector) -> np.ndarray:
     """
     if a.dim != b.dim:
         raise DimMismatchError(f"dims {a.dim} and {b.dim}")
-    n = a.dim
     av = a.amplitudes
     bv = b.amplitudes
     c = complex(np.vdot(av, bv))
     residual = bv - c * av
     s = _norm(residual)
-    eye = np.eye(n, dtype=complex)
     if s <= 1e-12:
         phase = c / abs(c)
-        return eye + (phase - 1.0) * _ketbra(av, av)
+        return eye(a.dim) + (phase - 1.0) * _ketbra(av, av)
     e2 = residual / s
-    u = eye - _ketbra(av, av) - _ketbra(e2, e2)
+    u = eye(a.dim) - _ketbra(av, av) - _ketbra(e2, e2)
     u += _ketbra(bv, av)
     u += _ketbra(s * av - np.conj(c) * e2, e2)
     return u
@@ -315,4 +318,4 @@ def is_unitary(u: np.ndarray) -> bool:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
     gram = u.conj().T @ u
-    return float(abs(gram - np.eye(u.shape[0])).max()) <= 1e-10
+    return float(abs(gram - eye(u.shape[0])).max()) <= 1e-10

@@ -15,7 +15,7 @@ OBSERVER lines of a HEADER into it, and API callers build it directly.
 :func:`view_batch` is the one view function: it views many contents for
 one observer, taking a reducing observer's partial traces as one stack and
 validating them with one ``eigvalsh`` (``DensityMatrix.stack``);
-:func:`view_contents` is the batch of one.
+:func:`view_contents` is the batch of one, checked to fit the observer.
 """
 
 from __future__ import annotations
@@ -75,18 +75,17 @@ class ObserverView:
 
 
 def view_contents(observer: Observer, truth: GasContents) -> GasContents:
-    """Reduce ground-truth contents to what the observer can resolve; an
-    observer that resolves everything gets the truth object itself."""
+    """Reduce ground-truth contents, checked to fit the observer, to what it
+    can resolve; an observer that resolves everything gets the truth itself."""
+    _check_viewable(observer, truth)
     return next(view_batch(observer, [truth]))
 
 
 def view_batch(observer: Observer, truths: Sequence[GasContents]) -> Iterator[GasContents]:
-    """:func:`view_contents` of each ground-truth contents, in order.  Every
-    truth is checked first.  A reducing observer's partial traces are taken
-    as one stack and validated by one ``DensityMatrix.stack``; a merging
-    observer's weight maps are renamed one at a time as the views are read."""
-    for truth in truths:
-        _check_viewable(observer, truth)
+    """:func:`view_contents` of each ground-truth contents, in order, unchecked:
+    the engine fits each observer to the run once, as the run starts.  A
+    reducing observer's partial traces are one stack, validated by one
+    ``DensityMatrix.stack``; a merging observer's weight maps are renamed as read."""
     if observer.kind == "classical" and observer.species_map:
         mapping = dict(observer.species_map)
         return (_merged(mapping, truth) for truth in truths)
@@ -99,24 +98,19 @@ def view_batch(observer: Observer, truths: Sequence[GasContents]) -> Iterator[Ga
 
 
 def _check_viewable(observer: Observer, truth: GasContents) -> None:
-    if isinstance(truth, QuantumContents):
-        if observer.kind != "quantum":
-            raise IncompatibleReductionError(
-                f"classical observer {observer.name!r} cannot view quantum contents"
-            )
-        if observer.reduction is not None:
-            d1, d2, _ = observer.reduction
-            if d1 * d2 != truth.dim:
-                raise IncompatibleReductionError(
-                    f"reduction {d1}x{d2} does not fit dimension {truth.dim}"
-                )
-    elif isinstance(truth, ClassicalContents):
-        if observer.kind != "classical":
-            raise IncompatibleReductionError(
-                f"quantum observer {observer.name!r} cannot view classical contents"
-            )
-    else:
+    if not isinstance(truth, (QuantumContents, ClassicalContents)):
         raise VariantMismatchError(f"unknown contents {type(truth).__name__}")
+    variant = "quantum" if isinstance(truth, QuantumContents) else "classical"
+    if observer.kind != variant:
+        raise IncompatibleReductionError(
+            f"{observer.kind} observer {observer.name!r} cannot view {variant} contents"
+        )
+    if variant == "quantum" and observer.reduction is not None:
+        d1, d2, _ = observer.reduction
+        if d1 * d2 != truth.dim:
+            raise IncompatibleReductionError(
+                f"reduction {d1}x{d2} does not fit dimension {truth.dim}"
+            )
 
 
 def _merged(mapping: dict[str, str], truth: ClassicalContents) -> ClassicalContents:

@@ -92,14 +92,11 @@ class _Engine:
         names = [obs.name for obs in self.observers]
         if len(set(names)) != len(names):
             raise IncompatibleReductionError(f"duplicate observer names in {names}")
+        variant = "classical" if self.header.dim is None else "quantum"
         for obs in self.observers:
-            if self.header.dim is None and obs.kind != "classical":
+            if obs.kind != variant:
                 raise IncompatibleReductionError(
-                    f"observer {obs.name!r} is quantum but the scenario is classical"
-                )
-            if self.header.dim is not None and obs.kind != "quantum":
-                raise IncompatibleReductionError(
-                    f"observer {obs.name!r} is classical but the scenario is quantum"
+                    f"observer {obs.name!r} is {obs.kind} but the scenario is {variant}"
                 )
             if obs.kind == "quantum" and obs.reduction is not None:
                 d1, d2, _ = obs.reduction

@@ -28,7 +28,11 @@ So the text is rendered in three passes:
 * then each step's chambers are spliced from those pieces, so PARTITION
   siblings and a chamber left unchanged between steps reuse one digest.
 
-Each float is rounded and spelled once per report.
+Each float is spelled once per report, as ``repr`` spells it rounded to 12
+decimals.  For 1.0001e-4 <= |x| < 999 that text is ``'%.12f' % x`` less its
+trailing zeros: ``round(x, 12)`` takes its digits from the same 12-decimal
+dtoa, and with at most 15 significant digits (DBL_DIG) they are the shortest
+text that round-trips, which ``repr`` prints in fixed notation in that range.
 """
 
 from __future__ import annotations
@@ -183,6 +187,10 @@ class _Floats(dict):
     """float -> the JSON text of its ``_round``, filled as floats are met."""
 
     def __missing__(self, x: float) -> str:
+        if 1.0001e-4 <= abs(x) < 999.0:
+            text = ("%.12f" % x).rstrip("0")
+            text = self[x] = text + "0" if text[-1] == "." else text
+            return text
         text = float.__repr__(_round(x))
         text = self[x] = _NON_FINITE.get(text, text)
         return text

@@ -111,7 +111,7 @@ def eval_projector(expr: ast.Expr, scope: Scope) -> linalg.HermitianMatrix:
 
 def eval_unitary(expr: ast.Expr, scope: Scope) -> np.ndarray:
     if isinstance(expr, ast.IdentityExpr):
-        return np.eye(expr.dim, dtype=complex)
+        return linalg.eye(expr.dim)
     if isinstance(expr, ast.TensorExpr):
         return linalg.kron(eval_unitary(expr.left, scope), eval_unitary(expr.right, scope))
     if isinstance(expr, ast.RotateToExpr):

@@ -124,9 +124,9 @@ def _lookup(pairs, label: str):
 @dataclass(frozen=True)
 class Povm:
     """Positive semidefinite elements, one per distinct outcome label, of one
-    dimension, summing to identity, checked and kept as one read-only
-    (k, d, d) ``stack`` in label order (not part of equality or repr).  A
-    subclass narrows ``_check_stack``; ``_error`` and ``_noun`` name its failures."""
+    dimension, summing to identity, checked (NaN fails) and kept as one
+    read-only (k, d, d) ``stack`` in label order (not part of equality or repr).
+    A subclass narrows ``_check_stack``; ``_error`` and ``_noun`` name its failures."""
 
     elements: tuple[tuple[str, HermitianMatrix], ...]
     stack: np.ndarray = field(init=False, repr=False, compare=False)
@@ -147,14 +147,14 @@ class Povm:
         stack = np.array([mat.entries for _, mat in self.elements])
         stack.setflags(write=False)
         self._check_stack(labels, stack)
-        if float(abs(stack.sum(axis=0) - np.eye(dim)).max()) > ZERO_TOL:
+        if not float(abs(stack.sum(axis=0) - linalg.eye(dim)).max()) <= ZERO_TOL:
             raise self._error(f"{self._noun}s do not sum to the identity")
         object.__setattr__(self, "stack", stack)
 
     def _check_stack(self, labels: list[str], stack: np.ndarray) -> None:
         """Every element PSD, by one ``eigvalsh`` over the stack."""
         for label, smallest in zip(labels, np.linalg.eigvalsh(stack)[:, 0].tolist()):
-            if smallest < -ZERO_TOL:
+            if not smallest >= -ZERO_TOL:
                 raise NotPovmError(f"element {label} is not PSD ({smallest!r})")
 
     @property
@@ -183,10 +183,10 @@ class ProjectiveInstrument(Povm):
         products[np.diag_indices(len(stack))] -= stack
         worst = np.abs(products).max(axis=(2, 3)).tolist()
         for i, label in enumerate(labels):
-            if worst[i][i] > ZERO_TOL:
+            if not worst[i][i] <= ZERO_TOL:
                 raise NotProjectiveError(f"{label} not idempotent ({worst[i][i]:.2e})")
         for (i, a), (j, b) in combinations(enumerate(labels), 2):
-            if worst[i][j] > ZERO_TOL:
+            if not worst[i][j] <= ZERO_TOL:
                 raise NotProjectiveError(f"projectors {a} and {b} overlap ({worst[i][j]:.2e})")
 
 

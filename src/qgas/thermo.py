@@ -136,9 +136,6 @@ class GasChamber:
     def __post_init__(self):
         _check_positive(volume=self.volume, temperature=self.temperature, particles=self.particles)
 
-    def relabel(self, label: str) -> "GasChamber":
-        return GasChamber(self.volume, self.temperature, self.particles, self.contents, label)
-
 
 @dataclass(frozen=True)
 class LedgerStep:

@@ -1,6 +1,7 @@
 """Engine edge paths: bad chamber bookkeeping and guarded merges."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -108,6 +109,23 @@ def test_quantum_observer_on_classical_scenario_rejected():
     )
     with pytest.raises(IncompatibleReductionError):
         run_protocol(parse(text), observers=[Observer.quantum("lab")])
+
+
+@pytest.mark.parametrize(
+    "header, observer, message",
+    [
+        ("HEADER classical temperature=1.0 particles=1.0\n", Observer.quantum("lab"),
+         "observer 'lab' is quantum but the scenario is classical"),
+        ("HEADER dim=2 temperature=1.0 particles=1.0\n", Observer.classical("lab"),
+         "observer 'lab' is classical but the scenario is quantum"),
+        ("HEADER dim=4 temperature=1.0 particles=1.0\n", Observer.quantum("lab", (2, 3, "first")),
+         "observer 'lab' reduction 2x3 does not fit dimension 4"),
+    ],
+    ids=["quantum-on-classical", "classical-on-quantum", "reduction"],
+)
+def test_observers_are_checked_as_the_run_starts(header, observer, message):
+    with pytest.raises(IncompatibleReductionError, match=f"^{re.escape(message)}$"):
+        run_protocol(parse(header), observers=[observer])
 
 
 def test_expect_verdict_for_absent_observer_fails_cleanly():

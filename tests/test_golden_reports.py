@@ -3,24 +3,35 @@
 ``perfbench/golden_reports.json`` holds the sha256 of each bundled
 scenario's report.  Any refactor must leave these bytes unchanged; the
 file is read here and never rewritten.  The bench's generated workloads
-are pinned too, at two seeds each: ``perfbench/workloads.py`` is loaded
-from its file (read-only) to write the scripts.  The report digests its
-views in batches; each digest must equal the one made from a single
-``view_contents`` call.  The same reports are made with numpy's N-d helpers
-that the small-matrix primitives avoid set to raise.
+are pinned too, at two seeds each, on scripts kept in ``fixtures/``: the
+generator (``perfbench/workloads.py``, loaded read-only) writes its
+reference total heat with ``repr``, and the last digits of that numpy sum
+depend on the BLAS kernel, so the pins read the scripts it wrote once.  A
+test checks that the generator still writes them, up to those digits.
+
+The report digests its views in batches; each digest must equal the one
+made from a single ``view_contents`` call.  The same reports are made with
+numpy's N-d helpers that the small-matrix primitives avoid set to raise,
+with ``np.eye`` set to raise, with the per-view observer check set to
+raise, with every float spelled by ``repr`` of its rounded value, and in
+one child process per OpenBLAS kernel.
 """
 
 import hashlib
 import json
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import load_workloads
+from conftest import load_workloads, subprocess_env
+from qgas import observers
 from qgas.observers import view_contents
-from qgas.protocol import execute, parse
-from qgas.protocol.interpreter import _contents_digest
+from qgas.protocol import execute, interpreter, parse
+from qgas.protocol.interpreter import UnitsConfig, _contents_digest
 from qgas.scenarios import BUNDLED, scenario_text
 
 GOLDEN = json.loads(
@@ -32,19 +43,56 @@ GENERATED = {
     ("classical_ledger", 1): "8f0914e61e0837815ae58afea7ef9ff508f01bd46dbf852907535060bc059ddc",
     ("classical_ledger", 2): "e190b24767f46cd4dbe28203e1b5b283246558ba576a0d95c1a0359405616cf4",
 }
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+def pinned_script(workload: str, seed: int) -> str:
+    return (FIXTURES / f"{workload}-{seed}.qg").read_text()
+
+
+def pinned_cases() -> dict[str, tuple[str, str]]:
+    """Name -> (script, sha256 of its report) for the golden and pinned reports."""
+    cases = {name: (scenario_text(name), GOLDEN[name]) for name in BUNDLED}
+    for (workload, seed), digest in GENERATED.items():
+        cases[f"{workload}-{seed}"] = (pinned_script(workload, seed), digest)
+    return cases
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def assert_pinned_reports(cases: dict[str, tuple[str, str]]) -> None:
+    for name, (text, digest) in cases.items():
+        assert sha256(execute(parse(text)).to_json()) == digest, name
 
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_report_matches_golden_digest(name):
     report_json = execute(parse(scenario_text(name))).to_json()
-    assert hashlib.sha256(report_json.encode()).hexdigest() == GOLDEN[name]
+    assert sha256(report_json) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("workload, seed", list(GENERATED))
 def test_generated_report_matches_pinned_digest(workload, seed):
+    report_json = execute(parse(pinned_script(workload, seed))).to_json()
+    assert sha256(report_json) == GENERATED[workload, seed]
+
+
+@pytest.mark.parametrize("workload, seed", list(GENERATED))
+def test_generator_still_writes_the_pinned_scripts(workload, seed):
+    # Every line is the fixture's but the reference total heat, whose last
+    # digits follow the BLAS kernel that summed it.
     ((_, text),) = load_workloads().GENERATORS[workload](seed).scripts
-    report_json = execute(parse(text)).to_json()
-    assert hashlib.sha256(report_json.encode()).hexdigest() == GENERATED[workload, seed]
+    kept = pinned_script(workload, seed).splitlines()
+    for line, fixed in zip(text.splitlines(), kept, strict=True):
+        if fixed.startswith("EXPECT Q_total"):
+            *words, value, tol = line.split()
+            *fixed_words, fixed_value, fixed_tol = fixed.split()
+            assert (words, tol) == (fixed_words, fixed_tol)
+            assert abs(float(value) - float(fixed_value)) <= 1e-12
+        else:
+            assert line == fixed
 
 
 @pytest.mark.parametrize("name", [*BUNDLED, "deep_protocol-3"])
@@ -63,16 +111,71 @@ def test_batched_digests_match_one_pair_at_a_time(name):
                 assert shown["contents_digest"] == alone
 
 
-def test_reports_need_no_numpy_nd_helpers(monkeypatch):
-    def banned(*args, **kwargs):
-        raise AssertionError("a small-matrix primitive called a numpy N-d helper")
+def _banned(*args, **kwargs):
+    raise AssertionError("the run called a function it should not need")
 
-    # The generator writes its script with numpy's helpers; only the run is guarded.
-    ((_, deep),) = load_workloads().GENERATORS["deep_protocol"](1).scripts
-    cases = [(scenario_text(name), GOLDEN[name]) for name in BUNDLED]
-    cases.append((deep, GENERATED["deep_protocol", 1]))
+
+def test_reports_need_no_numpy_nd_helpers(monkeypatch):
+    cases = pinned_cases()
+    cases = {name: cases[name] for name in [*BUNDLED, "deep_protocol-1"]}
     for owner, name in ((np, "kron"), (np, "outer"), (np.linalg, "norm")):
-        monkeypatch.setattr(owner, name, banned)
-    for text, digest in cases:
-        report_json = execute(parse(text)).to_json()
-        assert hashlib.sha256(report_json.encode()).hexdigest() == digest
+        monkeypatch.setattr(owner, name, _banned)
+    assert_pinned_reports(cases)
+
+
+def test_reports_need_no_fresh_identity(monkeypatch):
+    # One warm-up run makes the shared identity of each dimension.
+    cases = pinned_cases()
+    assert_pinned_reports(cases)
+    monkeypatch.setattr(np, "eye", _banned)
+    assert_pinned_reports(cases)
+
+
+def test_runs_check_observers_once_at_the_boundary(monkeypatch):
+    # The engine fits each observer to the run as it starts; no view inside
+    # the run or the report checks an observer again.
+    monkeypatch.setattr(observers, "_check_viewable", _banned)
+    assert_pinned_reports(pinned_cases())
+
+
+def test_fast_float_spelling_matches_repr_of_the_rounded_value(monkeypatch):
+    units = [UnitsConfig(), UnitsConfig("absolute", boltzmann_constant=1.380649e-23)]
+    reports = [execute(parse(text)) for text, _ in pinned_cases().values()]
+    fast = [report.to_json(u) for report in reports for u in units]
+
+    def spelled_by_repr(self, x):
+        text = float.__repr__(interpreter._round(x))
+        text = self[x] = interpreter._NON_FINITE.get(text, text)
+        return text
+
+    monkeypatch.setattr(interpreter._Floats, "__missing__", spelled_by_repr)
+    assert [report.to_json(u) for report in reports for u in units] == fast
+
+
+# The child hashes the report of each script it reads from standard input.
+_HASH_REPORTS = """
+import hashlib, json, sys
+from qgas.protocol import execute, parse
+texts = json.load(sys.stdin)
+print(json.dumps({
+    name: hashlib.sha256(execute(parse(text)).to_json().encode()).hexdigest()
+    for name, text in texts.items()
+}))
+"""
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "SkylakeX", "Zen", "Sandybridge"])
+def test_pinned_reports_hold_on_each_openblas_kernel(kernel):
+    # OPENBLAS_CORETYPE picks the kernel of an OpenBLAS built for several
+    # CPUs; any other BLAS ignores it, and the check still runs.
+    cases = pinned_cases()
+    done = subprocess.run(
+        [sys.executable, "-c", _HASH_REPORTS],
+        input=json.dumps({name: text for name, (text, _) in cases.items()}),
+        capture_output=True, text=True, timeout=120,
+        env={**subprocess_env(), "OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    if done.returncode == -signal.SIGILL:
+        pytest.skip(f"this CPU lacks instructions the {kernel} kernel uses")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {name: digest for name, (_, digest) in cases.items()}

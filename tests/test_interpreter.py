@@ -1,8 +1,9 @@
 import json
 import math
+import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BLEND_SEPARATION_HEAT, LN2, P_MINUS, P_PLUS, load_workloads
@@ -223,6 +224,41 @@ def report_scripts():
 
 SCRIPTS = dict(report_scripts())
 
+# The report spells 1.0001e-4 <= |x| < 999 by '%.12f' and every other float
+# by repr of its rounded value; both must give json.dumps' text.
+_EDGES = (1.0001e-4, 999.0)
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _ulps_away(x: float, k: int) -> float:
+    """The float k steps of one ulp from a positive x."""
+    return struct.unpack("<d", struct.pack("<q", _bits(x) + k))[0]
+
+
+def _bit_patterns(low: float, high: float):
+    """Positive floats in [low, high), drawn over their bit patterns."""
+    return st.integers(0, _bits(high) - _bits(low) - 1).map(lambda k: _ulps_away(low, k))
+
+
+def _signed(floats):
+    return st.tuples(floats, st.booleans()).map(lambda drawn: -drawn[0] if drawn[1] else drawn[0])
+
+
+_FIXED_RANGE = _bit_patterns(*_EDGES)
+# Past either edge '%.12f' is not repr's text: exponent notation below 1e-4,
+# fewer digits than 12 decimals once the float spacing passes 1e-12 (8192).
+_BEYOND_EDGES = st.one_of(_bit_patterns(1e-7, _EDGES[0]), _bit_patterns(_EDGES[1], 1e5))
+_NEAR_EDGES = st.builds(_ulps_away, st.sampled_from(_EDGES), st.integers(-1000, 1000))
+# (m + 1/2) * 1e-12, the ties of a 12-decimal rounding, and their neighbours.
+_HALF_WAY = st.builds(
+    lambda m, k: _ulps_away(float(f"{m}5e-13"), k),
+    st.integers(int(_EDGES[0] * 1e12), int(_EDGES[1] * 1e12) - 1),
+    st.integers(-1, 1),
+)
+
 
 class TestWriter:
     """The report renderer writes the text of ``json.dumps(..., indent=1)``."""
@@ -231,11 +267,25 @@ class TestWriter:
     def test_matches_json_dumps(self, value):
         assert interpreter._scalar(value) == json.dumps(value)
 
-    @given(st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e300, -1e-13])))
+    @settings(max_examples=1000)
+    @given(st.one_of(
+        st.floats(),
+        st.sampled_from([-0.0, 5e-324, 1e300, -1e-13]),
+        _signed(_FIXED_RANGE),
+        _signed(_BEYOND_EDGES),
+        _signed(_NEAR_EDGES),
+        _signed(_HALF_WAY),
+    ))
     def test_rounded_float_text_matches_json_dumps(self, value):
         floats = interpreter._Floats()
         assert floats[value] == json.dumps(interpreter._round(value))
         assert floats[value] == json.dumps(interpreter._round(value))  # memoised
+
+    @pytest.mark.parametrize("value", [9.5e-05, 8192.544229225])
+    def test_floats_past_the_fixed_range_are_spelled_by_repr(self, value):
+        # '%.12f' would write 0.000095 and 8192.544229225001.
+        for x in (value, -value):
+            assert interpreter._Floats()[x] == json.dumps(interpreter._round(x))
 
     @pytest.mark.parametrize("value", [object(), 1j, b"bytes", {1, 2}, {1: "int key"}])
     def test_unsupported_type_raises(self, value):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +60,22 @@ class TestViewContents:
         shrunk = Observer.quantum("bad", (2, 3, "first"))
         with pytest.raises(IncompatibleReductionError):
             view_contents(shrunk, tau_contents())
+
+    @pytest.mark.parametrize(
+        "observer, truth, message",
+        [
+            (Observer.classical("johann"), tau_contents,
+             "classical observer 'johann' cannot view quantum contents"),
+            (Observer.quantum("lab"), lambda: ClassicalContents({"argon": 1.0}),
+             "quantum observer 'lab' cannot view classical contents"),
+            (Observer.quantum("bad", (2, 3, "first")), tau_contents,
+             "reduction 2x3 does not fit dimension 4"),
+        ],
+        ids=["classical-on-quantum", "quantum-on-classical", "reduction"],
+    )
+    def test_check_messages(self, observer, truth, message):
+        with pytest.raises(IncompatibleReductionError, match=f"^{re.escape(message)}$"):
+            view_contents(observer, truth())
 
     def test_view_commutes_with_mixing(self):
         rng = np.random.default_rng(61)

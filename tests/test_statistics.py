@@ -113,6 +113,14 @@ class TestTypes:
         with pytest.raises(NotProjectiveError):
             ProjectiveInstrument((("a", half), ("b", half)))
 
+    def test_nan_elements_rejected(self):
+        # A NaN element fails the check a number would fail, as a state does.
+        nan = linalg.HermitianMatrix(np.full((2, 2), np.nan))
+        with pytest.raises(NotPovmError, match=r"^element a is not PSD \(nan\)$"):
+            Povm((("a", nan),))
+        with pytest.raises(NotProjectiveError, match=r"^a not idempotent \(nan\)$"):
+            ProjectiveInstrument((("a", nan), ("b", nan)))
+
 
 class TestInstrumentIsPovm:
     """An instrument is a POVM: it shares the POVM's checks and adds only
