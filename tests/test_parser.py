@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,8 @@ from qgas.protocol import ast, execute
 from qgas.protocol.parser import _tokenize_line, parse
 from qgas.protocol.ast import render
 from qgas.scenarios import BUNDLED, scenario_text
+
+FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.qg"))
 
 MINIMAL = """\
 HEADER dim=2 temperature=1.0 particles=1.0
@@ -235,6 +239,12 @@ class TestRoundTrip:
     @pytest.mark.parametrize("name", BUNDLED)
     def test_bundled_scenarios(self, name):
         protocol = parse(scenario_text(name))
+        assert parse(render(protocol)) == protocol
+
+    @pytest.mark.parametrize("path", FIXTURES, ids=[p.stem for p in FIXTURES])
+    def test_fixture_scripts(self, path):
+        # Their complex kets spell real, imaginary and signed parts.
+        protocol = parse(path.read_text(encoding="utf-8"))
         assert parse(render(protocol)) == protocol
 
     def test_render_is_stable(self):
