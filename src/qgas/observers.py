@@ -42,16 +42,38 @@ from .thermo import (
 class Observer:
     """A named description context.
 
-    kind "quantum": ``reduction`` is None (full view) or (d1, d2, keep); the
-    factors must multiply to the ground-truth dimension.
+    kind "quantum": ``reduction`` is None (full view) or (d1, d2, keep) with
+    positive integer factors and keep "first" or "second"; the factors must
+    multiply to the ground-truth dimension.
     kind "classical": ``species_map`` renames true species to what the
     observer can resolve; unmapped species pass through unchanged.
+    An observer checks these fields as it is built.
     """
 
     name: str
     kind: str
     reduction: tuple[int, int, str] | None = None
     species_map: tuple[tuple[str, str], ...] = ()
+
+    def __post_init__(self):
+        r = self.reduction
+        if self.kind not in ("quantum", "classical"):
+            fault = f"kind {self.kind!r} is not quantum or classical"
+        elif r is not None and self.kind == "classical":
+            fault = "a classical observer has no reduction"
+        elif r is not None and not (
+            len(r) == 3
+            and all(isinstance(d, int) and d >= 1 for d in r[:2])
+            and r[2] in ("first", "second")
+        ):
+            fault = f"reduction {r!r} is not (positive int, positive int, 'first' or 'second')"
+        elif self.species_map and self.kind == "quantum":
+            fault = "a quantum observer has no species map"
+        elif len({true for true, _ in self.species_map}) != len(self.species_map):
+            fault = f"species map {self.species_map!r} names a true species twice"
+        else:
+            return
+        raise IncompatibleReductionError(f"observer {self.name!r}: {fault}")
 
     @staticmethod
     def quantum(name: str, reduction: tuple[int, int, str] | None = None) -> "Observer":
@@ -89,7 +111,7 @@ def view_batch(observer: Observer, truths: Sequence[GasContents]) -> Iterator[Ga
     if observer.kind == "classical" and observer.species_map:
         mapping = dict(observer.species_map)
         return (_merged(mapping, truth) for truth in truths)
-    if observer.kind == "classical" or observer.reduction is None or not truths:
+    if observer.reduction is None or not truths:
         return iter(truths)
     d1, d2, keep = observer.reduction
     stack = np.array([truth.assembled().matrix.entries for truth in truths])
@@ -105,7 +127,7 @@ def _check_viewable(observer: Observer, truth: GasContents) -> None:
         raise IncompatibleReductionError(
             f"{observer.kind} observer {observer.name!r} cannot view {variant} contents"
         )
-    if variant == "quantum" and observer.reduction is not None:
+    if observer.reduction is not None:
         d1, d2, _ = observer.reduction
         if d1 * d2 != truth.dim:
             raise IncompatibleReductionError(

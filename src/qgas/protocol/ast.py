@@ -14,6 +14,11 @@ from typing import Union
 
 from ..observers import Observer
 
+# The largest dimension a script may ask for: of its HEADER, of a ket, of a
+# tensor product, and the most elements of one DEFINE_INSTRUMENT line.
+# Library calls are not bounded.
+MAX_DIM = 32
+
 
 @dataclass(frozen=True)
 class _Node:
@@ -226,31 +231,23 @@ def render_expr(e: Expr) -> str:
 
 
 def _render_header(h: Header) -> list[str]:
-    if h.dim is None:
-        first = (
-            f"HEADER classical temperature={_render_number(h.temperature)} "
-            f"particles={_render_number(h.particles)}"
-        )
-    else:
-        first = (
-            f"HEADER dim={h.dim} temperature={_render_number(h.temperature)} "
-            f"particles={_render_number(h.particles)}"
-        )
-    lines = [first]
+    variant = "classical" if h.dim is None else f"dim={h.dim}"
+    lines = [
+        f"HEADER {variant} temperature={_render_number(h.temperature)} "
+        f"particles={_render_number(h.particles)}"
+    ]
     for obs in h.observers:
-        if obs.kind == "quantum":
-            if obs.reduction is None:
-                lines.append(f"OBSERVER {obs.name} full")
-            else:
-                d1, d2, keep = obs.reduction
-                lines.append(f"OBSERVER {obs.name} reduce {d1} {d2} {keep}")
+        if obs.kind == "classical":
+            view = ["classical", *(f"{a}={b}" for a, b in obs.species_map)]
         else:
-            if obs.species_map:
-                mapping = " ".join(f"{a}={b}" for a, b in obs.species_map)
-                lines.append(f"OBSERVER {obs.name} classical {mapping}")
-            else:
-                lines.append(f"OBSERVER {obs.name} classical")
+            view = ["full"] if obs.reduction is None else ["reduce", *map(str, obs.reduction)]
+        lines.append(" ".join(["OBSERVER", obs.name, *view]))
     return lines
+
+
+def _positions_and_target(chambers: tuple[str, ...], into: str | None) -> list[str]:
+    """The ``[<position> ...] [-> <name>]`` tail of MIX and REMOVE_PARTITION."""
+    return [*chambers] if into is None else [*chambers, "->", into]
 
 
 def _render_statement(s: Statement) -> str:
@@ -274,20 +271,14 @@ def _render_statement(s: Statement) -> str:
     if isinstance(s, MixStmt):
         head = "CLASSICAL_MIX" if s.classical else "MIX"
         mode = "distinguishing" if s.distinguishing else "free"
-        parts = [head, mode, *s.chambers]
-        if s.into is not None:
-            parts += ["->", s.into]
-        return " ".join(parts)
+        return " ".join([head, mode, *_positions_and_target(s.chambers, s.into)])
     if isinstance(s, RotateStmt):
         return f"ROTATE {s.chamber} {render_expr(s.unitary)}"
     if isinstance(s, PartitionStmt):
         fracs = " ".join(_render_number(f) for f in s.fractions)
         return f"PARTITION {s.chamber} {fracs} -> {' '.join(s.names)}"
     if isinstance(s, RemovePartitionStmt):
-        parts = ["REMOVE_PARTITION", *s.chambers]
-        if s.into is not None:
-            parts += ["->", s.into]
-        return " ".join(parts)
+        return " ".join(["REMOVE_PARTITION", *_positions_and_target(s.chambers, s.into)])
     if isinstance(s, ClaimCycleStmt):
         return "CLAIM_CYCLE"
     if isinstance(s, ExpectTotalHeat):

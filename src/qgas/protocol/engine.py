@@ -21,6 +21,11 @@ declares.  Statements dispatch through one handler table; quantum and
 classical statements share their handlers.  Every step must conserve
 the gas: the chambers' volumes still sum to ``CONTAINER_VOLUME`` and their
 particles to the header's, within relative ``VOLUME_REL_TOL``.
+
+``run`` alone places a step's error: a handler raises it without a position
+(a library error, or ``_StepError`` for the engine's own checks), and
+``run`` turns it into an ``ExecutionError`` at the statement.  The errors of
+``semantics`` are already ``ProtocolError``s at their expression, and pass.
 """
 
 from __future__ import annotations
@@ -49,6 +54,10 @@ from ..thermo import (
 from . import ast, semantics
 
 CONTAINER_VOLUME = 1.0
+
+
+class _StepError(QuantumGasError):
+    """A step's error, raised without a position: ``run`` places it at the statement."""
 
 
 @dataclass(frozen=True)
@@ -98,7 +107,7 @@ class _Engine:
                 raise IncompatibleReductionError(
                     f"observer {obs.name!r} is {obs.kind} but the scenario is {variant}"
                 )
-            if obs.kind == "quantum" and obs.reduction is not None:
+            if obs.reduction is not None:
                 d1, d2, _ = obs.reduction
                 if d1 * d2 != self.header.dim:
                     raise IncompatibleReductionError(
@@ -108,34 +117,27 @@ class _Engine:
 
     # -- chamber bookkeeping ---------------------------------------------------
 
-    def _find(self, position: str, stmt) -> int:
+    def _find(self, position: str) -> int:
         for index, chamber in enumerate(self.chambers):
             if chamber.label == position:
                 return index
-        raise ExecutionError(
-            f"no chamber at position {position!r} "
-            f"(have {[c.label for c in self.chambers]})",
-            stmt.line, stmt.col,
+        raise _StepError(
+            f"no chamber at position {position!r} (have {[c.label for c in self.chambers]})"
         )
 
-    def _select(self, positions: tuple[str, ...], stmt) -> list[int]:
+    def _select(self, positions: tuple[str, ...]) -> list[int]:
         if not positions:
             if not self.chambers:
-                raise ExecutionError("no chambers exist yet", stmt.line, stmt.col)
+                raise _StepError("no chambers exist yet")
             return list(range(len(self.chambers)))
         for i, position in enumerate(positions):
             if position in positions[:i]:
-                raise ExecutionError(
-                    f"position {position!r} is selected twice", stmt.line, stmt.col
-                )
-        return [self._find(p, stmt) for p in positions]
+                raise _StepError(f"position {position!r} is selected twice")
+        return [self._find(p) for p in positions]
 
-    def _insert(self, chamber: GasChamber, stmt, at: int | None = None) -> None:
+    def _insert(self, chamber: GasChamber, at: int | None = None) -> None:
         if any(c.label == chamber.label for c in self.chambers):
-            raise ExecutionError(
-                f"chamber position {chamber.label!r} already exists",
-                stmt.line, stmt.col,
-            )
+            raise _StepError(f"chamber position {chamber.label!r} already exists")
         if at is None:
             self.chambers.append(chamber)
         else:
@@ -185,9 +187,7 @@ class _Engine:
     def _dispatch(self, index: int, stmt: ast.Statement) -> None:
         entry = _HANDLERS.get(type(stmt))
         if entry is None:
-            raise ExecutionError(
-                f"unsupported statement {type(stmt).__name__}", stmt.line, stmt.col
-            )
+            raise _StepError(f"unsupported statement {type(stmt).__name__}")
         handler, keyword = entry
         if keyword is not None:
             self._check_variant(keyword, stmt)
@@ -196,21 +196,18 @@ class _Engine:
             return
         self._freeze_initial()
         description, heat = handler(self, stmt)
-        self._check_conservation(stmt)
+        self._check_conservation()
         self.ledger.record(description, heat)
         self.steps.append(StepTrace(index, stmt.line, description, heat, tuple(self.chambers)))
 
-    def _check_conservation(self, stmt) -> None:
+    def _check_conservation(self) -> None:
         """The chambers still fill the container and hold every particle."""
         for quantity, total, expected in (
             ("volume", math.fsum(c.volume for c in self.chambers), CONTAINER_VOLUME),
             ("particles", math.fsum(c.particles for c in self.chambers), self.header.particles),
         ):
             if not math.isclose(total, expected, rel_tol=VOLUME_REL_TOL):
-                raise ExecutionError(
-                    f"total {quantity} {total!r} is not the conserved {expected!r}",
-                    stmt.line, stmt.col,
-                )
+                raise _StepError(f"total {quantity} {total!r} is not the conserved {expected!r}")
 
     def _check_variant(self, keyword: str, stmt) -> None:
         """CLASSICAL_* statements need a classical header, the others a quantum one."""
@@ -219,9 +216,7 @@ class _Engine:
         classical = keyword.startswith("CLASSICAL_")
         if classical != (self.header.dim is None):
             variant = "classical" if classical else "quantum"
-            raise ExecutionError(
-                f"{keyword} needs a {variant} scenario", stmt.line, stmt.col
-            )
+            raise _StepError(f"{keyword} needs a {variant} scenario")
 
     def _define_state(self, stmt: ast.DefineState) -> None:
         self.scope[stmt.name] = semantics.eval_value(stmt.expr, self.scope)
@@ -240,18 +235,17 @@ class _Engine:
                 merged[name] = merged.get(name, 0.0) + w / total
             contents = ClassicalContents(merged)
         else:
-            contents = self.scope[stmt.state]
+            contents = self.scope.get(stmt.state)
+            if contents is None:
+                raise _StepError(f"state {stmt.state!r} is not defined")
             if not isinstance(contents, QuantumContents):
-                raise ExecutionError(
-                    f"{stmt.state!r} is a ket; chamber contents must be a state "
-                    "(wrap it in proj())",
-                    stmt.line, stmt.col,
+                raise _StepError(
+                    f"{stmt.state!r} is a ket; chamber contents must be a state (wrap it in proj())"
                 )
             if contents.dim != self.header.dim:
-                raise ExecutionError(
+                raise _StepError(
                     f"state {stmt.state!r} has dimension {contents.dim}, "
-                    f"scenario declares {self.header.dim}",
-                    stmt.line, stmt.col,
+                    f"scenario declares {self.header.dim}"
                 )
         self._insert(
             GasChamber(
@@ -260,15 +254,16 @@ class _Engine:
                 particles=stmt.fraction * self.header.particles,
                 contents=contents,
                 label=stmt.position,
-            ),
-            stmt,
+            )
         )
 
     def _do_separate(
         self, stmt: ast.SeparateStmt | ast.ClassicalSeparateStmt
     ) -> tuple[str, float]:
         if isinstance(stmt, ast.SeparateStmt):
-            split, diaphragms = diaphragm.separate, self.instruments[stmt.instrument]
+            split, diaphragms = diaphragm.separate, self.instruments.get(stmt.instrument)
+            if diaphragms is None:
+                raise _StepError(f"instrument {stmt.instrument!r} is not defined")
             description = f"separate with {stmt.instrument}"
         else:
             split, diaphragms = diaphragm.classical_separate, dict(stmt.permeability)
@@ -281,10 +276,7 @@ class _Engine:
             rebuilt.extend(result.chambers)
         labels = [c.label for c in rebuilt]
         if len(set(labels)) != len(labels):
-            raise ExecutionError(
-                f"separation produced duplicate positions {labels}",
-                stmt.line, stmt.col,
-            )
+            raise _StepError(f"separation produced duplicate positions {labels}")
         self.chambers = rebuilt
         return description, heat
 
@@ -300,33 +292,31 @@ class _Engine:
     def _merge(self, stmt, distinguishing: bool, same_gas: bool = False) -> tuple[str, float]:
         """Select, merge, remove the selected chambers and append the merged
         one; returns the selected positions and the heat."""
-        indices = self._select(stmt.chambers, stmt)
+        indices = self._select(stmt.chambers)
         selected = [self.chambers[i] for i in indices]
         if same_gas:
             for other in selected[1:]:
                 if not contents_equal(selected[0].contents, other.contents):
-                    raise ExecutionError(
+                    raise _StepError(
                         f"chambers {selected[0].label!r} and {other.label!r} hold "
                         "different gases; removing the wall would be an irreversible "
-                        "mixing (use MIX free if that is intended)",
-                        stmt.line, stmt.col,
+                        "mixing (use MIX free if that is intended)"
                     )
         label = stmt.into or selected[0].label
         merged, heat = diaphragm.mix(selected, distinguishing, label=label)
         dropped = set(indices)
         self.chambers = [c for i, c in enumerate(self.chambers) if i not in dropped]
-        self._insert(merged, stmt)
+        self._insert(merged)
         return ", ".join(c.label for c in selected), heat
 
     def _do_rotate(self, stmt: ast.RotateStmt) -> tuple[str, float]:
-        index = self._find(stmt.chamber, stmt)
+        index = self._find(stmt.chamber)
         chamber = self.chambers[index]
         unitary = semantics.eval_unitary(stmt.unitary, self.scope)
         if unitary.shape[0] != chamber.contents.dim:
-            raise ExecutionError(
+            raise _StepError(
                 f"unitary dimension {unitary.shape[0]} does not match "
-                f"contents dimension {chamber.contents.dim}",
-                stmt.line, stmt.col,
+                f"contents dimension {chamber.contents.dim}"
             )
         rotated = QuantumContents(apply_unitary(chamber.contents.assembled(), unitary))
         self.chambers[index] = GasChamber(
@@ -336,7 +326,7 @@ class _Engine:
         return f"rotate {stmt.chamber}", 0.0
 
     def _do_partition(self, stmt: ast.PartitionStmt) -> tuple[str, float]:
-        index = self._find(stmt.chamber, stmt)
+        index = self._find(stmt.chamber)
         parent = self.chambers.pop(index)
         for offset, (fraction, name) in enumerate(zip(stmt.fractions, stmt.names)):
             self._insert(
@@ -347,7 +337,6 @@ class _Engine:
                     contents=parent.contents,
                     label=name,
                 ),
-                stmt,
                 at=index + offset,
             )
         return f"partition {parent.label}", 0.0

@@ -22,8 +22,8 @@ So the text is rendered in three passes:
   initial and final contents are the ones the engine made for the cycle
   verdict; the rest come from one ``view_batch`` call (one stacked partial
   trace and one stacked ``eigvalsh`` validation for a reducing observer).
-  An observer's digests round its matrices of one dimension in one
-  ``round`` and hash each matrix on its own, over the same bytes a
+  An observer's digests round its matrices, which share one dimension, in
+  one ``round`` and hash each matrix on its own, over the same bytes a
   single matrix gives;
 * then each step's chambers are spliced from those pieces, so PARTITION
   siblings and a chamber left unchanged between steps reuse one digest.
@@ -45,7 +45,7 @@ from typing import Iterable
 import numpy as np
 
 from ..observers import Observer, view_batch
-from ..thermo import ClassicalContents, GasContents, QuantumContents
+from ..thermo import GasContents, QuantumContents
 from . import ast
 from .engine import RunResult, run_protocol
 
@@ -205,29 +205,23 @@ def _canonical_bytes(stack: np.ndarray) -> list[bytes]:
 
 
 def _digest_texts(views: Iterable[GasContents], floats: _Floats) -> list[str]:
-    """The digest text of each contents object, in order.  A classical
-    digest is made as its view is read; the quantum ones of one dimension
+    """The digest text of each contents object, in order.  The views one
+    observer makes are all classical, or all quantum of one dimension: those
     are rounded as one stack and hashed one matrix at a time."""
     texts: list[str] = []
-    by_dim: dict[int, list] = {}  # dim -> (index, density matrix) pairs
-    for i, view in enumerate(views):
+    states = []
+    for view in views:
         if isinstance(view, QuantumContents):
-            by_dim.setdefault(view.dim, []).append((i, view.assembled()))
-            texts.append("")
-        else:
-            assert isinstance(view, ClassicalContents)
-            bag = _ITEM.join(
-                f"{_escape(name)}: {floats[w]}" for name, w in sorted(view.weights.items())
-            )
-            species = f"{{\n         {bag}\n        }}" if bag else "{}"
-            texts.append(
-                f'{{\n        "kind": "classical",\n        "species": {species}\n       }}'
-            )
-    for group in by_dim.values():
-        hashed = _canonical_bytes(np.array([rho.matrix.entries for _, rho in group]))
-        for (i, rho), data in zip(group, hashed):
+            states.append(view.assembled())
+            continue
+        bag = _ITEM.join(f"{_escape(n)}: {floats[w]}" for n, w in sorted(view.weights.items()))
+        species = f"{{\n         {bag}\n        }}" if bag else "{}"
+        texts.append(f'{{\n        "kind": "classical",\n        "species": {species}\n       }}')
+    if states:
+        hashed = _canonical_bytes(np.array([rho.matrix.entries for rho in states]))
+        for rho, data in zip(states, hashed):
             values = _ITEM.join([floats[v] for v in rho.eigenvalues])
-            texts[i] = (
+            texts.append(
                 f'{{\n        "eigenvalues": [\n         {values}\n        ],'
                 f'\n        "hash": "{hashlib.sha256(data).hexdigest()[:16]}",'
                 f'\n        "kind": "quantum"\n       }}'

@@ -5,9 +5,12 @@ whitespace or punctuation.  Every diagnostic carries the 1-based line and
 column of the offending token.  Statement keywords are matched exactly, in
 uppercase; a number must be finite (`1e999` is rejected where it is
 written); chamber and partition fractions must exceed 1e-9, the tolerance
-within which chamber fractions must sum to 1.  OBSERVER lines become
-:class:`~qgas.observers.Observer` values on the header, and chambers are
-declared before the first statement of ``ast.OPERATIONS``.
+within which chamber fractions must sum to 1.  No script asks for more
+than ``ast.MAX_DIM`` (32): a larger HEADER dim, ket or DEFINE_INSTRUMENT line
+is rejected at the token that asks (and by semantics a larger tensor product,
+at its expression); library calls are not bounded.  OBSERVER lines
+become :class:`~qgas.observers.Observer` values on the header, and chambers
+are declared before the first statement of ``ast.OPERATIONS``.
 
 Grammar sketch (one statement per line):
 
@@ -73,6 +76,7 @@ _tuple_new = tuple.__new__
 _FRACTION_TOL = 1e-9
 _FLOOR = f"a fraction above {_FRACTION_TOL:g}"
 _REPEATED = "a species not named before on this line"
+_AT_MOST_DIM = f"a dimension of at most {ast.MAX_DIM}"
 
 
 class Token(NamedTuple):
@@ -137,6 +141,14 @@ class _Cursor:
     def expect_name(self, what: str = "a name") -> Token:
         return self.expect("NAME", what)
 
+    def expect_word(self, words: tuple[str, ...], what: str) -> Token:
+        """A NAME spelled as one of ``words``; anything else is reported as ``what``."""
+        token = self.tokens[self.index]
+        if token.kind != "NAME" or token.text not in words:
+            raise ScenarioSyntaxError(token.line, token.col, what)
+        self.index += 1
+        return token
+
     def at_end(self) -> bool:
         return self.tokens[self.index].kind == "EOL"
 
@@ -179,12 +191,19 @@ def _complex_literal(cur: _Cursor) -> complex:
     return value
 
 
-def _key_value(cur: _Cursor, key: str) -> Token:
-    name = cur.expect_name(f"{key}=<value>")
-    if name.text != key:
-        raise ScenarioSyntaxError(name.line, name.col, f"{key}=<value>")
+def _key_value(cur: _Cursor, key: str) -> None:
+    cur.expect_word((key,), f"{key}=<value>")
     cur.expect("=")
-    return name
+
+
+def _fraction(cur: _Cursor, what: str, expected: str, whole: bool) -> float:
+    """A volume fraction in (0, 1), or (0, 1] if ``whole``, above the floor."""
+    fraction, token = _signed_number(cur, what)
+    if not 0 < fraction <= 1 or (fraction == 1 and not whole):
+        raise ScenarioSyntaxError(token.line, token.col, expected)
+    if fraction <= _FRACTION_TOL:
+        raise ScenarioSyntaxError(token.line, token.col, _FLOOR)
+    return fraction
 
 
 def _positions_and_target(cur: _Cursor) -> tuple[tuple[str, ...], str | None]:
@@ -262,17 +281,14 @@ class _Parser:
         if self.header is not None:
             raise ScenarioSyntaxError(keyword.line, keyword.col, "a single HEADER line")
         dim: int | None = None
-        lookahead = cur.expect_name("dim=<int> or classical")
-        if lookahead.text == "classical":
-            dim = None
-        elif lookahead.text == "dim":
+        if cur.expect_word(("dim", "classical"), "dim=<int> or classical").text == "dim":
             cur.expect("=")
             number = cur.expect("NUMBER", "an integer dimension")
             if number.imaginary or number.value != int(number.value) or number.value < 1:
                 raise ScenarioSyntaxError(number.line, number.col, "a positive integer dimension")
+            if number.value > ast.MAX_DIM:
+                raise ScenarioSyntaxError(number.line, number.col, _AT_MOST_DIM)
             dim = int(number.value)
-        else:
-            raise ScenarioSyntaxError(lookahead.line, lookahead.col, "dim=<int> or classical")
         _key_value(cur, "temperature")
         temperature, t_token = _signed_number(cur)
         _key_value(cur, "particles")
@@ -292,10 +308,9 @@ class _Parser:
             raise DuplicateNameError(
                 f"observer {name.text!r} already declared", name.line, name.col
             )
-        mode = cur.expect_name("full, reduce, or classical")
+        mode = cur.expect_word(("full", "reduce", "classical"), "full, reduce, or classical")
         dim = self.header.dim
-        classical = mode.text == "classical"
-        if mode.text in ("full", "reduce", "classical") and classical != (dim is None):
+        if (mode.text == "classical") != (dim is None):
             fits = "classical in a classical" if dim is None else "full or reduce in a quantum"
             raise ScenarioSyntaxError(mode.line, mode.col, f"{fits} scenario")
         if mode.text == "full":
@@ -303,24 +318,20 @@ class _Parser:
         if mode.text == "reduce":
             d1 = cur.expect("NUMBER", "first factor dimension")
             d2 = cur.expect("NUMBER", "second factor dimension")
-            keep = cur.expect_name("first or second")
-            if keep.text not in ("first", "second"):
-                raise ScenarioSyntaxError(keep.line, keep.col, "first or second")
+            keep = cur.expect_word(("first", "second"), "first or second")
             if any(t.imaginary or t.value != int(t.value) or t.value < 1 for t in (d1, d2)):
                 raise ScenarioSyntaxError(d1.line, d1.col, "positive integer factor dims")
             if int(d1.value) * int(d2.value) != dim:
                 raise ScenarioSyntaxError(d1.line, d1.col, f"factor dims multiplying to {dim}")
             return Observer.quantum(name.text, (int(d1.value), int(d2.value), keep.text))
-        if mode.text == "classical":
-            mapping = {}
-            while not cur.at_end():
-                source = cur.expect_name("<true-species>=<seen-species>")
-                if source.text in mapping:
-                    raise ScenarioSyntaxError(source.line, source.col, _REPEATED)
-                cur.expect("=")
-                mapping[source.text] = cur.expect_name("the observed species name").text
-            return Observer.classical(name.text, mapping)
-        raise ScenarioSyntaxError(mode.line, mode.col, "full, reduce, or classical")
+        mapping = {}
+        while not cur.at_end():
+            source = cur.expect_name("<true-species>=<seen-species>")
+            if source.text in mapping:
+                raise ScenarioSyntaxError(source.line, source.col, _REPEATED)
+            cur.expect("=")
+            mapping[source.text] = cur.expect_name("the observed species name").text
+        return Observer.classical(name.text, mapping)
 
     # -- expressions -----------------------------------------------------------
 
@@ -338,6 +349,9 @@ class _Parser:
             if word == "ket":
                 amplitudes = [_complex_literal(cur)]
                 while cur.accept(","):
+                    if len(amplitudes) == ast.MAX_DIM:
+                        extra = cur.peek()
+                        raise ScenarioSyntaxError(extra.line, extra.col, _AT_MOST_DIM)
                     amplitudes.append(_complex_literal(cur))
                 cur.expect(")")
                 return ast.KetExpr(tuple(amplitudes), line=token.line, col=token.col)
@@ -390,12 +404,19 @@ class _Parser:
 
     # -- definitions -----------------------------------------------------------
 
+    def defined(self, cur: _Cursor, kind: str) -> str:
+        """A name that a DEFINE_STATE or DEFINE_INSTRUMENT line gave ``kind``."""
+        name = cur.expect_name(f"a defined {kind} name")
+        if self.names.get(name.text) != kind:
+            raise UndefinedNameError(f"{kind} {name.text!r} is not defined", name.line, name.col)
+        return name.text
+
     def _define(self, name: Token, kind: str) -> str:
         if name.text in self.names:
             raise DuplicateNameError(
                 f"name {name.text!r} already defined", name.line, name.col
             )
-        if name.text in _CONSTRUCTORS or name.text == "eigenbasis-of":
+        if name.text in _CONSTRUCTORS:
             raise ScenarioSyntaxError(name.line, name.col, "a non-reserved name")
         self.names[name.text] = kind
         return name.text
@@ -418,6 +439,9 @@ class _Parser:
             )
         elements = []
         while not cur.at_end():
+            if len(elements) == ast.MAX_DIM:
+                extra = cur.peek()
+                raise ScenarioSyntaxError(extra.line, extra.col, f"at most {ast.MAX_DIM} elements")
             label = cur.expect_name("<outcome-label>=<projector-expr>")
             cur.expect("=")
             elements.append((label.text, self.parse_expr(cur)))
@@ -439,19 +463,11 @@ class _Parser:
         self, cur: _Cursor, keyword: Token
     ) -> ast.ChamberStmt | ast.ClassicalChamberStmt:
         position = cur.expect_name("a chamber position")
-        fraction, f_token = _signed_number(cur, "a volume fraction")
-        if not 0 < fraction <= 1:
-            raise ScenarioSyntaxError(f_token.line, f_token.col, "a fraction in (0, 1]")
-        if fraction <= _FRACTION_TOL:
-            raise ScenarioSyntaxError(f_token.line, f_token.col, _FLOOR)
+        fraction = _fraction(cur, "a volume fraction", "a fraction in (0, 1]", whole=True)
         if keyword.text == "CHAMBER":
-            state = cur.expect_name("a defined state name")
-            if self.names.get(state.text) != "state":
-                raise UndefinedNameError(
-                    f"state {state.text!r} is not defined", state.line, state.col
-                )
+            state = self.defined(cur, "state")
             return ast.ChamberStmt(
-                position.text, fraction, state.text, line=keyword.line, col=keyword.col
+                position.text, fraction, state, line=keyword.line, col=keyword.col
             )
         bag = []
         while not cur.at_end():
@@ -468,13 +484,8 @@ class _Parser:
         )
 
     def parse_separate(self, cur: _Cursor, keyword: Token) -> ast.SeparateStmt:
-        instrument = cur.expect_name("a defined instrument name")
-        if self.names.get(instrument.text) != "instrument":
-            raise UndefinedNameError(
-                f"instrument {instrument.text!r} is not defined",
-                instrument.line, instrument.col,
-            )
-        return ast.SeparateStmt(instrument.text, line=keyword.line, col=keyword.col)
+        instrument = self.defined(cur, "instrument")
+        return ast.SeparateStmt(instrument, line=keyword.line, col=keyword.col)
 
     def parse_classical_separate(self, cur: _Cursor, keyword: Token) -> ast.ClassicalSeparateStmt:
         permeability = {}
@@ -483,9 +494,7 @@ class _Parser:
             if species.text in permeability:
                 raise ScenarioSyntaxError(species.line, species.col, _REPEATED)
             cur.expect("=")
-            verdict = cur.expect_name("transmitted or reflected")
-            if verdict.text not in ("transmitted", "reflected"):
-                raise ScenarioSyntaxError(verdict.line, verdict.col, "transmitted or reflected")
+            verdict = cur.expect_word(("transmitted", "reflected"), "transmitted or reflected")
             permeability[species.text] = verdict.text
         if not permeability:
             raise ScenarioSyntaxError(keyword.line, keyword.col, "a permeability map")
@@ -494,9 +503,7 @@ class _Parser:
         )
 
     def parse_mix(self, cur: _Cursor, keyword: Token) -> ast.MixStmt:
-        mode = cur.expect_name("distinguishing or free")
-        if mode.text not in ("distinguishing", "free"):
-            raise ScenarioSyntaxError(mode.line, mode.col, "distinguishing or free")
+        mode = cur.expect_word(("distinguishing", "free"), "distinguishing or free")
         chambers, into = _positions_and_target(cur)
         return ast.MixStmt(
             mode.text == "distinguishing", chambers, into, keyword.text == "CLASSICAL_MIX",
@@ -512,12 +519,7 @@ class _Parser:
         chamber = cur.expect_name("a chamber position")
         fractions = []
         while cur.peek().kind in ("NUMBER", "+", "-"):
-            fraction, f_token = _signed_number(cur, "a fraction")
-            if not 0 < fraction < 1:
-                raise ScenarioSyntaxError(f_token.line, f_token.col, "fractions in (0, 1)")
-            if fraction <= _FRACTION_TOL:
-                raise ScenarioSyntaxError(f_token.line, f_token.col, _FLOOR)
-            fractions.append(fraction)
+            fractions.append(_fraction(cur, "a fraction", "fractions in (0, 1)", whole=False))
         arrow = cur.expect("->", "'->' and new chamber names")
         names = []
         while not cur.at_end():
@@ -541,8 +543,7 @@ class _Parser:
         return ast.ClaimCycleStmt(line=keyword.line, col=keyword.col)
 
     def parse_expect(self, cur: _Cursor, keyword: Token) -> ast.Statement:
-        subject = cur.expect_name("Q_total or verdict")
-        if subject.text == "Q_total":
+        if cur.expect_word(("Q_total", "verdict"), "Q_total or verdict").text == "Q_total":
             cur.expect("~", "'~=' (or the ≈ glyph)")
             value, _ = _signed_number(cur, "the expected total heat")
             tol = 1e-4
@@ -551,22 +552,15 @@ class _Parser:
                 if tol <= 0:
                     raise ScenarioSyntaxError(t_token.line, t_token.col, "a positive tolerance")
             return ast.ExpectTotalHeat(value, tol, line=keyword.line, col=keyword.col)
-        if subject.text == "verdict":
-            observer = cur.expect_name("an observer name")
-            if not any(obs.name == observer.text for obs in self.observers):
-                raise UndefinedNameError(
-                    f"observer {observer.text!r} is not declared",
-                    observer.line, observer.col,
-                )
-            outcome = cur.expect_name("violation, satisfied, or not_applicable")
-            if outcome.text not in ("violation", "satisfied", "not_applicable"):
-                raise ScenarioSyntaxError(
-                    outcome.line, outcome.col, "violation, satisfied, or not_applicable"
-                )
-            return ast.ExpectVerdict(
-                observer.text, outcome.text, line=keyword.line, col=keyword.col
+        observer = cur.expect_name("an observer name")
+        if not any(obs.name == observer.text for obs in self.observers):
+            raise UndefinedNameError(
+                f"observer {observer.text!r} is not declared", observer.line, observer.col
             )
-        raise ScenarioSyntaxError(subject.line, subject.col, "Q_total or verdict")
+        outcome = cur.expect_word(
+            ("violation", "satisfied", "not_applicable"), "violation, satisfied, or not_applicable"
+        )
+        return ast.ExpectVerdict(observer.text, outcome.text, line=keyword.line, col=keyword.col)
 
 
 # Statement keyword, exactly as written -> the method parsing the rest of the line.

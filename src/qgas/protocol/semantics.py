@@ -31,6 +31,12 @@ def _fail(node, message: str) -> ExecutionError:
     return ExecutionError(message, node.line, node.col)
 
 
+def _check_tensor(expr: ast.TensorExpr, left_dim: int, right_dim: int) -> None:
+    """A script's tensor product stays within ``ast.MAX_DIM``; checked before it is built."""
+    if left_dim * right_dim > ast.MAX_DIM:
+        raise _fail(expr, f"tensor dimension {left_dim * right_dim} exceeds {ast.MAX_DIM}")
+
+
 def eval_value(expr: ast.Expr, scope: Scope) -> Value:
     """Evaluate a state expression to a ket or to gas contents."""
     if isinstance(expr, ast.NameRef):
@@ -65,6 +71,7 @@ def eval_value(expr: ast.Expr, scope: Scope) -> Value:
     if isinstance(expr, ast.TensorExpr):
         left = eval_value(expr.left, scope)
         right = eval_value(expr.right, scope)
+        _check_tensor(expr, left.dim, right.dim)
         if isinstance(left, linalg.StateVector) and isinstance(right, linalg.StateVector):
             return linalg.tensor_vector(left, right)
         if isinstance(left, QuantumContents) and isinstance(right, QuantumContents):
@@ -98,9 +105,9 @@ def eval_projector(expr: ast.Expr, scope: Scope) -> linalg.HermitianMatrix:
     if isinstance(expr, ast.IdentityExpr):
         return linalg.identity(expr.dim)
     if isinstance(expr, ast.TensorExpr):
-        return linalg.tensor(
-            eval_projector(expr.left, scope), eval_projector(expr.right, scope)
-        )
+        left, right = eval_projector(expr.left, scope), eval_projector(expr.right, scope)
+        _check_tensor(expr, left.dim, right.dim)
+        return linalg.tensor(left, right)
     value = _unvalidated(expr, scope)
     if isinstance(value, linalg.StateVector):
         return linalg.projector_from_vector(value)
@@ -113,7 +120,9 @@ def eval_unitary(expr: ast.Expr, scope: Scope) -> np.ndarray:
     if isinstance(expr, ast.IdentityExpr):
         return linalg.eye(expr.dim)
     if isinstance(expr, ast.TensorExpr):
-        return linalg.kron(eval_unitary(expr.left, scope), eval_unitary(expr.right, scope))
+        left, right = eval_unitary(expr.left, scope), eval_unitary(expr.right, scope)
+        _check_tensor(expr, len(left), len(right))
+        return linalg.kron(left, right)
     if isinstance(expr, ast.RotateToExpr):
         source = _as_ket(expr.source, scope)
         target = _as_ket(expr.target, scope)

@@ -213,9 +213,8 @@ class TestPathsThatAreNotErrors:
         assert parse(render(protocol)) == protocol
 
     def test_tensor_of_two_states_is_a_state(self):
-        result = run_protocol(
-            parse(QUAD + "DEFINE_STATE s tensor(proj(ket(1, 0)), proj(ket(0, 1)))\nCHAMBER u 1.0 s\n")
-        )
+        text = QUAD + "DEFINE_STATE s tensor(proj(ket(1, 0)), proj(ket(0, 1)))\nCHAMBER u 1.0 s\n"
+        result = run_protocol(parse(text))
         (chamber,) = result.final_chambers
         assert isinstance(chamber.contents, QuantumContents)
         assert chamber.contents.assembled().matrix.entries[1, 1] == 1.0
@@ -245,8 +244,22 @@ class TestApiBuiltProtocols:
             run_protocol(protocol)
         assert str(err.value) == "line 3, col 2: unsupported statement NameRef"
 
+    @pytest.mark.parametrize(
+        "stmt, message",
+        [
+            (ast.ChamberStmt("c", 1.0, "nope", line=5, col=1), "state 'nope' is not defined"),
+            (ast.SeparateStmt("nope", line=5, col=1), "instrument 'nope' is not defined"),
+        ],
+        ids=["state", "instrument"],
+    )
+    def test_undefined_name_in_a_statement(self, stmt, message):
+        with pytest.raises(ExecutionError) as err:
+            run_protocol(ast.Protocol(HEADER, (stmt,)))
+        assert str(err.value) == f"line 5, col 1: {message}"
+
     def test_undefined_name_in_an_expression(self):
         stmt = ast.DefineState("s", ast.NameRef("nope", line=4, col=7), line=4, col=1)
         with pytest.raises(ExecutionError) as err:
             run_protocol(ast.Protocol(HEADER, (stmt,)))
         assert str(err.value) == "line 4, col 7: name 'nope' is not defined"
+

@@ -120,6 +120,43 @@ class TestViewContents:
         assert contents_equal(pool_first, view_first, tol=1e-12)
 
 
+DIM4 = "HEADER dim=4 temperature=1.0 particles=1.0\n"
+CLASSICAL = "HEADER classical temperature=1.0 particles=1.0\n"
+
+
+class TestObserverFields:
+    """An observer checks its own fields as it is built, before any run."""
+
+    @pytest.mark.parametrize(
+        "header, build, message",
+        [
+            (DIM4, lambda: Observer.quantum("o", (2, 2, "middle")),
+             "observer 'o': reduction (2, 2, 'middle') is not "
+             "(positive int, positive int, 'first' or 'second')"),
+            (DIM4, lambda: Observer.quantum("o", (-2, -2, "first")),
+             "observer 'o': reduction (-2, -2, 'first') is not "
+             "(positive int, positive int, 'first' or 'second')"),
+            (DIM4, lambda: Observer("o", "banana"),
+             "observer 'o': kind 'banana' is not quantum or classical"),
+            (DIM4, lambda: Observer("o", "quantum", None, (("a", "b"),)),
+             "observer 'o': a quantum observer has no species map"),
+            (CLASSICAL, lambda: Observer("o", "classical", (2, 2, "first")),
+             "observer 'o': a classical observer has no reduction"),
+            (CLASSICAL, lambda: Observer("o", "classical", None, (("a", "b"), ("a", "c"))),
+             "observer 'o': species map (('a', 'b'), ('a', 'c')) names a true species twice"),
+        ],
+        ids=["keep", "negative-factors", "kind", "quantum-species-map",
+             "classical-reduction", "species-twice"],
+    )
+    def test_bad_fields_fail_as_the_observer_is_built(self, header, build, message):
+        with pytest.raises(IncompatibleReductionError, match=f"^{re.escape(message)}$"):
+            run_protocol(parse(header), observers=[build()])
+
+    def test_valid_fields_build(self):
+        assert Observer.quantum("o", (2, 2, "second")).reduction == (2, 2, "second")
+        assert Observer.classical("o", {"a": "x", "b": "x"}).species_map == (("a", "x"), ("b", "x"))
+
+
 class TestWillardPovm:
     def test_elements_sum_to_identity(self):
         povm = build_willard_povm()
