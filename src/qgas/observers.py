@@ -108,7 +108,7 @@ def view_batch(observer: Observer, truths: Sequence[GasContents]) -> Iterator[Ga
     the engine fits each observer to the run once, as the run starts.  A
     reducing observer's partial traces are one stack, validated by one
     ``DensityMatrix.stack``; a merging observer's weight maps are renamed as read."""
-    if observer.kind == "classical" and observer.species_map:
+    if observer.species_map:
         mapping = dict(observer.species_map)
         return (_merged(mapping, truth) for truth in truths)
     if observer.reduction is None or not truths:

@@ -92,6 +92,10 @@ SYNTAX = [
         8, 13, "fractions in (0, 1)",
     ),
     (
+        "partition-whole", P + "CHAMBER u 1.0 zs\nPARTITION u 1.0 0.5 -> x y\n",
+        8, 13, "fractions in (0, 1)",
+    ),
+    (
         "two-fractions", P + "CHAMBER u 1.0 zs\nPARTITION u 0.5 -> x\n",
         8, 1, "at least two fractions",
     ),
