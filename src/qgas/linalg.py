@@ -124,10 +124,6 @@ class SpectralDecomposition:
     eigenvalues: tuple[float, ...]
     eigenvectors: tuple[StateVector, ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
     def clusters(self) -> list[list[int]]:
         """Indices grouped into degenerate clusters (gaps below DEGENERACY_GAP)."""
         groups: list[list[int]] = []

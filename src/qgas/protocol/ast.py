@@ -9,6 +9,7 @@ statements that are ledger steps.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -18,6 +19,11 @@ from ..observers import Observer
 # tensor product, and the most elements of one DEFINE_INSTRUMENT line.
 # Library calls are not bounded.
 MAX_DIM = 32
+
+
+def normal_nkt(temperature: float, particles: float) -> bool:
+    """N T is a finite normal float: the report divides every heat by it."""
+    return sys.float_info.min <= temperature * particles <= sys.float_info.max
 
 
 @dataclass(frozen=True)

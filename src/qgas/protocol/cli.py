@@ -4,21 +4,22 @@
     qgas check <file>
     qgas scenarios
 
-``<file>`` is a filesystem path or the name of a bundled scenario.  Exit
-codes: 0 on success, 1 when an EXPECT line fails, 2 on parse or runtime
-errors.
+``<file>`` is a filesystem path or the name of a bundled scenario.  ``run``
+prints its summary from the run and renders the JSON report only for
+``--json``.  Exit codes: 0 on success, 1 when an EXPECT line fails, 2 on
+parse, runtime or unit errors (then no report is written) and when the
+report cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from ..errors import ProtocolError, QuantumGasError
 from ..scenarios import BUNDLED, scenario_text
-from .interpreter import UnitsConfig, execute
+from .interpreter import RunReport, UnitsConfig, execute
 from .parser import parse
 
 
@@ -32,25 +33,23 @@ def _load_source(spec: str) -> str:
         raise FileNotFoundError(f"no such file or bundled scenario: {spec}") from None
 
 
-def _print_report(payload: dict, total_q: float) -> None:
-    """Print the summary lines of a parsed JSON report, led by ``total_q`` if it has no observer."""
-    unit_name = payload["units"]
-    if not payload["observers"]:
-        print(f"total Q = {total_q} {unit_name}")
-    for observer in payload["observers"]:
-        verdict = observer["verdict"]
+def _print_summary(report: RunReport, total_q: str) -> None:
+    """Print each observer's verdict and each EXPECT line's outcome; ``total_q``
+    is the run's total heat with its unit, printed alone if no observer is."""
+    result = report.result
+    if not result.observers:
+        print(f"total Q = {total_q}")
+    for observer in result.observers:
+        verdict = result.views[observer.name].verdict
         print(
-            f"{observer['name']}: total Q = {observer['total_Q']} {unit_name}; "
-            f"cycle claimed={verdict['claimed']} actual={verdict['actual']}; "
-            f"second law {verdict['second_law']}"
-            + (" (apparent violation explained)" if verdict["apparent_violation_explained"] else "")
+            f"{observer.name}: total Q = {total_q}; "
+            f"cycle claimed={verdict.is_cycle_claimed} actual={verdict.is_cycle_actual}; "
+            f"second law {verdict.status}"
+            + (" (apparent violation explained)" if verdict.apparent_violation_explained else "")
         )
-    for expectation in payload["expectations"]:
-        status = "ok" if expectation["passed"] else "FAILED"
-        print(
-            f"expect [{status}] {expectation['description']}: "
-            f"observed {expectation['observed']}"
-        )
+    for expectation in report.expectations:
+        status = "ok" if expectation.passed else "FAILED"
+        print(f"expect [{status}] {expectation.description}: observed {expectation.observed}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -84,36 +83,25 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         source = _load_source(args.file)
-    except (OSError, FileNotFoundError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     try:
         protocol = parse(source)
-    except ProtocolError as exc:
-        print(f"{args.file}: {exc}", file=sys.stderr)
-        return 2
-
-    if args.command == "check":
-        print(f"{args.file}: OK ({len(protocol.statements)} statements)")
-        return 0
-
-    units = UnitsConfig(
-        mode=args.units,
-        boltzmann_constant=args.kB,
-        particles=args.N,
-        temperature=args.T,
-    )
-    try:
+        if args.command == "check":
+            print(f"{args.file}: OK ({len(protocol.statements)} statements)")
+            return 0
+        units = UnitsConfig(args.units, args.kB, args.N, args.T)
         report = execute(protocol)
-    except (ProtocolError, QuantumGasError) as exc:
+        total_q = f"{report.total_heat_in(units)} {units.name}"
+        if args.json_path:
+            Path(args.json_path).write_text(report.to_json(units), encoding="utf-8")
+    except (ProtocolError, QuantumGasError, OSError) as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return 2
 
-    text = report.to_json(units)
-    if args.json_path:
-        Path(args.json_path).write_text(text, encoding="utf-8")
-    _print_report(json.loads(text), report.total_heat_in(units))
+    _print_summary(report, total_q)
     return 0 if report.all_expectations_passed else 1
 
 

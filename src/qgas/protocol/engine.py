@@ -37,6 +37,7 @@ from .. import diaphragm
 from ..errors import (
     ExecutionError,
     IncompatibleReductionError,
+    NonPositiveInputError,
     ProtocolError,
     QuantumGasError,
 )
@@ -63,7 +64,6 @@ class _StepError(QuantumGasError):
 @dataclass(frozen=True)
 class StepTrace:
     index: int
-    line: int
     description: str
     heat: float
     chambers: tuple[GasChamber, ...]
@@ -95,6 +95,8 @@ class _Engine:
         self.initial: tuple[GasChamber, ...] | None = None
         self.ledger = HeatLedger()
         self.steps: list[StepTrace] = []
+        if not ast.normal_nkt(self.header.temperature, self.header.particles):
+            raise NonPositiveInputError("particles times temperature is not a finite normal float")
         self._validate_observers()
 
     def _validate_observers(self) -> None:
@@ -158,7 +160,7 @@ class _Engine:
             except QuantumGasError as exc:
                 raise ExecutionError(str(exc), stmt.line, stmt.col) from exc
         self._freeze_initial()
-        initial = self.initial or ()
+        initial = self.initial
         final = tuple(self.chambers)
         views: dict[str, ObserverView] = {}
         chambers = initial + final
@@ -198,7 +200,7 @@ class _Engine:
         description, heat = handler(self, stmt)
         self._check_conservation()
         self.ledger.record(description, heat)
-        self.steps.append(StepTrace(index, stmt.line, description, heat, tuple(self.chambers)))
+        self.steps.append(StepTrace(index, description, heat, tuple(self.chambers)))
 
     def _check_conservation(self) -> None:
         """The chambers still fill the container and hold every particle."""
@@ -302,8 +304,7 @@ class _Engine:
                         "different gases; removing the wall would be an irreversible "
                         "mixing (use MIX free if that is intended)"
                     )
-        label = stmt.into or selected[0].label
-        merged, heat = diaphragm.mix(selected, distinguishing, label=label)
+        merged, heat = diaphragm.mix(selected, distinguishing, label=stmt.into or "")
         dropped = set(indices)
         self.chambers = [c for i, c in enumerate(self.chambers) if i not in dropped]
         self._insert(merged)

@@ -39,13 +39,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
+from ..errors import NonPositiveInputError
 from ..observers import Observer, view_batch
-from ..thermo import GasContents, QuantumContents
+from ..thermo import GasContents, QuantumContents, _check_positive
 from . import ast
 from .engine import RunResult, run_protocol
 
@@ -54,24 +56,33 @@ SCHEMA_VERSION = "1"
 
 @dataclass(frozen=True)
 class UnitsConfig:
-    """How to scale ledger heats for the report.
-
-    nkt mode divides by (particles * kB * temperature) of the header; the
-    absolute mode multiplies the NkT value by the supplied constants.
-    """
+    """How to scale ledger heats, booked with k = 1, for the report: per N T of
+    the header, or that times kB N T (N and T default to the header's).  Each
+    constant given, and kB N T, must be finite and > 0."""
 
     mode: str = "nkt"  # "nkt" | "absolute"
     boltzmann_constant: float = 1.0
     particles: float | None = None
     temperature: float | None = None
 
-    def per_nkt(self, header: ast.Header) -> float:
-        """One N k T of the header in these units; a reported heat is NkT times this."""
+    def __post_init__(self):
         if self.mode not in ("nkt", "absolute"):
             raise ValueError(f"unknown units mode {self.mode!r}")
+        given = dict(kB=self.boltzmann_constant, N=self.particles, T=self.temperature)
+        _check_positive(**{name: v for name, v in given.items() if v is not None})
+
+    @property
+    def name(self) -> str:
+        """The report's name for these units."""
+        return "NkT" if self.mode == "nkt" else "absolute"
+
+    def per_nkt(self, header: ast.Header) -> float:
+        """One N k T of the header in these units; a reported heat is NkT times this."""
         n = header.particles if self.particles is None else self.particles
         t = header.temperature if self.temperature is None else self.temperature
-        return 1.0 if self.mode == "nkt" else self.boltzmann_constant * n * t
+        factor = 1.0 if self.mode == "nkt" else self.boltzmann_constant * n * t
+        _check_positive(**{"kB N T": factor})
+        return factor
 
 
 @dataclass(frozen=True)
@@ -98,7 +109,7 @@ class RunReport:
 
     def total_heat_in(self, units: UnitsConfig) -> float:
         """The run's total heat in ``units``, rounded as the report rounds it."""
-        return _round(self.total_heat_nkt() * units.per_nkt(self.result.header))
+        return _round(self.total_heat_nkt() * _factor(self.result, units))
 
     def to_json_dict(self, units: UnitsConfig | None = None) -> dict:
         return json.loads(self.to_json(units))
@@ -160,22 +171,13 @@ _ITEM = ",\n         "  # between the eigenvalues or species of a digest
 _CHAMBER = '\n      {\n       "contents_digest": '
 
 
-def _scalar(value) -> str:
-    """One JSON scalar, tested in the order and spelled the way ``json`` does."""
-    if isinstance(value, str):
-        return _escape(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _NON_FINITE.get(text, text)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+def _factor(result: RunResult, units: UnitsConfig) -> float:
+    """``units.per_nkt`` of the run, checked to keep its largest heat finite."""
+    factor = units.per_nkt(result.header)
+    largest = max([abs(result.total_heat), *(abs(step.heat) for step in result.steps)])
+    if not math.isfinite(largest / (result.header.particles * result.header.temperature) * factor):
+        raise NonPositiveInputError(f"a heat of {largest!r} overflows in these units")
+    return factor
 
 
 def _round(x: float) -> float:
@@ -236,8 +238,8 @@ def _contents_digest(contents: GasContents) -> dict:
 def _expectations_text(expectations: tuple[ExpectationResult, ...]) -> str:
     items = [
         f'{{\n   "description": {_escape(e.description)},'
-        f'\n   "expected": {_scalar(e.expected)},\n   "kind": {_escape(e.kind)},'
-        f'\n   "observed": {_scalar(e.observed)},\n   "passed": {_scalar(e.passed)}\n  }}'
+        f'\n   "expected": {json.dumps(e.expected)},\n   "kind": {_escape(e.kind)},'
+        f'\n   "observed": {json.dumps(e.observed)},\n   "passed": {json.dumps(e.passed)}\n  }}'
         for e in expectations
     ]
     return "[\n  " + ",\n  ".join(items) + "\n ]" if items else "[]"
@@ -250,7 +252,7 @@ def _render(report: RunReport, units: UnitsConfig) -> str:
     result = report.result
     header = result.header
     nkt = header.particles * header.temperature  # kB = 1 in ledger units
-    factor = units.per_nkt(header)
+    factor = _factor(result, units)
     floats = _Floats()
 
     # Once per run: the distinct ground-truth contents objects in first-seen
@@ -314,15 +316,14 @@ def _render(report: RunReport, units: UnitsConfig) -> str:
         verdict = result.views[obs.name].verdict
         append(
             f'{steps_end},\n   "total_Q": {total},\n   "verdict": {{'
-            f'\n    "actual": {_scalar(verdict.is_cycle_actual)},'
+            f'\n    "actual": {json.dumps(verdict.is_cycle_actual)},'
             f'\n    "apparent_violation_explained": '
-            f'{_scalar(verdict.apparent_violation_explained)},'
-            f'\n    "claimed": {_scalar(verdict.is_cycle_claimed)},'
+            f'{json.dumps(verdict.apparent_violation_explained)},'
+            f'\n    "claimed": {json.dumps(verdict.is_cycle_claimed)},'
             f'\n    "second_law": {_escape(verdict.status)}\n   }}\n  }}'
         )
-    units_name = "NkT" if units.mode == "nkt" else "absolute"
     append(
         ("\n ]" if result.observers else "]")
-        + f',\n "schema": "{SCHEMA_VERSION}",\n "units": "{units_name}"\n}}'
+        + f',\n "schema": "{SCHEMA_VERSION}",\n "units": "{units.name}"\n}}'
     )
     return "".join(out)

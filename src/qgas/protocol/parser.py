@@ -77,6 +77,7 @@ _FRACTION_TOL = 1e-9
 _FLOOR = f"a fraction above {_FRACTION_TOL:g}"
 _REPEATED = "a species not named before on this line"
 _AT_MOST_DIM = f"a dimension of at most {ast.MAX_DIM}"
+_NORMAL_NKT = "particles whose product with the temperature is a finite normal float"
 
 
 class Token(NamedTuple):
@@ -298,6 +299,8 @@ class _Parser:
             raise ScenarioSyntaxError(t_token.line, t_token.col, "a positive temperature")
         if particles <= 0:
             raise ScenarioSyntaxError(n_token.line, n_token.col, "a positive particle amount")
+        if not ast.normal_nkt(temperature, particles):
+            raise ScenarioSyntaxError(n_token.line, n_token.col, _NORMAL_NKT)
         self.header = ast.Header(
             dim, temperature, particles, (), line=keyword.line, col=keyword.col
         )

@@ -113,14 +113,6 @@ class DensityMatrix:
         return self.matrix.isclose(other.matrix, tol)
 
 
-def _lookup(pairs, label: str):
-    """The value of the first (name, value) pair whose name is ``label``."""
-    for name, value in pairs:
-        if name == label:
-            return value
-    raise KeyError(label)
-
-
 @dataclass(frozen=True)
 class Povm:
     """Positive semidefinite elements, one per distinct outcome label, of one
@@ -166,7 +158,7 @@ class Povm:
         return tuple(label for label, _ in self.elements)
 
     def element(self, label: str) -> HermitianMatrix:
-        return _lookup(self.elements, label)
+        return dict(self.elements)[label]
 
 
 class ProjectiveInstrument(Povm):
@@ -207,10 +199,10 @@ class OutcomeDistribution:
             raise NotDensityMatrixError(f"outcome probabilities sum to {total!r}")
 
     def probability(self, label: str) -> float:
-        return _lookup(((o.label, o.probability) for o in self.outcomes), label)
+        return {o.label: o.probability for o in self.outcomes}[label]
 
     def post_state(self, label: str) -> DensityMatrix | None:
-        return _lookup(((o.label, o.post_state) for o in self.outcomes), label)
+        return {o.label: o.post_state for o in self.outcomes}[label]
 
 
 @dataclass(frozen=True)

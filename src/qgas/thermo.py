@@ -14,8 +14,8 @@ how its contents pool (``merge``) and when two gases are one-shot
 distinguishable (``orthogonal_to``: states orthogonal by
 ``statistics.are_orthogonal``, or weight maps with no species in common);
 :func:`contents_equal`, observer views and report digests also branch on
-the variant.  Boltzmann's constant defaults to 1 so that every heat reads
-directly in units of N k T.
+the variant.  Heats are booked with k = 1, as N T ln(Vf/Vi); the report
+divides them by the header's N T and may scale them to absolute units.
 """
 
 from __future__ import annotations
@@ -187,15 +187,14 @@ class CycleVerdict:
 
 
 def isothermal_heat(
-    particles: float, temperature: float, v_initial: float, v_final: float,
-    boltzmann_constant: float = 1.0,
+    particles: float, temperature: float, v_initial: float, v_final: float
 ) -> float:
     """Heat absorbed by an ideal gas in an isothermal volume change,
-    N k T ln(Vf/Vi); negative on compression."""
+    N T ln(Vf/Vi) with k = 1; negative on compression."""
     _check_positive(
         particles=particles, temperature=temperature, v_initial=v_initial, v_final=v_final
     )
-    return particles * boltzmann_constant * temperature * math.log(v_final / v_initial)
+    return particles * temperature * math.log(v_final / v_initial)
 
 
 def contents_equal(a: GasContents, b: GasContents, tol: float = 1e-9) -> bool:

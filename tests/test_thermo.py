@@ -38,9 +38,7 @@ class TestIsothermalHeat:
         assert isothermal_heat(1.0, 1.0, 0.5, 1.0) == pytest.approx(LN2, abs=1e-15)
 
     def test_scales_with_particles_temperature_k(self):
-        assert isothermal_heat(3.0, 2.0, 1.0, 2.0, boltzmann_constant=1.5) == pytest.approx(
-            3.0 * 1.5 * 2.0 * LN2
-        )
+        assert isothermal_heat(3.0, 2.0, 1.0, 2.0) == pytest.approx(3.0 * 2.0 * LN2)
 
     @pytest.mark.parametrize("bad", [(-1, 1, 1, 2), (1, 0, 1, 2), (1, 1, -1, 2), (1, 1, 1, 0)])
     def test_positivity_required(self, bad):
