@@ -15,7 +15,7 @@ OBSERVER lines of a HEADER into it, and API callers build it directly.
 :func:`view_batch` is the one view function: it views many contents for
 one observer, taking a reducing observer's partial traces as one stack and
 validating them with one ``eigvalsh`` (``DensityMatrix.stack``);
-:func:`view_contents` is the batch of one, checked to fit the observer.
+:func:`view_contents` is the batch of one, checked by :meth:`Observer.check_fits`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .thermo import (
     CycleVerdict,
     GasChamber,
     GasContents,
-    HeatLedger,
     QuantumContents,
 )
 
@@ -75,6 +74,18 @@ class Observer:
             return
         raise IncompatibleReductionError(f"observer {self.name!r}: {fault}")
 
+    def check_fits(self, dim: int | None) -> None:
+        """The one fit rule, for a gas of dimension ``dim`` (None: classical)."""
+        variant = "classical" if dim is None else "quantum"
+        if self.kind != variant:
+            fault = f"{self.kind} observer {self.name!r} cannot view {variant} contents"
+        elif self.reduction is not None and self.reduction[0] * self.reduction[1] != dim:
+            d1, d2, _ = self.reduction
+            fault = f"observer {self.name!r} reduction {d1}x{d2} does not fit dimension {dim}"
+        else:
+            return
+        raise IncompatibleReductionError(fault)
+
     @staticmethod
     def quantum(name: str, reduction: tuple[int, int, str] | None = None) -> "Observer":
         return Observer(name, "quantum", reduction)
@@ -87,25 +98,27 @@ class Observer:
 @dataclass(frozen=True)
 class ObserverView:
     """What one observer makes of a finished run: the chambers as they see
-    them at start and end, the shared ledger, and their cycle verdict."""
+    them at start and end, and their cycle verdict.  Only these differ
+    between observers; the heats everyone shares are ``RunResult.ledger``."""
 
     observer: Observer
     initial_chambers: tuple[GasChamber, ...]
     final_chambers: tuple[GasChamber, ...]
-    ledger: HeatLedger
     verdict: CycleVerdict
 
 
 def view_contents(observer: Observer, truth: GasContents) -> GasContents:
     """Reduce ground-truth contents, checked to fit the observer, to what it
     can resolve; an observer that resolves everything gets the truth itself."""
-    _check_viewable(observer, truth)
+    if not isinstance(truth, (QuantumContents, ClassicalContents)):
+        raise VariantMismatchError(f"unknown contents {type(truth).__name__}")
+    observer.check_fits(truth.dim if isinstance(truth, QuantumContents) else None)
     return next(view_batch(observer, [truth]))
 
 
 def view_batch(observer: Observer, truths: Sequence[GasContents]) -> Iterator[GasContents]:
     """:func:`view_contents` of each ground-truth contents, in order, unchecked:
-    the engine fits each observer to the run once, as the run starts.  A
+    a run calls :meth:`Observer.check_fits` once per observer, as it starts.  A
     reducing observer's partial traces are one stack, validated by one
     ``DensityMatrix.stack``; a merging observer's weight maps are renamed as read."""
     if observer.species_map:
@@ -117,22 +130,6 @@ def view_batch(observer: Observer, truths: Sequence[GasContents]) -> Iterator[Ga
     stack = np.array([truth.assembled().matrix.entries for truth in truths])
     reduced = DensityMatrix.stack(linalg.partial_traces(stack, (d1, d2), keep))
     return (QuantumContents(state) for state in reduced)
-
-
-def _check_viewable(observer: Observer, truth: GasContents) -> None:
-    if not isinstance(truth, (QuantumContents, ClassicalContents)):
-        raise VariantMismatchError(f"unknown contents {type(truth).__name__}")
-    variant = "quantum" if isinstance(truth, QuantumContents) else "classical"
-    if observer.kind != variant:
-        raise IncompatibleReductionError(
-            f"{observer.kind} observer {observer.name!r} cannot view {variant} contents"
-        )
-    if observer.reduction is not None:
-        d1, d2, _ = observer.reduction
-        if d1 * d2 != truth.dim:
-            raise IncompatibleReductionError(
-                f"reduction {d1}x{d2} does not fit dimension {truth.dim}"
-            )
 
 
 def _merged(mapping: dict[str, str], truth: ClassicalContents) -> ClassicalContents:

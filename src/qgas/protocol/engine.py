@@ -13,14 +13,15 @@ Operations rewrite the list:
 The statements in ``ast.OPERATIONS`` are the steps.  The first step
 freezes the initial configuration, and every step appends one entry to the
 shared heat ledger and one snapshot of the ground-truth chamber list;
-observers are views applied when a snapshot is read.  For its cycle
-verdict, each observer views the contents of the initial and final chambers
-in one ``view_batch`` call, each contents object once; the report reuses
-these views.  The observers default to the ones the script's HEADER
-declares.  Statements dispatch through one handler table; quantum and
-classical statements share their handlers.  Every step must conserve
-the gas: the chambers' volumes still sum to ``CONTAINER_VOLUME`` and their
-particles to the header's, within relative ``VOLUME_REL_TOL``.
+observers are views applied when a snapshot is read.  The observers default
+to the HEADER's, and ``Observer.check_fits`` fits each to the run once, as
+it starts.  For its cycle verdict, each observer views the contents of the
+initial and final chambers in one ``view_batch`` call, each contents object
+once; the report reuses these views.  Statements dispatch through one
+handler table; quantum and classical statements share their handlers.
+Every step must conserve the gas: the chambers' volumes still sum to
+``CONTAINER_VOLUME`` and their particles to the header's, within relative
+``VOLUME_REL_TOL``.
 
 ``run`` alone places a step's error: a handler raises it without a position
 (a library error, or ``_StepError`` for the engine's own checks), and
@@ -103,19 +104,8 @@ class _Engine:
         names = [obs.name for obs in self.observers]
         if len(set(names)) != len(names):
             raise IncompatibleReductionError(f"duplicate observer names in {names}")
-        variant = "classical" if self.header.dim is None else "quantum"
         for obs in self.observers:
-            if obs.kind != variant:
-                raise IncompatibleReductionError(
-                    f"observer {obs.name!r} is {obs.kind} but the scenario is {variant}"
-                )
-            if obs.reduction is not None:
-                d1, d2, _ = obs.reduction
-                if d1 * d2 != self.header.dim:
-                    raise IncompatibleReductionError(
-                        f"observer {obs.name!r} reduction {d1}x{d2} does not fit "
-                        f"dimension {self.header.dim}"
-                    )
+            obs.check_fits(self.header.dim)
 
     # -- chamber bookkeeping ---------------------------------------------------
 
@@ -173,9 +163,7 @@ class _Engine:
             )
             seen_initial, seen_final = seen[: len(initial)], seen[len(initial) :]
             verdict = audit_cycle(self.ledger, list(seen_initial), list(seen_final))
-            views[obs.name] = ObserverView(
-                obs, seen_initial, seen_final, self.ledger, verdict
-            )
+            views[obs.name] = ObserverView(obs, seen_initial, seen_final, verdict)
         return RunResult(
             self.header,
             tuple(self.observers),
@@ -234,6 +222,8 @@ class _Engine:
             total = sum(w for _, w in stmt.species)
             merged: dict[str, float] = {}
             for name, w in stmt.species:
+                if not 0 < w < math.inf:
+                    raise _StepError(f"species {name!r} weight {w!r} is not finite and > 0")
                 merged[name] = merged.get(name, 0.0) + w / total
             contents = ClassicalContents(merged)
         else:
@@ -269,6 +259,10 @@ class _Engine:
             description = f"separate with {stmt.instrument}"
         else:
             split, diaphragms = diaphragm.classical_separate, dict(stmt.permeability)
+            if len(diaphragms) < len(stmt.permeability):
+                names = [name for name, _ in stmt.permeability]
+                twice = next(name for i, name in enumerate(names) if name in names[:i])
+                raise _StepError(f"species {twice!r} is named twice")
             description = "separate by species"
         heat = 0.0
         rebuilt: list[GasChamber] = []
@@ -314,11 +308,6 @@ class _Engine:
         index = self._find(stmt.chamber)
         chamber = self.chambers[index]
         unitary = semantics.eval_unitary(stmt.unitary, self.scope)
-        if unitary.shape[0] != chamber.contents.dim:
-            raise _StepError(
-                f"unitary dimension {unitary.shape[0]} does not match "
-                f"contents dimension {chamber.contents.dim}"
-            )
         rotated = QuantumContents(apply_unitary(chamber.contents.assembled(), unitary))
         self.chambers[index] = GasChamber(
             chamber.volume, chamber.temperature, chamber.particles, rotated, chamber.label

@@ -4,11 +4,12 @@ A preparation is represented by a density matrix, a measurement by a POVM,
 and the outcome statistics follow the trace rule p_i = tr(rho E_i).  A
 projective instrument is the POVM of mutually orthogonal projectors whose
 update rho -> P_i rho P_i / tr(P_i rho P_i) is the only one used here (an
-outcome below ``PROBABILITY_FLOOR`` gets no post-state); completely
-positive maps are deliberately out of scope.  A POVM keeps its elements
-as one (k, d, d) ``stack``: one stacked product or ``eigvalsh`` checks
-it, and :func:`apply_instrument` measures with it.  :func:`are_orthogonal`
-is the one orthogonality predicate; the thermo layer asks it too.
+outcome below ``PROBABILITY_FLOOR`` gets no post-state, and one below
+``RESOLUTION_BOUND`` cannot be resolved); completely positive maps are
+deliberately out of scope.  A POVM keeps its elements as one (k, d, d)
+``stack``: one stacked product or ``eigvalsh`` checks it, and
+:func:`apply_instrument` measures with it.  :func:`are_orthogonal` is the
+one orthogonality predicate; the thermo layer asks it too.
 
 The module also makes the equivalence between one-shot distinguishability
 and orthogonality executable in both directions:
@@ -40,6 +41,7 @@ from .errors import (
     NotUnitaryError,
     PreconditionViolatedError,
     ProofStepFailedError,
+    QuantumGasError,
 )
 from .linalg import HermitianMatrix, SpectralDecomposition, eig_hermitian, trace_product
 
@@ -49,6 +51,9 @@ from .linalg import HermitianMatrix, SpectralDecomposition, eig_hermitian, trace
 ZERO_TOL = 1e-10
 # Outcomes less likely than this get no post-state, and so no chamber.
 PROBABILITY_FLOOR = 1e-12
+# P rho P / p is known to about 1e-16 / p: an outcome at or above the floor
+# but below this cannot be resolved, and apply_instrument refuses it.
+RESOLUTION_BOUND = 1e-5
 
 Grouping = tuple[Sequence[str], Sequence[str]]
 
@@ -261,10 +266,16 @@ def _probabilities(rho: DensityMatrix, stack: np.ndarray) -> list[float]:
 def apply_instrument(rho: DensityMatrix, inst: ProjectiveInstrument) -> OutcomeDistribution:
     """Projective update per outcome, over the instrument's stack: every
     p = tr(rho P) in one reduction and every P rho P in one stacked matmul.
-    Outcomes below PROBABILITY_FLOOR carry no post-state.  Each symmetrised
+    Outcomes below PROBABILITY_FLOOR carry no post-state, and one at or above
+    it but below RESOLUTION_BOUND raises ``QuantumGasError``.  Each symmetrised
     P rho P is divided by its own trace, so a post-state's trace is 1
     however small p is; the post-states are validated as one stack."""
     probabilities = _probabilities(rho, inst.stack)
+    for (label, _), p in zip(inst.elements, probabilities):
+        if PROBABILITY_FLOOR <= p < RESOLUTION_BOUND:
+            raise QuantumGasError(
+                f"outcome {label} has p = {p!r}, below the resolution bound {RESOLUTION_BOUND!r}"
+            )
     kept = inst.stack[[p >= PROBABILITY_FLOOR for p in probabilities]]
     projected = kept @ rho.matrix.entries @ kept
     projected = (projected + projected.conj().swapaxes(1, 2)) / 2
@@ -280,7 +291,7 @@ def apply_unitary(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
     """Conjugate rho by a unitary; preserves trace and spectrum."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (rho.dim, rho.dim):
-        raise DimMismatchError(f"unitary shape {u.shape} vs dim {rho.dim}")
+        raise DimMismatchError(f"unitary shape {u.shape} does not match dimension {rho.dim}")
     if not linalg.is_unitary(u):
         raise NotUnitaryError("matrix fails U+U = I within 1e-10")
     rotated = u @ rho.matrix.entries @ u.conj().T

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -17,12 +19,28 @@ PERES_TATIANA_SUMMARY = (
     "expect [ok] line 50: willard verdict is not_applicable: observed not_applicable\n"
 )
 
+# One gas, one two-outcome tilt, no OBSERVER and no EXPECT line.
+TILT = (
+    "HEADER dim=2 temperature=1.0 particles=1.0\n"
+    "DEFINE_STATE s proj(ket({gas}))\n"
+    "DEFINE_INSTRUMENT tilt up=proj(ket({up})) down=proj(ket({down}))\n"
+    "CHAMBER main 1.0 s\n"
+    "SEPARATE tilt\n"
+)
+
 
 class TestScenariosCommand:
     def test_lists_all_six(self, capsys):
         assert main(["scenarios"]) == 0
         listed = capsys.readouterr().out.split()
         assert listed == list(BUNDLED)
+
+    def test_runs_as_a_module(self):
+        out = subprocess.run(
+            [sys.executable, "-m", "qgas.protocol.cli", "scenarios"],
+            check=True, capture_output=True, text=True, env=subprocess_env(),
+        )
+        assert out.stdout.split() == list(BUNDLED)
 
 
 class TestCheckCommand:
@@ -81,9 +99,6 @@ class TestRunCommand:
         assert "line 8" in capsys.readouterr().err
 
     def test_json_bytes_deterministic_across_processes(self, tmp_path):
-        import subprocess
-        import sys
-
         outputs = []
         for tag in ("a", "b"):
             out = tmp_path / f"{tag}.json"
@@ -112,31 +127,44 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "flags, line",
         [
-            ([], "total Q = -1.94207e-07 NkT\n"),
+            ([], "total Q = -0.007907255112 NkT\n"),
             (
                 ["--units", "absolute", "--kB", "2.0", "--N", "10.0", "--T", "3.0"],
-                "total Q = -1.1652408e-05 absolute\n",
+                "total Q = -0.474435306734 absolute\n",
             ),
         ],
         ids=["nkt", "absolute"],
     )
     def test_script_without_observers_prints_its_total_heat(self, tmp_path, capsys, flags, line):
         # No OBSERVER and no EXPECT line: the total Q is the whole summary,
-        # spelled as the report spells a total_Q.
+        # spelled as the report spells a total_Q.  The tilt splits off p = 1e-3.
         path = tmp_path / "tilt.qg"
-        path.write_text(
-            "HEADER dim=2 temperature=1.0 particles=1.0\n"
-            "DEFINE_STATE s proj(ket(0.9553069323282575, 0.29561573883265113))\n"
-            "DEFINE_INSTRUMENT tilt up=proj(ket(0.955336489125606, 0.29552020666133955))"
-            " down=proj(ket(-0.29552020666133955, 0.955336489125606))\n"
-            "CHAMBER main 1.0 s\n"
-            "SEPARATE tilt\n"
-        )
+        path.write_text(TILT.format(
+            gas="1, 0",
+            up="0.999499874937461, 0.03162277660168379",
+            down="-0.03162277660168379, 0.999499874937461",
+        ))
         assert main(["run", str(path), *flags]) == 0
         assert capsys.readouterr().out == line
         heat = execute(parse(path.read_text())).total_heat_nkt()
         scale = 1.0 if not flags else 2.0 * 10.0 * 3.0
         assert float(line.split()[3]) == round(heat * scale, 12)
+
+    def test_unresolvable_outcome_exits_2_at_its_separate_line(self, tmp_path, capsys):
+        # p_down = 1e-8 lies between PROBABILITY_FLOOR and RESOLUTION_BOUND.
+        path = tmp_path / "tilt.qg"
+        path.write_text(TILT.format(
+            gas="0.9553069323282575, 0.29561573883265113",
+            up="0.955336489125606, 0.29552020666133955",
+            down="-0.29552020666133955, 0.955336489125606",
+        ))
+        assert main(["run", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"{path}: line 5, col 1: outcome down has p = 9.999999994736442e-09, "
+            "below the resolution bound 1e-05\n"
+        )
 
     def test_a_vanishing_total_heat_is_reported_as_plus_zero(self, tmp_path, capsys):
         # The two step heats cancel to -1.5e-16 NkT.  The EXPECT's observed

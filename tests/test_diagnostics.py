@@ -7,6 +7,8 @@ evaluation paths that are not errors; the API cases reach the checks that
 no script can.
 """
 
+import math
+
 import pytest
 
 from qgas.errors import (
@@ -17,7 +19,7 @@ from qgas.errors import (
     UndefinedNameError,
 )
 from qgas.observers import Observer
-from qgas.protocol import ast, execute
+from qgas.protocol import ast, execute, semantics
 from qgas.protocol.ast import render
 from qgas.protocol.engine import run_protocol
 from qgas.protocol.parser import parse
@@ -233,6 +235,7 @@ class TestPathsThatAreNotErrors:
 
 
 HEADER = ast.Header(2, 1.0, 1.0, ())
+CLASSICAL_HEADER = ast.Header(None, 1.0, 1.0, ())
 
 
 class TestApiBuiltProtocols:
@@ -267,3 +270,48 @@ class TestApiBuiltProtocols:
             run_protocol(ast.Protocol(HEADER, (stmt,)))
         assert str(err.value) == "line 4, col 7: name 'nope' is not defined"
 
+    @pytest.mark.parametrize(
+        "weight", [0.0, -1.0, math.inf, math.nan], ids=["zero", "negative", "inf", "nan"]
+    )
+    def test_classical_chamber_weight_must_be_finite_and_positive(self, weight):
+        stmt = ast.ClassicalChamberStmt("c", 1.0, (("x", weight),), line=2, col=1)
+        with pytest.raises(ExecutionError) as err:
+            run_protocol(ast.Protocol(CLASSICAL_HEADER, (stmt,)))
+        message = f"species 'x' weight {weight!r} is not finite and > 0"
+        assert str(err.value) == f"line 2, col 1: {message}"
+
+    def test_classical_separate_names_each_species_once(self):
+        statements = (
+            ast.ClassicalChamberStmt("c", 1.0, (("x", 1.0),), line=2, col=1),
+            ast.ClassicalSeparateStmt((("x", "transmitted"), ("x", "reflected")), line=3, col=1),
+        )
+        with pytest.raises(ExecutionError) as err:
+            run_protocol(ast.Protocol(CLASSICAL_HEADER, statements))
+        assert str(err.value) == "line 3, col 1: species 'x' is named twice"
+
+
+@pytest.mark.parametrize(
+    "call, cls, message",
+    [
+        (
+            lambda: semantics.eval_value(ast.ClaimCycleStmt(line=3, col=4), {}),
+            ExecutionError,
+            "line 3, col 4: unsupported expression ClaimCycleStmt",
+        ),
+        (
+            lambda: render(ast.Protocol(HEADER, (ast.NameRef("x"),))),
+            TypeError,
+            "unknown statement NameRef(name='x')",
+        ),
+        (
+            lambda: ast.render_expr(ast.ClaimCycleStmt()),
+            TypeError,
+            "unknown expression ClaimCycleStmt()",
+        ),
+    ],
+    ids=["eval-unknown-node", "render-unknown-statement", "render-unknown-expression"],
+)
+def test_protocol_input_checks(call, cls, message):
+    with pytest.raises(cls) as err:
+        call()
+    assert str(err.value) == message

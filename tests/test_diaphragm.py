@@ -333,3 +333,30 @@ class TestClassical:
         assert merged.volume == pytest.approx(1.0, abs=1e-12)
         assert contents_equal(merged.contents, bag, tol=1e-12)
         assert result.heat + heat == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call, cls, message",
+    [
+        (lambda: mix([], distinguishing=True), ValueError, "nothing to mix"),
+        (
+            lambda: classical_separate(
+                quantum_chamber(1.0, [(1.0, spin.z_plus())]), {"argon": "transmitted"}
+            ),
+            VariantMismatchError,
+            "classical_separate needs classical contents",
+        ),
+        (
+            lambda: classical_separate(
+                classical_chamber(1.0, {"argon": 1.0}), {"argon": "absorbed"}
+            ),
+            UnknownSpeciesError,
+            "permeability verdict 'absorbed'",
+        ),
+    ],
+    ids=["mix-nothing", "classical-separate-on-quantum", "unknown-verdict"],
+)
+def test_input_checks(call, cls, message):
+    with pytest.raises(cls) as err:
+        call()
+    assert str(err.value) == message

@@ -8,13 +8,16 @@ generator (``perfbench/workloads.py``, loaded read-only) writes its
 reference total heat with ``repr``, and the last digits of that numpy sum
 depend on the BLAS kernel, so the pins read the scripts it wrote once.  A
 test checks that the generator still writes them, up to those digits.
+Seeds 3-20 are pinned on the generator's scripts less that line
+(``fixtures/generated_seeds.json``): a script pin that fails is a generator
+change, a report pin that fails a qgas change.
 
 The report digests its views in batches; each digest must equal the one
 made from a single ``view_contents`` call.  The same reports are made with
 numpy's N-d helpers that the small-matrix primitives avoid set to raise,
-with ``np.eye`` set to raise, with the per-view observer check set to
-raise, with every float spelled by ``repr`` of its rounded value, and in
-one child process per OpenBLAS kernel.
+with ``np.eye`` set to raise, with the observer fit rule counted, with
+every float spelled by ``repr`` of its rounded value, and in one child
+process per OpenBLAS kernel.
 """
 
 import hashlib
@@ -95,6 +98,32 @@ def test_generator_still_writes_the_pinned_scripts(workload, seed):
             assert line == fixed
 
 
+# Seeds 3-20 of both generators: the sha256 of each script less its EXPECT
+# Q_total line (the one line whose digits follow the BLAS kernel) and of its
+# report in both units, written once by the generator and qgas of one commit.
+SEED_PINS = json.loads((FIXTURES / "generated_seeds.json").read_text())
+ABSOLUTE = UnitsConfig("absolute", boltzmann_constant=1.380649e-23)
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return load_workloads()
+
+
+@pytest.mark.parametrize("name", list(SEED_PINS))
+def test_generated_seed_reports_match_their_pins(workloads, name):
+    workload, seed = name.rsplit("-", 1)
+    ((_, text),) = workloads.GENERATORS[workload](int(seed)).scripts
+    text = "".join(
+        line for line in text.splitlines(keepends=True) if not line.startswith("EXPECT Q_total")
+    )
+    pins = SEED_PINS[name]
+    assert sha256(text) == pins["script"], f"the generator changed {name}, not qgas"
+    report = execute(parse(text))
+    assert sha256(report.to_json()) == pins["nkt"]
+    assert sha256(report.to_json(ABSOLUTE)) == pins["absolute"]
+
+
 @pytest.mark.parametrize("name", [*BUNDLED, "deep_protocol-3"])
 def test_batched_digests_match_one_pair_at_a_time(name):
     if name in BUNDLED:
@@ -132,10 +161,21 @@ def test_reports_need_no_fresh_identity(monkeypatch):
 
 
 def test_runs_check_observers_once_at_the_boundary(monkeypatch):
-    # The engine fits each observer to the run as it starts; no view inside
-    # the run or the report checks an observer again.
-    monkeypatch.setattr(observers, "_check_viewable", _banned)
-    assert_pinned_reports(pinned_cases())
+    # A run fits each observer with Observer.check_fits once, as it starts;
+    # no view inside the run or the report checks an observer again.
+    calls = []
+    fits = observers.Observer.check_fits
+
+    def counted(self, dim):
+        calls.append(self.name)
+        fits(self, dim)
+
+    monkeypatch.setattr(observers.Observer, "check_fits", counted)
+    for name, (text, digest) in pinned_cases().items():
+        calls.clear()
+        report = execute(parse(text))
+        assert sha256(report.to_json()) == digest, name
+        assert calls == [obs.name for obs in report.result.observers], name
 
 
 def test_fast_float_spelling_matches_repr_of_the_rounded_value(monkeypatch):

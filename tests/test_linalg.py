@@ -391,3 +391,43 @@ class TestBitIdentityWithNumpyHelpers:
         with pytest.raises(NotNormalizedError) as err:
             make_vector(raw)
         assert str(err.value) == f"norm {norm!r} differs from 1 beyond 1e-12"
+
+
+@pytest.mark.parametrize(
+    "call, cls, message",
+    [
+        (lambda: identity(2) + identity(3), DimMismatchError, "dims 2 and 3"),
+        (lambda: identity(2) - identity(3), DimMismatchError, "dims 2 and 3"),
+        (
+            lambda: make_vector([1, 0]).inner(make_vector([1, 0, 0])),
+            DimMismatchError,
+            "dims 2 and 3",
+        ),
+        (lambda: make_vector([np.nan, 1]), NonFiniteError, "vector amplitudes must be finite"),
+        (lambda: make_hermitian(np.zeros((0, 0))), NonSquareError, "dimension must be at least 1"),
+        (
+            # Raw operands that are not Hermitian: tr(AB) = 1j.
+            lambda: trace_product(
+                linalg.HermitianMatrix(np.array([[0, 1], [0, 0]])),
+                linalg.HermitianMatrix(np.array([[0, 0], [1j, 0]])),
+            ),
+            NotHermitianError,
+            "trace product residue 1.000e+00",
+        ),
+        (
+            lambda: partial_trace(identity(4), (2, 2), keep="third"),
+            ValueError,
+            "keep must be 'first' or 'second'",
+        ),
+    ],
+    ids=["add-dims", "sub-dims", "inner-dims", "nan-ket", "empty-matrix", "imaginary-residue",
+         "keep-third"],
+)
+def test_input_checks(call, cls, message):
+    with pytest.raises(cls) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_a_non_square_array_is_not_unitary():
+    assert linalg.is_unitary(np.zeros((2, 3))) is False

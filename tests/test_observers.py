@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from conftest import BLEND_SEPARATION_HEAT, LN2, P_MINUS, P_PLUS, random_bag, random_density
 from qgas import linalg, spin
-from qgas.errors import IncompatibleReductionError
+from qgas.errors import IncompatibleReductionError, VariantMismatchError
 from qgas.observers import Observer, build_willard_povm, view_contents
 from qgas.protocol import execute
 from qgas.protocol.engine import run_protocol
+from qgas.protocol.interpreter import RunReport
 from qgas.protocol.parser import parse
 from qgas.scenarios import BUNDLED, scenario_text
 from qgas.statistics import DensityMatrix, mix_states, outcome_probability
@@ -69,13 +70,18 @@ class TestViewContents:
             (Observer.quantum("lab"), lambda: ClassicalContents({"argon": 1.0}),
              "quantum observer 'lab' cannot view classical contents"),
             (Observer.quantum("bad", (2, 3, "first")), tau_contents,
-             "reduction 2x3 does not fit dimension 4"),
+             "observer 'bad' reduction 2x3 does not fit dimension 4"),
         ],
         ids=["classical-on-quantum", "quantum-on-classical", "reduction"],
     )
     def test_check_messages(self, observer, truth, message):
         with pytest.raises(IncompatibleReductionError, match=f"^{re.escape(message)}$"):
             view_contents(observer, truth())
+
+    def test_unknown_contents_rejected(self):
+        with pytest.raises(VariantMismatchError) as err:
+            view_contents(Observer.quantum("lab"), tau_contents().assembled())
+        assert str(err.value) == "unknown contents DensityMatrix"
 
     def test_view_commutes_with_mixing(self):
         rng = np.random.default_rng(61)
@@ -206,9 +212,16 @@ def run():
 
 class TestPeresRun:
     def test_heats_are_observer_independent(self, run):
-        # One shared ledger; every observer's view reports the same steps.
-        for view in run.views.values():
-            assert view.ledger is run.ledger
+        # One shared ledger: every observer's section of the report books
+        # the same step heats and total.
+        payload = RunReport(run, ()).to_json_dict()
+        heats = [
+            ([step["Q"] for step in section["steps"]], section["total_Q"])
+            for section in payload["observers"]
+        ]
+        assert len(heats) == len(run.views) == 2
+        assert len(heats[0][0]) == len(run.steps)
+        assert heats[1] == heats[0]
 
     def test_tatiana_sees_violated_cycle(self, run):
         verdict = run.views["tatiana"].verdict

@@ -18,6 +18,8 @@ from qgas.errors import (
 )
 from qgas.statistics import (
     DensityMatrix,
+    Outcome,
+    OutcomeDistribution,
     Povm,
     ProjectiveInstrument,
     apply_instrument,
@@ -455,3 +457,41 @@ class TestDensityMatrixStack:
         assert str(expected) != str(self.alone(entries[second]))
         with pytest.raises(NotDensityMatrixError, match="^" + re.escape(str(expected)) + "$"):
             DensityMatrix.stack(entries)
+
+
+@pytest.mark.parametrize(
+    "call, cls, message",
+    [
+        (
+            lambda: OutcomeDistribution((Outcome("a", 0.5, None),)),
+            NotDensityMatrixError,
+            "outcome probabilities sum to 0.5",
+        ),
+        (
+            lambda: mix_states(
+                [1.0], [DensityMatrix(spin.z_plus()), DensityMatrix(spin.z_minus())]
+            ),
+            NotConvexError,
+            "need one weight per state",
+        ),
+        (
+            lambda: is_one_shot_distinguishing(
+                z_instrument(), (("up",), ("down",)),
+                *[DensityMatrix(linalg.identity(4) * 0.25)] * 2,
+            ),
+            DimMismatchError,
+            "state and POVM dimensions differ",
+        ),
+    ],
+    ids=["probabilities-sum", "one-weight-two-states", "distinguishing-dims"],
+)
+def test_input_checks(call, cls, message):
+    with pytest.raises(cls) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_an_element_that_fires_on_neither_state_does_not_distinguish():
+    # Set one's z+ is silent on phi = z-, as it must be, but does not fire on psi = z-.
+    z_minus = DensityMatrix(spin.z_minus())
+    assert not is_one_shot_distinguishing(z_instrument(), (("up",), ("down",)), z_minus, z_minus)

@@ -242,3 +242,31 @@ class TestChamber:
             GasChamber(1.0, -1.0, 1.0, contents)
         with pytest.raises(NonPositiveInputError):
             GasChamber(1.0, 1.0, float("inf"), contents)
+
+
+@pytest.mark.parametrize(
+    "call, cls, message",
+    [
+        (lambda: ClassicalContents({}), NotConvexError, "species bag must be nonempty"),
+        (
+            lambda: HeatLedger().record("step", float("nan")),
+            NonPositiveInputError,
+            "heat must be finite, got nan",
+        ),
+    ],
+    ids=["empty-bag", "nan-heat"],
+)
+def test_input_checks(call, cls, message):
+    with pytest.raises(cls) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_a_quantum_start_and_a_classical_end_are_not_a_cycle():
+    ledger = HeatLedger()
+    ledger.claim_cycle()
+    start = chamber(1.0, QuantumContents(DensityMatrix(spin.z_plus())))
+    end = chamber(1.0, ClassicalContents({"argon": 1.0}))
+    verdict = audit_cycle(ledger, [start], [end])
+    assert (verdict.is_cycle_actual, verdict.second_law_satisfied) == (False, None)
+    assert verdict.apparent_violation_explained
