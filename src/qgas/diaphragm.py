@@ -37,18 +37,17 @@ from .errors import (
     UnknownSpeciesError,
     VariantMismatchError,
 )
-from .statistics import PROBABILITY_FLOOR, Outcome, ProjectiveInstrument, apply_instrument
+from .statistics import PROBABILITY_FLOOR, ProjectiveInstrument, apply_instrument
 from .thermo import ClassicalContents, GasChamber, GasContents, QuantumContents, isothermal_heat
 
 
 @dataclass(frozen=True)
 class SeparationResult:
-    """Chambers produced by a separation, with the heat absorbed by the gas
-    and the per-outcome statistics that produced them."""
+    """Chambers produced by a separation, each holding its outcome's p as its
+    share of the parent's volume and particles, and the heat the gas absorbed."""
 
     chambers: tuple[GasChamber, ...]
     heat: float
-    per_outcome: tuple[Outcome, ...]
 
 
 def separate(chamber: GasChamber, instrument: ProjectiveInstrument) -> SeparationResult:
@@ -71,13 +70,10 @@ def separate(chamber: GasChamber, instrument: ProjectiveInstrument) -> Separatio
         for o in distribution.outcomes
         if o.post_state is not None
     ]
-    return _split(chamber, parts, distribution.outcomes)
+    return _split(chamber, parts)
 
 
-def _split(
-    parent: GasChamber, parts: list[tuple[str, float, GasContents]],
-    per_outcome: tuple[Outcome, ...],
-) -> SeparationResult:
+def _split(parent: GasChamber, parts: list[tuple[str, float, GasContents]]) -> SeparationResult:
     """One chamber per (outcome label, probability p, contents) part, with
     volume p*V and amount p*N; the gas absorbs N T sum p ln p."""
     chambers = []
@@ -93,7 +89,7 @@ def _split(
                 label=f"{parent.label}/{outcome}" if parent.label else outcome,
             )
         )
-    return SeparationResult(tuple(chambers), heat, per_outcome)
+    return SeparationResult(tuple(chambers), heat)
 
 
 def _check_same_temperature(chambers: list[GasChamber]) -> float:
@@ -165,11 +161,9 @@ def classical_separate(
         if name not in permeability:
             raise UnknownSpeciesError(f"species {name!r} missing from permeability map")
         groups[permeability[name]][name] = w
-    outcomes = []
     parts = []
     for verdict, bag in groups.items():
         p = sum(bag.values())
-        outcomes.append(Outcome(verdict, p, None))
         if p >= PROBABILITY_FLOOR:
             parts.append((verdict, p, ClassicalContents({name: w / p for name, w in bag.items()})))
-    return _split(chamber, parts, tuple(outcomes))
+    return _split(chamber, parts)

@@ -158,10 +158,15 @@ def make_hermitian(entries) -> HermitianMatrix:
         raise NonSquareError(f"shape {arr.shape} is not square")
     if arr.shape[0] < 1:
         raise NonSquareError("dimension must be at least 1")
-    asym = float(abs(arr - arr.conj().T).max())
+    (asym,) = _asymmetries(arr[None])
     if asym > HERMITIAN_TOL:
         raise NotHermitianError(f"asymmetry {asym:.3e} exceeds 1e-12")
     return HermitianMatrix((arr + arr.conj().T) / 2)
+
+
+def _asymmetries(stack: np.ndarray) -> list[float]:
+    """The largest entry of |M - M^H| for each matrix M of a stack (n, d, d)."""
+    return abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2)).tolist()
 
 
 @lru_cache(maxsize=8)

@@ -219,12 +219,15 @@ class _Engine:
 
     def _do_chamber(self, stmt: ast.ChamberStmt | ast.ClassicalChamberStmt) -> None:
         if isinstance(stmt, ast.ClassicalChamberStmt):
-            total = sum(w for _, w in stmt.species)
-            merged: dict[str, float] = {}
+            weights = [w for _, w in stmt.species]
             for name, w in stmt.species:
                 if not 0 < w < math.inf:
                     raise _StepError(f"species {name!r} weight {w!r} is not finite and > 0")
-                merged[name] = merged.get(name, 0.0) + w / total
+            scale = max(weights) if sum(weights) == math.inf else 1.0  # the sum overflows
+            total = sum(w / scale for w in weights)
+            merged: dict[str, float] = {}
+            for name, w in stmt.species:
+                merged[name] = merged.get(name, 0.0) + w / scale / total
             contents = ClassicalContents(merged)
         else:
             contents = self.scope.get(stmt.state)

@@ -14,9 +14,9 @@ that text.  Observers differ only in how they describe a chamber's
 contents: volume, particles, position, heat and description are shared.
 So the text is rendered in three passes:
 
-* once per run: each step's text around its chambers (Q; description,
-  index) and each chamber's text after its digest (particles, position,
-  volume);
+* once per run: the steps as one template, texts that each precede the
+  digest of one contents object (each step's Q, description and index,
+  each chamber's particles, position and volume) and one closing tail;
 * once per observer: its view of each distinct contents object of the run
   (first-seen order) and the digest text of each view.  The views of the
   initial and final contents are the ones the engine made for the cycle
@@ -25,8 +25,8 @@ So the text is rendered in three passes:
   An observer's digests round its matrices, which share one dimension, in
   one ``round`` and hash each matrix on its own, over the same bytes a
   single matrix gives;
-* then each step's chambers are spliced from those pieces, so PARTITION
-  siblings and a chamber left unchanged between steps reuse one digest.
+* then an observer's section is each text, its digest, and the tail, so
+  PARTITION siblings and a chamber left unchanged reuse one digest.
 
 Each float is spelled once per report, as ``repr`` spells it rounded to 12
 decimals.  For 1.0001e-4 <= |x| < 999 that text is ``'%.12f' % x`` less its
@@ -231,10 +231,6 @@ def _digest_texts(views: Iterable[GasContents], floats: _Floats) -> list[str]:
     return texts
 
 
-def _contents_digest(contents: GasContents) -> dict:
-    return json.loads(_digest_texts([contents], _Floats())[0])
-
-
 def _expectations_text(expectations: tuple[ExpectationResult, ...]) -> str:
     items = [
         f'{{\n   "description": {_escape(e.description)},'
@@ -256,33 +252,33 @@ def _render(report: RunReport, units: UnitsConfig) -> str:
     floats = _Floats()
 
     # Once per run: the distinct ground-truth contents objects in first-seen
-    # order, each step's text around its chambers, and each chamber's text
-    # after its digest (with the opening of the next chamber of the step).
+    # order, and the step text as one template: texts[i] precedes the digest
+    # of contents keys[i], and ``tail`` closes the last step and the steps.
     # Every step holds chambers: the engine checks that they fill the container.
     truths: dict[int, GasContents] = {}
-    steps = []
+    texts: list[str] = []
+    keys: list[int] = []
+    text = ""
     for k, step in enumerate(result.steps):
-        slots = []  # (id of the contents, the chamber's text after its digest)
-        last = len(step.chambers) - 1
+        text += (
+            f'{"," if k else ""}\n    {{\n     "Q": {floats[step.heat / nkt * factor]},'
+            '\n     "chambers": ['
+        )
         for j, c in enumerate(step.chambers):
             truths.setdefault(id(c.contents), c.contents)
-            tail = (
+            texts.append(text + ("," if j else "") + _CHAMBER)
+            keys.append(id(c.contents))
+            text = (
                 f',\n       "particles": {floats[c.particles]},'
                 f'\n       "position": {_escape(c.label)},'
                 f'\n       "volume": {floats[c.volume]}\n      }}'
             )
-            slots.append((id(c.contents), tail if j == last else tail + "," + _CHAMBER))
-        head = (
-            f'{"," if k else ""}\n    {{\n     "Q": {floats[step.heat / nkt * factor]},'
-            f'\n     "chambers": [{_CHAMBER}'
-        )
-        end = (
+        text += (
             f'\n     ],\n     "description": {_escape(step.description)},'
             f'\n     "index": {step.index}\n    }}'
         )
-        steps.append((head, slots, end))
-    total = floats[result.total_heat / nkt * factor]
-    steps_end = "\n   ]" if steps else "]"
+    tail = text + ("\n   ]" if result.steps else "]") + ',\n   "total_Q": '
+    tail += f'{floats[result.total_heat / nkt * factor]},\n   "verdict": {{'
 
     out = [
         f'{{\n "expectations": {_expectations_text(report.expectations)},'
@@ -307,16 +303,12 @@ def _render(report: RunReport, units: UnitsConfig) -> str:
         )
         digests = dict(zip(truths, _digest_texts(views, floats)))
         append(f'{"," if n else ""}\n  {{\n   "name": {_escape(obs.name)},\n   "steps": [')
-        for head, slots, end in steps:
-            append(head)
-            for key, tail in slots:
-                append(digests[key])
-                append(tail)
-            append(end)
-        verdict = result.views[obs.name].verdict
+        for piece, key in zip(texts, keys):
+            append(piece)
+            append(digests[key])
+        verdict = view.verdict
         append(
-            f'{steps_end},\n   "total_Q": {total},\n   "verdict": {{'
-            f'\n    "actual": {json.dumps(verdict.is_cycle_actual)},'
+            f'{tail}\n    "actual": {json.dumps(verdict.is_cycle_actual)},'
             f'\n    "apparent_violation_explained": '
             f'{json.dumps(verdict.apparent_violation_explained)},'
             f'\n    "claimed": {json.dumps(verdict.is_cycle_claimed)},'

@@ -60,9 +60,10 @@ Grouping = tuple[Sequence[str], Sequence[str]]
 
 def _validated_spectra(stack: np.ndarray) -> list[tuple[float, ...]]:
     """Check each matrix of a stack (n, d, d) as a density matrix, in member
-    order: trace 1 within ZERO_TOL, then no eigenvalue below -ZERO_TOL.  One
-    ``eigvalsh`` serves the whole stack; each member's descending spectrum
-    is returned."""
+    order: trace 1 within ZERO_TOL, then no eigenvalue below -ZERO_TOL; then
+    each member Hermitian within HERMITIAN_TOL, since ``eigvalsh`` reads one
+    triangle.  One ``eigvalsh`` serves the whole stack; each member's
+    descending spectrum is returned."""
     traces = stack.trace(axis1=1, axis2=2).real.tolist()
     spectra = np.linalg.eigvalsh(stack)
     for tr, smallest in zip(traces, spectra[:, 0].tolist()):
@@ -71,6 +72,9 @@ def _validated_spectra(stack: np.ndarray) -> list[tuple[float, ...]]:
             raise NotDensityMatrixError(f"trace {tr!r} differs from 1")
         if not smallest >= -ZERO_TOL:
             raise NotDensityMatrixError(f"negative eigenvalue {smallest!r}")
+    for asymmetry in linalg._asymmetries(stack):
+        if not asymmetry <= linalg.HERMITIAN_TOL:
+            raise NotDensityMatrixError(f"asymmetry {asymmetry:.3e} exceeds 1e-12")
     return [tuple(spectrum) for spectrum in spectra[:, ::-1].tolist()]
 
 
@@ -78,8 +82,8 @@ def _validated_spectra(stack: np.ndarray) -> list[tuple[float, ...]]:
 class DensityMatrix:
     """Positive semidefinite Hermitian matrix with unit trace.
 
-    Construction checks the trace and the spectrum; the spectrum that the
-    positivity check computes is kept as ``eigenvalues`` (descending, not
+    Construction checks the trace, the spectrum and Hermiticity; the spectrum
+    that the positivity check computes is kept as ``eigenvalues`` (descending, not
     part of equality or repr), so no reader decomposes the matrix again.
     One validation serves a single matrix and a stack: ``DensityMatrix(m)``
     checks a stack of one, and :meth:`stack` checks many matrices of one
@@ -120,7 +124,7 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Povm:
-    """Positive semidefinite elements, one per distinct outcome label, of one
+    """Hermitian PSD elements, one per distinct outcome label, of one
     dimension, summing to identity, checked (NaN fails) and kept as one
     read-only (k, d, d) ``stack`` in label order (not part of equality or repr).
     A subclass narrows ``_check_stack``; ``_error`` and ``_noun`` name its failures."""
@@ -146,6 +150,9 @@ class Povm:
         self._check_stack(labels, stack)
         if not float(abs(stack.sum(axis=0) - linalg.eye(dim)).max()) <= ZERO_TOL:
             raise self._error(f"{self._noun}s do not sum to the identity")
+        for label, asymmetry in zip(labels, linalg._asymmetries(stack)):
+            if not asymmetry <= linalg.HERMITIAN_TOL:
+                raise self._error(f"{self._noun} {label} is not Hermitian ({asymmetry:.2e})")
         object.__setattr__(self, "stack", stack)
 
     def _check_stack(self, labels: list[str], stack: np.ndarray) -> None:

@@ -165,7 +165,7 @@ class HeatLedger:
 
 @dataclass(frozen=True)
 class CycleVerdict:
-    """Outcome of auditing a claimed cycle.
+    """Outcome of auditing a claimed cycle: three observed facts, the rest derived.
 
     ``second_law_satisfied`` is None exactly when the process is not
     actually a cycle: the cyclic form of the second law does not apply to
@@ -176,8 +176,14 @@ class CycleVerdict:
     is_cycle_claimed: bool
     is_cycle_actual: bool
     total_heat: float
-    second_law_satisfied: bool | None
-    apparent_violation_explained: bool
+
+    @property
+    def second_law_satisfied(self) -> bool | None:
+        return self.total_heat <= SECOND_LAW_TOL if self.is_cycle_actual else None
+
+    @property
+    def apparent_violation_explained(self) -> bool:
+        return self.is_cycle_claimed and not self.is_cycle_actual
 
     @property
     def status(self) -> str:
@@ -237,13 +243,4 @@ def audit_cycle(
 ) -> CycleVerdict:
     """Compare configurations chamber by chamber (order matters: chambers
     are labeled positions) and apply Q <= 0 only if the cycle truly closed."""
-    actual = _chambers_match(initial, final)
-    total = ledger.total_heat
-    satisfied = (total <= SECOND_LAW_TOL) if actual else None
-    return CycleVerdict(
-        is_cycle_claimed=ledger.cycle_claimed,
-        is_cycle_actual=actual,
-        total_heat=total,
-        second_law_satisfied=satisfied,
-        apparent_violation_explained=ledger.cycle_claimed and not actual,
-    )
+    return CycleVerdict(ledger.cycle_claimed, _chambers_match(initial, final), ledger.total_heat)

@@ -1,22 +1,30 @@
-"""The classical gas is the diagonal quantum gas: the library twin.
+"""The classical gas is the diagonal quantum gas: the library twin and the run twin.
 
 Each species is a basis state, so a weight map becomes a diagonal
 ``DensityMatrix`` and a permeability map becomes the two diagonal
 projectors onto the transmitted and the reflected species.  Every classical
 operation must then agree with its quantum counterpart within 1e-12, for
-2-16 species with weights of at least 1e-3.
+2-16 species with weights of at least 1e-3.  A whole classical script,
+translated so, must book the same heats on the engine and give each
+observer with no species map the same verdict.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import load_workloads
 from qgas import linalg
 from qgas.diaphragm import classical_separate, mix, separate
 from qgas.linalg import HermitianMatrix
 from qgas.observers import Observer, view_contents
+from qgas.protocol import ast, parse
+from qgas.protocol.engine import _Engine, run_protocol
+from qgas.scenarios import scenario_text
 from qgas.statistics import DensityMatrix, ProjectiveInstrument, are_orthogonal, mix_states
 from qgas.thermo import ClassicalContents, GasChamber, QuantumContents, contents_equal
 
@@ -140,3 +148,78 @@ def test_forgetting_the_second_factor_is_the_partial_trace(data, d1, d2):
     expected = np.diag([seen.weights.get(name, 0.0) for name in kept])
     assert float(np.abs(reduced.entries - expected).max()) <= TOL
 
+
+def diagonal(values) -> HermitianMatrix:
+    return HermitianMatrix(np.diag(list(values)).astype(complex))
+
+
+def quantum_twin(protocol: ast.Protocol) -> _Engine:
+    """An engine for the diagonal twin of a classical script, with its states
+    and instruments already in scope: ``.qg`` cannot write a rank-k diagonal
+    projector.  The basis is the script's species in sorted order, each
+    observer with no species map sees the full space, and EXPECT lines go."""
+    statements = protocol.statements
+    species = sorted(
+        {name for stmt in statements if isinstance(stmt, ast.ClassicalChamberStmt)
+         for name, _ in stmt.species}
+        | {name for stmt in statements if isinstance(stmt, ast.ClassicalSeparateStmt)
+           for name, _ in stmt.permeability}
+    )
+    header = protocol.header
+    observers = tuple(
+        Observer.quantum(obs.name) for obs in header.observers if not obs.species_map
+    )
+    states, instruments, twin = {}, {}, []
+    for k, stmt in enumerate(statements):
+        name = f"twin{k}"
+        if isinstance(stmt, ast.ClassicalChamberStmt):
+            total = math.fsum(w for _, w in stmt.species)
+            weights = dict.fromkeys(species, 0.0)
+            for species_name, w in stmt.species:
+                weights[species_name] += w / total
+            states[name] = QuantumContents(DensityMatrix(diagonal(weights.values())))
+            twin.append(ast.ChamberStmt(stmt.position, stmt.fraction, name))
+        elif isinstance(stmt, ast.ClassicalSeparateStmt):
+            verdicts = dict(stmt.permeability)
+            instruments[name] = ProjectiveInstrument(tuple(
+                (verdict, diagonal(float(verdicts[s] == verdict) for s in species))
+                for verdict in VERDICTS
+            ))
+            twin.append(ast.SeparateStmt(name))
+        elif isinstance(stmt, ast.MixStmt):
+            twin.append(replace(stmt, classical=False))
+        elif not isinstance(stmt, (ast.ExpectTotalHeat, ast.ExpectVerdict)):
+            twin.append(stmt)
+    quantum = ast.Protocol(replace(header, dim=len(species), observers=observers), tuple(twin))
+    engine = _Engine(quantum, list(observers))
+    engine.scope.update(states)
+    engine.instruments.update(instruments)
+    return engine
+
+
+TWIN_SCRIPTS = [f"classical_ledger-{seed}" for seed in range(1, 6)] + [
+    "jaynes_johann", "jaynes_marie_completed",
+]
+
+
+@pytest.mark.parametrize("name", TWIN_SCRIPTS)
+def test_a_classical_run_is_its_diagonal_twin(name):
+    workload, _, seed = name.partition("-")
+    if seed:
+        ((_, text),) = load_workloads().GENERATORS[workload](int(seed)).scripts
+    else:
+        text = scenario_text(name)
+    protocol = parse(text)
+    classical = run_protocol(protocol)
+    quantum = quantum_twin(protocol).run()
+    assert len(classical.steps) == len(quantum.steps)
+    for c, q in zip(classical.steps, quantum.steps):
+        assert abs(c.heat - q.heat) <= TOL
+        assert [ch.label for ch in c.chambers] == [ch.label for ch in q.chambers]
+    assert abs(classical.total_heat - quantum.total_heat) <= TOL
+    assert quantum.views
+    for observer, view in quantum.views.items():
+        verdict = classical.views[observer].verdict
+        assert (verdict.is_cycle_claimed, verdict.is_cycle_actual, verdict.status) == (
+            view.verdict.is_cycle_claimed, view.verdict.is_cycle_actual, view.verdict.status
+        )

@@ -225,6 +225,12 @@ class TestPathsThatAreNotErrors:
         assert isinstance(chamber.contents, QuantumContents)
         assert chamber.contents.assembled().matrix.entries[1, 1] == 1.0
 
+    def test_classical_weights_whose_sum_overflows_are_normalised(self):
+        # 1e308 + 1e308 overflows; the weights are divided by the largest first.
+        result = run_protocol(parse(C + "CLASSICAL_CHAMBER c 1.0 a=1e308 b=1e308\n"))
+        (chamber,) = result.final_chambers
+        assert chamber.contents.weights == {"a": 0.5, "b": 0.5}
+
     @pytest.mark.parametrize(
         "elements", ["a=zp b=zm", "a=zs b=ms"], ids=["kets", "states"]
     )

@@ -99,11 +99,8 @@ class TestSeparate:
             rho = random_density(rng, 2)
             parent = GasChamber(1.0, 1.0, 1.0, QuantumContents(rho))
             result = separate(parent, z_instrument())
-            expected = sum(
-                o.probability * math.log(o.probability)
-                for o in result.per_outcome
-                if o.probability > 1e-12
-            )
+            # V = N = T = 1, so each chamber's volume is its outcome's p.
+            expected = sum(c.volume * math.log(c.volume) for c in result.chambers)
             assert result.heat == pytest.approx(expected, abs=1e-12)
 
     def test_requires_quantum(self):

@@ -431,3 +431,12 @@ def test_input_checks(call, cls, message):
 
 def test_a_non_square_array_is_not_unitary():
     assert linalg.is_unitary(np.zeros((2, 3))) is False
+
+
+def test_matrices_of_different_dimensions_are_not_close():
+    assert identity(2).isclose(identity(3), tol=10.0) is False
+
+
+def test_a_ket_shows_its_amplitudes_to_six_decimals():
+    text = repr(make_vector([2**-0.5, 2**-0.5]))
+    assert text.startswith("StateVector([") and text.count("0.707107") == 2

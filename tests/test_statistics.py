@@ -124,6 +124,45 @@ class TestTypes:
             ProjectiveInstrument((("a", nan), ("b", nan)))
 
 
+class TestHermiticity:
+    """``eigvalsh`` reads one triangle, so a state or an element must also be
+    Hermitian; that check runs last, so every other failure keeps its text."""
+
+    LOPSIDED = np.array([[0.5, 5], [0, 0.5]])
+
+    def test_a_lopsided_state_is_rejected(self):
+        message = r"^asymmetry 5\.000e\+00 exceeds 1e-12$"
+        with pytest.raises(NotDensityMatrixError, match=message):
+            DensityMatrix(linalg.HermitianMatrix(self.LOPSIDED))
+        with pytest.raises(NotDensityMatrixError, match=message):
+            DensityMatrix.stack([spin.z_plus().entries, self.LOPSIDED])
+
+    def test_every_other_check_of_a_stack_comes_first(self):
+        with pytest.raises(NotDensityMatrixError, match="^trace 2.0 differs from 1$"):
+            DensityMatrix.stack([self.LOPSIDED, np.eye(2)])
+        with pytest.raises(NotDensityMatrixError, match="^negative eigenvalue"):
+            DensityMatrix.stack([self.LOPSIDED, np.diag([1.5, -0.5])])
+
+    def test_a_lopsided_povm_is_rejected(self):
+        e = np.array([[0.5, 1], [0, 0.5]])
+        elements = (("a", linalg.HermitianMatrix(e)), ("b", linalg.HermitianMatrix(np.eye(2) - e)))
+        with pytest.raises(NotPovmError, match=r"^element a is not Hermitian \(1\.00e\+00\)$"):
+            Povm(elements)
+        with pytest.raises(NotPovmError, match="^elements do not sum to the identity$"):
+            Povm(elements[:1])
+
+    def test_an_oblique_instrument_is_rejected(self):
+        # Idempotent, with P_a P_b = P_b P_a = 0 and P_a + P_b = I, but not Hermitian.
+        oblique = (
+            ("a", linalg.HermitianMatrix(np.array([[1, 1], [0, 0]]))),
+            ("b", linalg.HermitianMatrix(np.array([[0, -1], [0, 1]]))),
+        )
+        with pytest.raises(
+            NotProjectiveError, match=r"^projector a is not Hermitian \(1\.00e\+00\)$"
+        ):
+            ProjectiveInstrument(oblique)
+
+
 class TestInstrumentIsPovm:
     """An instrument is a POVM: it shares the POVM's checks and adds only
     idempotence and pairwise orthogonality, keeping its own error type."""
