@@ -17,7 +17,7 @@ from qgas import (
     is_one_shot_distinguishing,
     verify_orthogonality_theorem,
 )
-from qgas.linalg import StateVector, identity, make_hermitian, projector_from_vector
+from qgas.linalg import HermitianMatrix, StateVector, identity, projector_from_vector
 
 print(__doc__)
 
@@ -27,7 +27,7 @@ basis, _ = np.linalg.qr(m)
 
 phi = DensityMatrix(projector_from_vector(StateVector(basis[:, 0])))
 psi = DensityMatrix(
-    make_hermitian(
+    HermitianMatrix(
         0.6 * np.outer(basis[:, 1], basis[:, 1].conj())
         + 0.4 * np.outer(basis[:, 2], basis[:, 2].conj())
     )

@@ -24,7 +24,6 @@ from .linalg import (
     SpectralDecomposition,
     StateVector,
     eig_hermitian,
-    make_hermitian,
     make_vector,
     partial_trace,
     projector_from_vector,
@@ -64,7 +63,7 @@ from .observers import Observer, ObserverView, build_willard_povm, view_contents
 __all__ = [
     "QuantumGasError",
     "HermitianMatrix", "StateVector", "SpectralDecomposition",
-    "make_hermitian", "make_vector", "trace_product", "tensor",
+    "make_vector", "trace_product", "tensor",
     "partial_trace", "eig_hermitian", "projector_from_vector",
     "two_state_rotation",
     "DensityMatrix", "Povm", "ProjectiveInstrument", "OutcomeDistribution",

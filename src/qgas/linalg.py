@@ -8,7 +8,9 @@ deterministic eigenvector phase convention for reproducible runs.
 
 Tolerance policy: inputs are validated at 1e-12 (HERMITIAN_TOL) while
 derived quantities are trusted to 1e-9 (DERIVED_TOL), two decades of slack
-between input exactness and accumulated arithmetic.
+between input exactness and accumulated arithmetic.  A ``HermitianMatrix``
+checks its entries as it is built, except the few results that
+``_hermitian`` wraps because they derive only from checked values.
 
 At these sizes numpy's Python-level N-d helpers (``np.kron``, ``np.outer``,
 ``np.linalg.norm``, ``np.max``, ``np.all``, ``np.stack``) cost more than
@@ -41,16 +43,19 @@ DEGENERACY_GAP = 1e-9
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """Immutable dim x dim complex matrix with the Hermitian invariant.
-
-    Construct through :func:`make_hermitian`; the raw constructor assumes
-    already-symmetrized entries.
-    """
+    """Immutable dim x dim complex matrix, checked finite, square and Hermitian
+    within 1e-12 as it is built, and kept symmetrised in a read-only array."""
 
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=complex)
+        arr = np.asarray(self.entries, dtype=complex)
+        if not np.isfinite(arr).all():
+            raise NonFiniteError("matrix entries must be finite")
+        _check_square(arr.shape)
+        if (asym := _asymmetries(arr[None])[0]) > HERMITIAN_TOL:
+            raise NotHermitianError(f"asymmetry {asym:.3e} exceeds 1e-12")
+        arr = (arr + arr.conj().T) / 2
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -77,16 +82,10 @@ class HermitianMatrix:
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HermitianMatrix)
-            and self.dim == other.dim
-            and np.array_equal(self.entries, other.entries)
-        )
+        return isinstance(other, HermitianMatrix) and np.array_equal(self.entries, other.entries)
 
     def isclose(self, other: "HermitianMatrix", tol: float = DERIVED_TOL) -> bool:
-        if self.dim != other.dim:
-            return False
-        return float(abs(self.entries - other.entries).max()) <= tol
+        return self.dim == other.dim and float(abs(self.entries - other.entries).max()) <= tol
 
     def __repr__(self) -> str:
         return f"HermitianMatrix(dim={self.dim})"
@@ -146,22 +145,20 @@ def make_vector(amplitudes) -> StateVector:
     return StateVector(arr)
 
 
-def make_hermitian(entries) -> HermitianMatrix:
-    """Build a HermitianMatrix, symmetrizing away asymmetry up to 1e-12.
+def _hermitian(arr: np.ndarray) -> HermitianMatrix:
+    """Wrap, read-only and with no check or copy, an array computed only from
+    checked states, unit kets or orthonormal vectors, so Hermitian and finite."""
+    arr.setflags(write=False)
+    matrix = object.__new__(HermitianMatrix)
+    object.__setattr__(matrix, "entries", arr)
+    return matrix
 
-    Raises NonSquareError / NonFiniteError / NotHermitianError as applicable.
-    """
-    arr = np.array(entries, dtype=complex)
-    if not np.isfinite(arr).all():
-        raise NonFiniteError("matrix entries must be finite")
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise NonSquareError(f"shape {arr.shape} is not square")
-    if arr.shape[0] < 1:
+
+def _check_square(shape: tuple[int, ...]) -> None:
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise NonSquareError(f"shape {shape} is not square")
+    if shape[0] < 1:
         raise NonSquareError("dimension must be at least 1")
-    (asym,) = _asymmetries(arr[None])
-    if asym > HERMITIAN_TOL:
-        raise NotHermitianError(f"asymmetry {asym:.3e} exceeds 1e-12")
-    return HermitianMatrix((arr + arr.conj().T) / 2)
 
 
 def _asymmetries(stack: np.ndarray) -> list[float]:
@@ -248,7 +245,7 @@ def partial_traces(stack: np.ndarray, dims: tuple[int, int], keep: str = "first"
 def projector_from_vector(v: StateVector) -> HermitianMatrix:
     """Rank-1 projector |v><v|; idempotent with unit trace."""
     outer = _ketbra(v.amplitudes, v.amplitudes)
-    return HermitianMatrix((outer + outer.conj().T) / 2)
+    return _hermitian((outer + outer.conj().T) / 2)
 
 
 def _ketbra(x: np.ndarray, y: np.ndarray) -> np.ndarray:

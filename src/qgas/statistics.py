@@ -60,10 +60,9 @@ Grouping = tuple[Sequence[str], Sequence[str]]
 
 def _validated_spectra(stack: np.ndarray) -> list[tuple[float, ...]]:
     """Check each matrix of a stack (n, d, d) as a density matrix, in member
-    order: trace 1 within ZERO_TOL, then no eigenvalue below -ZERO_TOL; then
-    each member Hermitian within HERMITIAN_TOL, since ``eigvalsh`` reads one
-    triangle.  One ``eigvalsh`` serves the whole stack; each member's
-    descending spectrum is returned."""
+    order: trace 1 within ZERO_TOL, then no eigenvalue below -ZERO_TOL; the
+    callers check Hermiticity.  One ``eigvalsh`` serves the whole stack; each
+    member's descending spectrum is returned."""
     traces = stack.trace(axis1=1, axis2=2).real.tolist()
     spectra = np.linalg.eigvalsh(stack)
     for tr, smallest in zip(traces, spectra[:, 0].tolist()):
@@ -72,9 +71,6 @@ def _validated_spectra(stack: np.ndarray) -> list[tuple[float, ...]]:
             raise NotDensityMatrixError(f"trace {tr!r} differs from 1")
         if not smallest >= -ZERO_TOL:
             raise NotDensityMatrixError(f"negative eigenvalue {smallest!r}")
-    for asymmetry in linalg._asymmetries(stack):
-        if not asymmetry <= linalg.HERMITIAN_TOL:
-            raise NotDensityMatrixError(f"asymmetry {asymmetry:.3e} exceeds 1e-12")
     return [tuple(spectrum) for spectrum in spectra[:, ::-1].tolist()]
 
 
@@ -82,11 +78,11 @@ def _validated_spectra(stack: np.ndarray) -> list[tuple[float, ...]]:
 class DensityMatrix:
     """Positive semidefinite Hermitian matrix with unit trace.
 
-    Construction checks the trace, the spectrum and Hermiticity; the spectrum
-    that the positivity check computes is kept as ``eigenvalues`` (descending, not
-    part of equality or repr), so no reader decomposes the matrix again.
+    Construction checks the trace and the spectrum of a ``HermitianMatrix``;
+    the spectrum that the positivity check computes is kept as ``eigenvalues``
+    (descending, not part of equality or repr), so no reader decomposes it again.
     One validation serves a single matrix and a stack: ``DensityMatrix(m)``
-    checks a stack of one, and :meth:`stack` checks many matrices of one
+    checks a stack of one, and :meth:`stack` checks many raw matrices of one
     dimension with one ``eigvalsh``, each member by its own slice of it.
     """
 
@@ -99,20 +95,29 @@ class DensityMatrix:
 
     @classmethod
     def stack(cls, entries) -> tuple["DensityMatrix", ...]:
-        """Density matrices from Hermitian matrices of one dimension, given
-        as a sequence or an (n, d, d) array.  Every member passes the checks
-        of ``DensityMatrix(...)``, and the first one that fails raises its
-        error, with the same message."""
-        stack = np.asarray(entries, dtype=complex)
+        """Density matrices from raw matrices of one shape (d, d), d >= 1, given
+        as a sequence or an (n, d, d) array (else ``DimMismatchError`` or
+        ``NonSquareError``), kept as read-only rows of one copy.  Every member
+        passes the checks of ``DensityMatrix(...)``, then is checked Hermitian
+        within 1e-12; the first member that fails raises its error."""
+        if not isinstance(entries, np.ndarray):
+            shapes = list(dict.fromkeys(map(np.shape, entries)))
+            if len(shapes) > 1:
+                raise DimMismatchError(f"member shapes {shapes[0]} and {shapes[1]} differ")
+        stack = np.array(entries, dtype=complex)
         if not len(stack):
             return ()
-        states = []
-        for matrix, spectrum in zip(stack, _validated_spectra(stack)):
-            state = object.__new__(cls)
-            object.__setattr__(state, "matrix", HermitianMatrix(matrix))
+        linalg._check_square(stack.shape[1:])
+        spectra = _validated_spectra(stack)
+        for asymmetry in linalg._asymmetries(stack):
+            if not asymmetry <= linalg.HERMITIAN_TOL:
+                raise NotDensityMatrixError(f"asymmetry {asymmetry:.3e} exceeds 1e-12")
+        stack.setflags(write=False)
+        states = tuple(object.__new__(cls) for _ in spectra)
+        for state, matrix, spectrum in zip(states, stack, spectra):
+            object.__setattr__(state, "matrix", linalg._hermitian(matrix))
             object.__setattr__(state, "eigenvalues", spectrum)
-            states.append(state)
-        return tuple(states)
+        return states
 
     @property
     def dim(self) -> int:
@@ -124,7 +129,7 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Povm:
-    """Hermitian PSD elements, one per distinct outcome label, of one
+    """PSD ``HermitianMatrix`` elements, one per distinct outcome label, of one
     dimension, summing to identity, checked (NaN fails) and kept as one
     read-only (k, d, d) ``stack`` in label order (not part of equality or repr).
     A subclass narrows ``_check_stack``; ``_error`` and ``_noun`` name its failures."""
@@ -150,9 +155,6 @@ class Povm:
         self._check_stack(labels, stack)
         if not float(abs(stack.sum(axis=0) - linalg.eye(dim)).max()) <= ZERO_TOL:
             raise self._error(f"{self._noun}s do not sum to the identity")
-        for label, asymmetry in zip(labels, linalg._asymmetries(stack)):
-            if not asymmetry <= linalg.HERMITIAN_TOL:
-                raise self._error(f"{self._noun} {label} is not Hermitian ({asymmetry:.2e})")
         object.__setattr__(self, "stack", stack)
 
     def _check_stack(self, labels: list[str], stack: np.ndarray) -> None:
@@ -258,7 +260,7 @@ def mix_states(weights: Sequence[float], states: Sequence[DensityMatrix]) -> Den
         if state.dim != dim:
             raise DimMismatchError(f"state dims {state.dim} != {dim}")
         acc += w * state.matrix.entries
-    return DensityMatrix(HermitianMatrix(acc))
+    return DensityMatrix(linalg._hermitian(acc))
 
 
 def outcome_probability(rho: DensityMatrix, element: HermitianMatrix) -> float:
@@ -302,7 +304,7 @@ def apply_unitary(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
     if not linalg.is_unitary(u):
         raise NotUnitaryError("matrix fails U+U = I within 1e-10")
     rotated = u @ rho.matrix.entries @ u.conj().T
-    return DensityMatrix(HermitianMatrix((rotated + rotated.conj().T) / 2))
+    return DensityMatrix(linalg._hermitian((rotated + rotated.conj().T) / 2))
 
 
 def are_orthogonal(phi: DensityMatrix, psi: DensityMatrix) -> OrthogonalityCheck:
@@ -368,7 +370,7 @@ def _span_projectors(vectors: np.ndarray, groups) -> list[HermitianMatrix]:
     of |v><v| over its rows; every |v><v| comes from one broadcast multiply."""
     outer = vectors[:, :, None] * vectors[:, None, :].conj()
     sums = np.array([outer[group[0]:group[-1] + 1].sum(axis=0) for group in groups])
-    return [HermitianMatrix(m) for m in (sums + sums.conj().swapaxes(1, 2)) / 2]
+    return [linalg._hermitian(m) for m in (sums + sums.conj().swapaxes(1, 2)) / 2]
 
 
 def _positive_part(decomp: SpectralDecomposition):

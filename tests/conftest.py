@@ -75,7 +75,7 @@ def alpha_minus():
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> linalg.HermitianMatrix:
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return linalg.make_hermitian((m + m.conj().T) / 2)
+    return linalg.HermitianMatrix((m + m.conj().T) / 2)
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -93,7 +93,7 @@ def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) 
     for k in range(rank):
         v = u[:, k]
         acc += weights[k] * np.outer(v, v.conj())
-    return DensityMatrix(linalg.make_hermitian(acc))
+    return DensityMatrix(linalg.HermitianMatrix(acc))
 
 
 def random_bag(rng: np.random.Generator, names: list[str]) -> ClassicalContents:
@@ -110,7 +110,7 @@ def _mixture_on_columns(columns: np.ndarray, rng: np.random.Generator) -> Densit
     acc = np.zeros((columns.shape[0], columns.shape[0]), dtype=complex)
     for k in range(count):
         acc += weights[k] * np.outer(columns[:, k], columns[:, k].conj())
-    return DensityMatrix(linalg.make_hermitian(acc))
+    return DensityMatrix(linalg.HermitianMatrix(acc))
 
 
 def random_orthogonal_pair(rng: np.random.Generator, dim: int):
@@ -158,7 +158,7 @@ def random_distinguishing_config(rng: np.random.Generator, dim: int):
             acc = np.zeros((dim, dim), dtype=complex)
             for m in range(len(cols)):
                 acc += coeffs[i, m] * np.outer(basis[:, m], basis[:, m].conj())
-            elements.append((f"{prefix}{i}", linalg.make_hermitian(acc)))
+            elements.append((f"{prefix}{i}", linalg.HermitianMatrix(acc)))
         return elements
 
     e_side = side_elements(psi_side_cols, "E")

@@ -47,7 +47,7 @@ def _pass(num: int, text: str) -> None:
 
 
 def test_criterion_01_blend_eigenstructure():
-    lam = linalg.make_hermitian(np.array([[3.0, 1.0], [1.0, 1.0]]) / 4.0)
+    lam = linalg.HermitianMatrix(np.array([[3.0, 1.0], [1.0, 1.0]]) / 4.0)
     decomp = linalg.eig_hermitian(lam)
     assert decomp.eigenvalues[0] == pytest.approx(0.8535533906, abs=1e-9)
     assert decomp.eigenvalues[1] == pytest.approx(0.1464466094, abs=1e-9)

@@ -120,7 +120,7 @@ class TestMix:
         assert heat == pytest.approx(LN2, abs=1e-12)
         assert merged.volume == pytest.approx(1.0)
         assert merged.particles == pytest.approx(1.0)
-        tau = linalg.make_hermitian(
+        tau = linalg.HermitianMatrix(
             0.5 * linalg.tensor(spin.z_plus(), spin.z_plus()).entries
             + 0.5 * linalg.tensor(spin.x_plus(), spin.z_minus()).entries
         )
@@ -137,7 +137,7 @@ class TestMix:
         # tr(phi psi) = eps lies on either side of the 1e-10 tolerance; the
         # statistics predicate, the contents check and a separating mix agree.
         phi = DensityMatrix(spin.z_plus())
-        psi = DensityMatrix(linalg.make_hermitian(np.diag([eps, 1.0 - eps])))
+        psi = DensityMatrix(linalg.HermitianMatrix(np.diag([eps, 1.0 - eps])))
         orthogonal = bool(are_orthogonal(phi, psi))
         assert orthogonal == (eps < 1e-10)
         a, b = QuantumContents(phi), QuantumContents(psi)

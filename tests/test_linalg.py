@@ -15,9 +15,9 @@ from qgas.errors import (
     NotNormalizedError,
 )
 from qgas.linalg import (
+    HermitianMatrix,
     eig_hermitian,
     identity,
-    make_hermitian,
     make_vector,
     partial_trace,
     projector_from_vector,
@@ -31,20 +31,20 @@ from qgas.statistics import DensityMatrix, eigen_instrument
 
 def tau_matrix() -> linalg.HermitianMatrix:
     """Half |z+ z+> and half |x+ z-> as one four-level matrix."""
-    return make_hermitian(
+    return HermitianMatrix(
         0.5 * tensor(spin.z_plus(), spin.z_plus()).entries
         + 0.5 * tensor(spin.x_plus(), spin.z_minus()).entries
     )
 
 
-class TestMakeHermitian:
+class TestHermitianMatrix:
     def test_z_plus_matrix(self):
-        m = make_hermitian([[1, 0], [0, 0]])
+        m = HermitianMatrix([[1, 0], [0, 0]])
         assert np.array_equal(m.entries, np.diag([1.0 + 0j, 0.0]))
 
     def test_antisymmetric_imaginary_rejected(self):
         with pytest.raises(NotHermitianError):
-            make_hermitian([[0, 1j], [1j, 0]])
+            HermitianMatrix([[0, 1j], [1j, 0]])
 
     def test_four_level_blend_accepted(self):
         m = tau_matrix()
@@ -53,15 +53,23 @@ class TestMakeHermitian:
 
     def test_rectangular_rejected(self):
         with pytest.raises(NonSquareError):
-            make_hermitian([[1, 0, 0], [0, 1, 0]])
+            HermitianMatrix([[1, 0, 0], [0, 1, 0]])
 
     def test_nan_rejected(self):
         with pytest.raises(NonFiniteError):
-            make_hermitian([[np.nan, 0], [0, 1]])
+            HermitianMatrix([[np.nan, 0], [0, 1]])
 
     def test_tiny_asymmetry_symmetrized(self):
-        m = make_hermitian([[1, 1e-13j], [0, 1]])
+        m = HermitianMatrix([[1, 1e-13j], [0, 1]])
         assert np.allclose(m.entries, m.entries.conj().T)
+
+    def test_a_later_write_to_the_source_does_not_reach_the_matrix(self):
+        source = np.eye(2, dtype=complex) / 2
+        m = HermitianMatrix(source)
+        source[0, 1] = 5
+        assert np.array_equal(m.entries, np.eye(2) / 2)
+        with pytest.raises(ValueError):
+            m.entries[0, 0] = 1
 
 
 class TestTraceProduct:
@@ -105,13 +113,13 @@ class TestPartialTrace:
 
     def test_blend_reduces_to_lambda(self):
         # Hand-computed: tracing the second factor leaves z+/2 + x+/2.
-        lam = make_hermitian(np.array([[3, 1], [1, 1]]) / 4)
+        lam = HermitianMatrix(np.array([[3, 1], [1, 1]]) / 4)
         assert partial_trace(tau_matrix(), (2, 2), "first").isclose(lam, 1e-12)
 
     def test_maximally_mixed(self):
-        i4 = make_hermitian(np.eye(4) / 4)
+        i4 = HermitianMatrix(np.eye(4) / 4)
         assert partial_trace(i4, (2, 2), "first").isclose(
-            make_hermitian(np.eye(2) / 2), 1e-12
+            HermitianMatrix(np.eye(2) / 2), 1e-12
         )
 
     def test_factor_mismatch(self):
@@ -128,7 +136,7 @@ class TestPartialTrace:
 
 class TestEig:
     def test_blend_eigensystem(self):
-        lam = make_hermitian(np.array([[3, 1], [1, 1]]) / 4)
+        lam = HermitianMatrix(np.array([[3, 1], [1, 1]]) / 4)
         decomp = eig_hermitian(lam)
         assert decomp.eigenvalues[0] == pytest.approx(P_PLUS, abs=1e-12)
         assert decomp.eigenvalues[1] == pytest.approx(P_MINUS, abs=1e-12)
@@ -137,20 +145,20 @@ class TestEig:
             assert abs(vec.inner(ref)) == pytest.approx(1.0, abs=1e-12)
 
     def test_already_diagonal(self):
-        decomp = eig_hermitian(make_hermitian(np.diag([1.0, 0.0])))
+        decomp = eig_hermitian(HermitianMatrix(np.diag([1.0, 0.0])))
         assert decomp.eigenvalues == (1.0, 0.0)
         assert np.allclose(decomp.eigenvectors[0].amplitudes, [1, 0])
         assert np.allclose(decomp.eigenvectors[1].amplitudes, [0, 1])
 
     def test_degenerate_pair_satisfies_invariants_only(self):
-        decomp = eig_hermitian(make_hermitian(np.eye(2) / 2))
+        decomp = eig_hermitian(HermitianMatrix(np.eye(2) / 2))
         assert decomp.eigenvalues == (0.5, 0.5)
         basis = np.column_stack([v.amplitudes for v in decomp.eigenvectors])
         assert np.allclose(basis.conj().T @ basis, np.eye(2), atol=1e-9)
 
         # A 2-fold cluster in a non-diagonal d = 4 matrix.
         u = random_unitary(np.random.default_rng(13), 4)
-        rho = make_hermitian(u @ np.diag([0.4, 0.3, 0.3, 0.0]) @ u.conj().T)
+        rho = HermitianMatrix(u @ np.diag([0.4, 0.3, 0.3, 0.0]) @ u.conj().T)
         decomp = eig_hermitian(rho)
         assert np.allclose(decomp.eigenvalues, [0.4, 0.3, 0.3, 0.0], atol=1e-12)
         assert decomp.clusters() == [[0], [1, 2], [3]]
@@ -191,7 +199,7 @@ class TestProjector:
         assert projector_from_vector(v).isclose(spin.x_plus(), 1e-15)
 
     def test_alpha_plus_matrix(self):
-        expected = make_hermitian(
+        expected = HermitianMatrix(
             np.array([[2 + np.sqrt(2), np.sqrt(2)], [np.sqrt(2), 2 - np.sqrt(2)]]) / 4
         )
         assert projector_from_vector(spin.alpha_plus_ket()).isclose(expected, 1e-12)
@@ -215,7 +223,7 @@ def hermitian_matrices(draw, dims=(2, 3, 4)):
     real = draw(st.lists(finite, min_size=dim * dim, max_size=dim * dim))
     imag = draw(st.lists(finite, min_size=dim * dim, max_size=dim * dim))
     m = np.array(real).reshape(dim, dim) + 1j * np.array(imag).reshape(dim, dim)
-    return make_hermitian((m + m.conj().T) / 2)
+    return HermitianMatrix((m + m.conj().T) / 2)
 
 
 class TestInvariants:
@@ -258,7 +266,7 @@ class TestInvariants:
     @given(hermitian_matrices())
     def test_trace_product_psd_nonnegative(self, h):
         # h^2 is PSD for Hermitian h; tr((h^2)(h^2)) >= 0.
-        square = make_hermitian(h.entries @ h.entries)
+        square = HermitianMatrix(h.entries @ h.entries)
         assert trace_product(square, square) >= -1e-12
 
     @given(hermitian_matrices(dims=(2, 3)), hermitian_matrices(dims=(2, 3)))
@@ -358,10 +366,12 @@ class TestBitIdentityWithNumpyHelpers:
     @given(square_pairs())
     def test_kron_and_tensor_match_np_kron(self, pair):
         a, b = pair
-        expected = np.kron(a, b)
-        assert identical(linalg.kron(a, b), expected)
-        product = tensor(linalg.HermitianMatrix(a), linalg.HermitianMatrix(b)).entries
-        assert identical(product, expected)
+        assert identical(linalg.kron(a, b), np.kron(a, b))
+        # tensor takes Hermitian factors, and the checked constructor keeps the
+        # product symmetrised.
+        a, b = (HermitianMatrix((m + m.conj().T) / 2) for m in pair)
+        expected = np.kron(a.entries, b.entries)
+        assert identical(tensor(a, b).entries, (expected + expected.conj().T) / 2)
 
     @given(st.integers(1, 4), st.integers(1, 4), st.data())
     def test_tensor_vector_matches_np_kron(self, d1, d2, data):
@@ -404,12 +414,15 @@ class TestBitIdentityWithNumpyHelpers:
             "dims 2 and 3",
         ),
         (lambda: make_vector([np.nan, 1]), NonFiniteError, "vector amplitudes must be finite"),
-        (lambda: make_hermitian(np.zeros((0, 0))), NonSquareError, "dimension must be at least 1"),
+        (lambda: HermitianMatrix(np.zeros((0, 0))), NonSquareError, "dimension must be at least 1"),
+        (lambda: identity(0), NonSquareError, "dimension must be at least 1"),
+        (lambda: HermitianMatrix(np.zeros((2, 3))), NonSquareError, "shape (2, 3) is not square"),
+        (lambda: HermitianMatrix(np.ones(2)), NonSquareError, "shape (2,) is not square"),
+        (lambda: identity(2) * np.nan, NonFiniteError, "matrix entries must be finite"),
         (
-            # Raw operands that are not Hermitian: tr(AB) = 1j.
-            lambda: trace_product(
-                linalg.HermitianMatrix(np.array([[0, 1], [0, 0]])),
-                linalg.HermitianMatrix(np.array([[0, 0], [1j, 0]])),
+            # A raw stack member that is not Hermitian: tr(sigma_x B) = 1j.
+            lambda: linalg.trace_products(
+                HermitianMatrix(np.array([[0, 1], [1, 0]])), np.array([[[0, 0], [1j, 0]]])
             ),
             NotHermitianError,
             "trace product residue 1.000e+00",
@@ -420,8 +433,8 @@ class TestBitIdentityWithNumpyHelpers:
             "keep must be 'first' or 'second'",
         ),
     ],
-    ids=["add-dims", "sub-dims", "inner-dims", "nan-ket", "empty-matrix", "imaginary-residue",
-         "keep-third"],
+    ids=["add-dims", "sub-dims", "inner-dims", "nan-ket", "empty-matrix", "identity-0",
+         "two-by-three", "one-dimensional", "nan-product", "imaginary-residue", "keep-third"],
 )
 def test_input_checks(call, cls, message):
     with pytest.raises(cls) as err:

@@ -41,7 +41,7 @@ class TestViewContents:
         )
 
     def test_blend_reduces_to_lambda(self):
-        lam = linalg.make_hermitian(np.array([[3, 1], [1, 1]]) / 4)
+        lam = linalg.HermitianMatrix(np.array([[3, 1], [1, 1]]) / 4)
         assert contents_equal(view_contents(TATIANA, tau_contents()), quantum((1.0, lam)))
 
     def test_full_observer_sees_truth(self):
@@ -190,7 +190,7 @@ class TestWillardPovm:
         for _ in range(10):
             rho = random_density(rng, 2)
             diag = rng.uniform(0.1, 1.0, size=2)
-            sigma = linalg.make_hermitian(np.diag(diag / diag.sum()))
+            sigma = linalg.HermitianMatrix(np.diag(diag / diag.sum()))
             lifted = linalg.tensor(rho.matrix, sigma)
             assert linalg.trace_product(e_plus, lifted) == pytest.approx(
                 linalg.trace_product(spin.alpha_plus(), rho.matrix), abs=1e-12

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import random_unitary
 from qgas.errors import QuantumGasError
-from qgas.linalg import make_hermitian
+from qgas.linalg import HermitianMatrix
 from qgas.statistics import (
     PROBABILITY_FLOOR,
     RESOLUTION_BOUND,
@@ -46,14 +46,14 @@ def separation(seed: int, dim: int, rank: int, components: int, p: float):
     proj = inside @ inside.conj().T
     proj = (proj + proj.conj().T) / 2
     instrument = ProjectiveInstrument(
-        (("in", make_hermitian(proj)), ("out", make_hermitian(np.eye(dim) - proj)))
+        (("in", HermitianMatrix(proj)), ("out", HermitianMatrix(np.eye(dim) - proj)))
     )
     rho = np.zeros((dim, dim), dtype=complex)
     for weight in rng.dirichlet(np.ones(components)):
         psi = math.sqrt(p) * inside @ _unit(rng, rank)
         psi += math.sqrt(1 - p) * outside @ _unit(rng, dim - rank)
         rho += weight * np.outer(psi, psi.conj())
-    return DensityMatrix(make_hermitian((rho + rho.conj().T) / 2)), instrument
+    return DensityMatrix(HermitianMatrix((rho + rho.conj().T) / 2)), instrument
 
 
 @settings(max_examples=500)

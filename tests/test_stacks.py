@@ -80,7 +80,7 @@ def cluster_projector(u: np.ndarray, columns) -> np.ndarray:
 
 def instrument_elements(u, clusters):
     return tuple(
-        (f"p{i}", linalg.make_hermitian(cluster_projector(u, c))) for i, c in enumerate(clusters)
+        (f"p{i}", linalg.HermitianMatrix(cluster_projector(u, c))) for i, c in enumerate(clusters)
     )
 
 
@@ -93,7 +93,7 @@ class TestInstrumentEquivalence:
         # A state of random rank, so outcomes below the floor occur too.
         v = random_unitary(rng, dim)[:, : int(rng.integers(1, dim + 1))]
         weights = rng.uniform(0.1, 1.0, size=v.shape[1])
-        rho = DensityMatrix(linalg.make_hermitian((v * (weights / weights.sum())) @ v.conj().T))
+        rho = DensityMatrix(linalg.HermitianMatrix((v * (weights / weights.sum())) @ v.conj().T))
         instrument = ProjectiveInstrument(instrument_elements(u, clusters))
         dist = apply_instrument(rho, instrument)
         assert [o.label for o in dist.outcomes] == list(instrument.labels)
@@ -114,7 +114,7 @@ class TestInstrumentEquivalence:
         # One distinct eigenvalue per cluster, so each cluster is one projector.
         values = np.cumsum(gaps[: len(clusters)])[::-1]
         spectrum = np.concatenate([[values[i]] * len(c) for i, c in enumerate(clusters)])
-        rho = DensityMatrix(linalg.make_hermitian((u * (spectrum / spectrum.sum())) @ u.conj().T))
+        rho = DensityMatrix(linalg.HermitianMatrix((u * (spectrum / spectrum.sum())) @ u.conj().T))
         decomp = linalg.eig_hermitian(rho.matrix)
         instrument = eigen_instrument(rho)
         assert len(instrument.elements) == len(decomp.clusters()) == len(clusters)
@@ -138,7 +138,7 @@ class TestInstrumentEquivalence:
         label = good[i][0]
         corrupted = {
             "not idempotent": (label, good[i][1] * 0.5),
-            "not summing to I": (label, linalg.make_hermitian(np.zeros((dim, dim)))),
+            "not summing to I": (label, linalg.HermitianMatrix(np.zeros((dim, dim)))),
         }
         if i > 0:  # the first element sets the dimension
             corrupted["mismatched dim"] = (label, linalg.identity(dim // 2))
@@ -150,7 +150,7 @@ class TestInstrumentEquivalence:
             tilted = u.copy()
             tilted[:, b] = (u[:, b] + u[:, a]) / np.sqrt(2)
             corrupted["overlap"] = (
-                good[j][0], linalg.make_hermitian(cluster_projector(tilted, clusters[j]))
+                good[j][0], linalg.HermitianMatrix(cluster_projector(tilted, clusters[j]))
             )
         cases = {kind: dict([change]) for kind, change in corrupted.items()}
         if k > 1:
@@ -177,8 +177,8 @@ class TestInstrumentEquivalence:
         v = u[:, clusters[i][:1]]
         moved = (1.0 + excess) * (v @ v.conj().T)
         elements = list(instrument_elements(u, clusters))
-        elements[i] = (elements[i][0], linalg.make_hermitian(elements[i][1].entries - moved))
-        elements[j] = (elements[j][0], linalg.make_hermitian(elements[j][1].entries + moved))
+        elements[i] = (elements[i][0], linalg.HermitianMatrix(elements[i][1].entries - moved))
+        elements[j] = (elements[j][0], linalg.HermitianMatrix(elements[j][1].entries + moved))
         expected = failure(lambda e: pairwise_check(e, projective=False), tuple(elements))
         assert expected[0] is NotPovmError
         assert failure(Povm, tuple(elements)) == expected

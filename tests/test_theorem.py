@@ -85,11 +85,11 @@ class TestConverseDirection:
         assert is_one_shot_distinguishing(povm, grouping, alpha_plus, alpha_minus)
 
     def test_rank_two_support(self):
-        phi = DensityMatrix(linalg.make_hermitian(np.diag([0.5, 0.5, 0.0, 0.0])))
-        psi = DensityMatrix(linalg.make_hermitian(np.diag([0.0, 0.0, 1.0, 0.0])))
+        phi = DensityMatrix(linalg.HermitianMatrix(np.diag([0.5, 0.5, 0.0, 0.0])))
+        psi = DensityMatrix(linalg.HermitianMatrix(np.diag([0.0, 0.0, 1.0, 0.0])))
         povm, grouping = distinguishing_povm_from_orthogonal(phi, psi)
         assert povm.element("E").isclose(
-            linalg.make_hermitian(np.diag([1.0, 1.0, 0.0, 0.0])), 1e-10
+            linalg.HermitianMatrix(np.diag([1.0, 1.0, 0.0, 0.0])), 1e-10
         )
         assert is_one_shot_distinguishing(povm, grouping, phi, psi)
 

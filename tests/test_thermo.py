@@ -61,7 +61,7 @@ class TestContentsEqual:
     def test_decompositions_of_same_matrix(self):
         zz = linalg.tensor(spin.z_plus(), spin.z_plus())
         xz = linalg.tensor(spin.x_plus(), spin.z_minus())
-        tau = linalg.make_hermitian(0.5 * zz.entries + 0.5 * xz.entries)
+        tau = linalg.HermitianMatrix(0.5 * zz.entries + 0.5 * xz.entries)
         assert contents_equal(quantum((0.5, zz), (0.5, xz)), quantum((1.0, tau)))
 
     def test_classical_merge_is_not_identity(self):
