@@ -9,7 +9,7 @@ deterministic eigenvector phase convention for reproducible runs.
 Tolerance policy: inputs are validated at 1e-12 (HERMITIAN_TOL) while
 derived quantities are trusted to 1e-9 (DERIVED_TOL), two decades of slack
 between input exactness and accumulated arithmetic.  A ``HermitianMatrix``
-checks its entries as it is built, except the few results that
+checks its entries as it is built, except the few symmetrised results that
 ``_hermitian`` wraps because they derive only from checked values.
 
 At these sizes numpy's Python-level N-d helpers (``np.kron``, ``np.outer``,
@@ -53,7 +53,8 @@ class HermitianMatrix:
         if not np.isfinite(arr).all():
             raise NonFiniteError("matrix entries must be finite")
         _check_square(arr.shape)
-        if (asym := _asymmetries(arr[None])[0]) > HERMITIAN_TOL:
+        (asym,) = _asymmetries(arr[None])
+        if asym > HERMITIAN_TOL:
             raise NotHermitianError(f"asymmetry {asym:.3e} exceeds 1e-12")
         arr = (arr + arr.conj().T) / 2
         arr.setflags(write=False)
@@ -82,10 +83,15 @@ class HermitianMatrix:
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, HermitianMatrix) and np.array_equal(self.entries, other.entries)
+        return (
+            isinstance(other, HermitianMatrix)
+            and np.array_equal(self.entries, other.entries)
+        )
 
     def isclose(self, other: "HermitianMatrix", tol: float = DERIVED_TOL) -> bool:
-        return self.dim == other.dim and float(abs(self.entries - other.entries).max()) <= tol
+        if self.dim != other.dim:
+            return False
+        return float(abs(self.entries - other.entries).max()) <= tol
 
     def __repr__(self) -> str:
         return f"HermitianMatrix(dim={self.dim})"
@@ -146,8 +152,8 @@ def make_vector(amplitudes) -> StateVector:
 
 
 def _hermitian(arr: np.ndarray) -> HermitianMatrix:
-    """Wrap, read-only and with no check or copy, an array computed only from
-    checked states, unit kets or orthonormal vectors, so Hermitian and finite."""
+    """Wrap, read-only and with no check or copy, a symmetrised array computed
+    only from checked matrices, unit kets or orthonormal vectors."""
     arr.setflags(write=False)
     matrix = object.__new__(HermitianMatrix)
     object.__setattr__(matrix, "entries", arr)

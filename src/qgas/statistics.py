@@ -97,14 +97,16 @@ class DensityMatrix:
     def stack(cls, entries) -> tuple["DensityMatrix", ...]:
         """Density matrices from raw matrices of one shape (d, d), d >= 1, given
         as a sequence or an (n, d, d) array (else ``DimMismatchError`` or
-        ``NonSquareError``), kept as read-only rows of one copy.  Every member
-        passes the checks of ``DensityMatrix(...)``, then is checked Hermitian
-        within 1e-12; the first member that fails raises its error."""
+        ``NonSquareError``).  Every member passes the checks of
+        ``DensityMatrix(...)``, then is checked Hermitian within 1e-12; the
+        first member that fails raises its error.  The members are read-only
+        rows of one symmetrised copy of the stack."""
         if not isinstance(entries, np.ndarray):
+            entries = list(entries)
             shapes = list(dict.fromkeys(map(np.shape, entries)))
             if len(shapes) > 1:
                 raise DimMismatchError(f"member shapes {shapes[0]} and {shapes[1]} differ")
-        stack = np.array(entries, dtype=complex)
+        stack = np.asarray(entries, dtype=complex)
         if not len(stack):
             return ()
         linalg._check_square(stack.shape[1:])
@@ -112,12 +114,15 @@ class DensityMatrix:
         for asymmetry in linalg._asymmetries(stack):
             if not asymmetry <= linalg.HERMITIAN_TOL:
                 raise NotDensityMatrixError(f"asymmetry {asymmetry:.3e} exceeds 1e-12")
+        stack = (stack + stack.conj().swapaxes(1, 2)) / 2
         stack.setflags(write=False)
-        states = tuple(object.__new__(cls) for _ in spectra)
-        for state, matrix, spectrum in zip(states, stack, spectra):
+        states = []
+        for matrix, spectrum in zip(stack, spectra):
+            state = object.__new__(cls)
             object.__setattr__(state, "matrix", linalg._hermitian(matrix))
             object.__setattr__(state, "eigenvalues", spectrum)
-        return states
+            states.append(state)
+        return tuple(states)
 
     @property
     def dim(self) -> int:
