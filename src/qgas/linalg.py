@@ -10,7 +10,9 @@ Tolerance policy: inputs are validated at 1e-12 (HERMITIAN_TOL) while
 derived quantities are trusted to 1e-9 (DERIVED_TOL), two decades of slack
 between input exactness and accumulated arithmetic.  A ``HermitianMatrix``
 checks its entries as it is built, except the few symmetrised results that
-``_hermitian`` wraps because they derive only from checked values.
+``_hermitian`` wraps because they derive only from checked values; a
+``StateVector`` checks its amplitudes likewise, except the eigenvectors and
+ket products that ``_ket`` wraps.
 
 At these sizes numpy's Python-level N-d helpers (``np.kron``, ``np.outer``,
 ``np.linalg.norm``, ``np.max``, ``np.all``, ``np.stack``) cost more than
@@ -99,12 +101,20 @@ class HermitianMatrix:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Unit-norm complex vector (a ket)."""
+    """Unit-norm complex vector (a ket), checked finite, one-dimensional and
+    of norm 1 within 1e-12 as it is built, and kept in a read-only array."""
 
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         arr = np.array(self.amplitudes, dtype=complex)
+        if not np.isfinite(arr).all():
+            raise NonFiniteError("vector amplitudes must be finite")
+        if arr.ndim != 1:
+            raise DimMismatchError(f"shape {arr.shape} is not one-dimensional")
+        norm = _norm(arr)
+        if abs(norm - 1.0) > HERMITIAN_TOL:
+            raise NotNormalizedError(f"norm {norm!r} differs from 1 beyond 1e-12")
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 
@@ -141,14 +151,18 @@ class SpectralDecomposition:
 
 
 def make_vector(amplitudes) -> StateVector:
-    """Validate and wrap a ket; norm must be 1 within 1e-12."""
-    arr = np.array(amplitudes, dtype=complex).reshape(-1)
-    if not np.isfinite(arr).all():
-        raise NonFiniteError("vector amplitudes must be finite")
-    norm = _norm(arr)
-    if abs(norm - 1.0) > HERMITIAN_TOL:
-        raise NotNormalizedError(f"norm {norm!r} differs from 1 beyond 1e-12")
-    return StateVector(arr)
+    """Validate and wrap a ket given in any shape, read flat; norm must be 1
+    within 1e-12."""
+    return StateVector(np.asarray(amplitudes, dtype=complex).reshape(-1))
+
+
+def _ket(arr: np.ndarray) -> StateVector:
+    """Wrap, read-only and with no check or copy, a unit vector computed only
+    from checked kets or by the eigensolver."""
+    arr.setflags(write=False)
+    ket = object.__new__(StateVector)
+    object.__setattr__(ket, "amplitudes", arr)
+    return ket
 
 
 def _hermitian(arr: np.ndarray) -> HermitianMatrix:
@@ -221,7 +235,7 @@ def tensor(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
 
 def tensor_vector(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product of kets, same index convention as :func:`tensor`."""
-    return StateVector(kron(a.amplitudes, b.amplitudes))
+    return _ket(kron(a.amplitudes, b.amplitudes))
 
 
 def partial_trace(
@@ -283,7 +297,7 @@ def eig_hermitian(h: HermitianMatrix) -> SpectralDecomposition:
     """
     values, vectors = np.linalg.eigh(h.entries)
     order = np.argsort(-values, kind="stable")
-    kets = tuple(StateVector(_fix_phase(vectors[:, k])) for k in order)
+    kets = tuple(_ket(_fix_phase(vectors[:, k])) for k in order)
     return SpectralDecomposition(tuple(float(values[k]) for k in order), kets)
 
 

@@ -2,15 +2,20 @@
 
 One statement per line, `#` starts a comment, tokens are separated by
 whitespace or punctuation.  Every diagnostic carries the 1-based line and
-column of the offending token.  Statement keywords are matched exactly, in
-uppercase; a number must be finite (`1e999` is rejected where it is
-written); chamber and partition fractions must exceed 1e-9, the tolerance
-within which chamber fractions must sum to 1.  No script asks for more
-than ``ast.MAX_DIM`` (32): a larger HEADER dim, ket or DEFINE_INSTRUMENT line
-is rejected at the token that asks (and by semantics a larger tensor product,
-at its expression); library calls are not bounded.  OBSERVER lines
-become :class:`~qgas.observers.Observer` values on the header, and chambers
-are declared before the first statement of ``ast.OPERATIONS``.
+column of the offending token.  A well-formed ket body, from the `(` right
+after the name `ket` through its `)`, holding 1 to ``ast.MAX_DIM`` finite
+complex literals, is one KET token whose value is the amplitudes.  Any
+other body is lexed token by token, and only that token path reports
+errors, so a malformed ket gets the same diagnostic at the same column
+either way.  Statement keywords are matched exactly, in uppercase; a number
+must be finite (`1e999` is rejected where it is written); chamber and
+partition fractions must exceed 1e-9, the tolerance within which chamber
+fractions must sum to 1.  No script asks for more than ``ast.MAX_DIM``
+(32): a larger HEADER dim, ket or DEFINE_INSTRUMENT line is rejected at the
+token that asks (and by semantics a larger tensor product, at its
+expression); library calls are not bounded.  OBSERVER lines become
+:class:`~qgas.observers.Observer` values on the header, and chambers are
+declared before the first statement of ``ast.OPERATIONS``.
 
 Grammar sketch (one statement per line):
 
@@ -43,6 +48,7 @@ no identity(n).
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 import string
@@ -59,13 +65,24 @@ from ..observers import Observer
 from . import ast
 
 _CONSTRUCTORS = {"ket", "proj", "mix", "tensor", "identity", "rotate_to"}
-# Splitting a line on this pattern gives [gap, token, gap, ..., token, gap],
+# Splitting a line on _TOKEN_RE gives [gap, token, gap, ..., token, gap],
 # where every gap is whitespace.  The alternatives, in priority order: `#`
-# (the rest is a comment), eigenbasis-of, ->, ~= or ≈, a NUMBER, a NAME, and
-# any other single character, which is a punctuation token or an error.
-_TOKEN_RE = re.compile(
-    r"(#|eigenbasis-of|->|~=|≈|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?i?"
-    r"|[A-Za-z_][A-Za-z0-9_/]*|\S)"
+# (the rest is a comment), eigenbasis-of, ->, ~= or ≈, a NUMBER, a NAME, a
+# KET lexeme, and any other single character, which is a punctuation token
+# or an error.  _TOKEN_PATH_RE is the same without the KET lexeme.
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_TOKENS = rf"#|eigenbasis-of|->|~=|≈|{_NUMBER}i?|[A-Za-z_][A-Za-z0-9_/]*"
+# A KET lexeme runs from a `(` that ends the name `ket` (not a longer name)
+# through the first `)`, with no `(` between.  _AMPLITUDE_RE reads it as a
+# run of `(` or `,` each followed by one amplitude, [sign] NUMBER [i | (+|-)
+# NUMBER i], with gaps where the token path allows them; its last group
+# catches a character that does not fit, and then the line is lexed again by
+# the token path.
+_KET = r"\((?<=ket\()(?<![A-Za-z0-9_/]ket\()[^()]*\)"
+_TOKEN_RE = re.compile(rf"({_TOKENS}|{_KET}|\S)")
+_TOKEN_PATH_RE = re.compile(rf"({_TOKENS}|\S)")
+_AMPLITUDE_RE = re.compile(
+    rf"[(,]\s*(?:([+-])\s*)?({_NUMBER})(?:(i)|\s*([+-])\s*({_NUMBER})i)?\s*|([^)])"
 )
 # Kinds of the tokens that are spelled one way; punctuation is its own kind.
 _FIXED_KINDS = {"eigenbasis-of": "EIG", "->": "->", "~=": "~", "≈": "~"}
@@ -81,19 +98,43 @@ _NORMAL_NKT = "particles whose product with the temperature is a finite normal f
 
 
 class Token(NamedTuple):
-    kind: str  # NAME NUMBER ( ) , * + - = -> ~ EIG EOL
+    kind: str  # NAME NUMBER KET ( ) , * + - = -> ~ EIG EOL
     text: str
     line: int
     col: int
-    value: float = 0.0
+    value: float | tuple[complex, ...] = 0.0  # a KET's value is its amplitudes
     imaginary: bool = False
 
 
-def _tokenize_line(text: str, line_no: int) -> list[Token]:
+def _ket_amplitudes(lexeme: str) -> tuple[complex, ...] | None:
+    """The amplitudes of a KET lexeme, by :func:`_complex_literal`'s
+    arithmetic, or None unless it is a well-formed body of at most MAX_DIM
+    finite amplitudes (a part is infinite only if its number overflowed)."""
+    amplitudes = []
+    for sign, number, imaginary, connector, imag_number, stray in _AMPLITUDE_RE.findall(lexeme):
+        if stray:
+            return None
+        value = -float(number) if sign == "-" else float(number)
+        if imaginary:
+            amplitude = complex(0.0, value)
+        else:
+            amplitude = complex(value, 0.0)
+            if connector:
+                imag = float(imag_number)
+                amplitude += complex(0.0, imag if connector == "+" else -imag)
+        amplitudes.append(amplitude)
+    if len(amplitudes) > ast.MAX_DIM or not all(map(cmath.isfinite, amplitudes)):
+        return None
+    return tuple(amplitudes)
+
+
+def _tokenize_line(text: str, line_no: int, pattern: re.Pattern | None = None) -> list[Token]:
+    """The tokens of a line.  ``pattern`` is given only to lex a line again by
+    the token path when a KET lexeme is not a well-formed ket body."""
     # tuple.__new__ builds each Token without the NamedTuple's Python-level __new__.
     tokens: list[Token] = []
     col = 1
-    parts = iter(_TOKEN_RE.split(text))
+    parts = iter((pattern or _TOKEN_RE).split(text))
     for gap, raw in zip(parts, parts):
         col += len(gap)
         kind = _FIXED_KINDS.get(raw)
@@ -103,6 +144,11 @@ def _tokenize_line(text: str, line_no: int) -> list[Token]:
             tokens.append(_tuple_new(Token, (kind, raw, line_no, col, 0.0, False)))
         elif raw == "#":
             break
+        elif raw[0] == "(":  # a KET lexeme, the only other token starting so
+            amplitudes = _ket_amplitudes(raw)
+            if amplitudes is None:
+                return _tokenize_line(text, line_no, _TOKEN_PATH_RE)
+            tokens.append(_tuple_new(Token, ("KET", raw, line_no, col, amplitudes, False)))
         elif len(raw) > 1 or raw.isdecimal():  # NUMBER, the only other multi-char kind
             imaginary = raw[-1] == "i"
             value = float(raw[:-1] if imaginary else raw)
@@ -347,6 +393,10 @@ class _Parser:
             return ast.EigenbasisExpr(inner, line=eig.line, col=eig.col)
         token = cur.expect("NAME", "an expression")
         word = token.text
+        if word == "ket":
+            lexeme = cur.accept("KET")
+            if lexeme is not None:
+                return ast.KetExpr(lexeme.value, line=token.line, col=token.col)
         if word in _CONSTRUCTORS:
             cur.expect("(")
             if word == "ket":

@@ -33,6 +33,7 @@ from . import linalg
 from .errors import (
     DimMismatchError,
     InvalidPartitionError,
+    NonSquareError,
     NotConvexError,
     NotDensityMatrixError,
     NotOrthogonalError,
@@ -90,6 +91,10 @@ class DensityMatrix:
     eigenvalues: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.matrix, HermitianMatrix):
+            raise NotDensityMatrixError(
+                f"a HermitianMatrix is needed, not {type(self.matrix).__name__}"
+            )
         (spectrum,) = _validated_spectra(self.matrix.entries[None])
         object.__setattr__(self, "eigenvalues", spectrum)
 
@@ -103,7 +108,10 @@ class DensityMatrix:
         rows of one symmetrised copy of the stack."""
         if not isinstance(entries, np.ndarray):
             entries = list(entries)
-            shapes = list(dict.fromkeys(map(np.shape, entries)))
+            try:
+                shapes = list(dict.fromkeys(map(np.shape, entries)))
+            except ValueError:  # numpy's word for a ragged nested sequence
+                raise NonSquareError("a member is ragged, not a (d, d) matrix") from None
             if len(shapes) > 1:
                 raise DimMismatchError(f"member shapes {shapes[0]} and {shapes[1]} differ")
         stack = np.asarray(entries, dtype=complex)

@@ -1,10 +1,12 @@
-"""A ``HermitianMatrix`` checks its input as it is built, and a derived
-matrix skips that check only where its inputs already guarantee it.
+"""A ``HermitianMatrix`` or a ``StateVector`` checks its input as it is
+built, and a derived value skips that check only where its inputs already
+guarantee it.
 
 ``DensityMatrix.stack``, which takes raw arrays, checks their shape where
 they enter and keeps its members as read-only rows of one symmetrised copy.
 The five results that ``linalg._hermitian`` wraps unchecked are finite and
-exactly Hermitian for any checked inputs.
+exactly Hermitian for any checked inputs, and the two kets that
+``linalg._ket`` wraps unchecked are finite unit vectors.
 """
 
 import numpy as np
@@ -14,8 +16,18 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qgas import linalg
-from qgas.errors import DimMismatchError, NonSquareError
-from qgas.linalg import make_vector, projector_from_vector
+from qgas.errors import (
+    DimMismatchError,
+    NonSquareError,
+    NotDensityMatrixError,
+)
+from qgas.linalg import (
+    StateVector,
+    eig_hermitian,
+    make_vector,
+    projector_from_vector,
+    tensor_vector,
+)
 from qgas.statistics import (
     DensityMatrix,
     apply_unitary,
@@ -35,8 +47,10 @@ AMPLITUDES = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinit
         (np.zeros((1, 0, 0)), NonSquareError, "dimension must be at least 1"),
         ([np.eye(2) / 2, np.eye(3) / 3], DimMismatchError, "member shapes (2, 2) and (3, 3) differ"),
         (iter([np.eye(2) / 2, np.eye(3) / 3]), DimMismatchError, "member shapes (2, 2) and (3, 3) differ"),
+        ([[[1, 0], [0]]], NonSquareError, "a member is ragged, not a (d, d) matrix"),
     ],
-    ids=["two-dimensional", "non-square", "zero-dimension", "ragged", "ragged-iterator"],
+    ids=["two-dimensional", "non-square", "zero-dimension", "ragged", "ragged-iterator",
+         "ragged-member"],
 )
 def test_a_stack_checks_its_shape_where_it_enters(entries, cls, message):
     with pytest.raises(cls) as err:
@@ -103,3 +117,23 @@ def test_every_unchecked_site_yields_a_finite_hermitian_matrix(inputs):
         assert np.isfinite(m.entries).all()
         assert np.array_equal(m.entries, m.entries.conj().T)
         assert not m.entries.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "entries, name",
+    [(np.eye(2) / 2, "ndarray"), ([[0.5, 0], [0, 0.5]], "list"), (None, "NoneType")],
+)
+def test_a_density_matrix_names_the_type_it_was_given(entries, name):
+    with pytest.raises(NotDensityMatrixError) as err:
+        DensityMatrix(entries)
+    assert str(err.value) == f"a HermitianMatrix is needed, not {name}"
+
+
+@given(st.integers(1, 4).flatmap(kets), st.integers(1, 4).flatmap(kets))
+def test_every_unchecked_ket_is_a_read_only_unit_vector(a, b):
+    product = tensor_vector(a, b)
+    rho = projector_from_vector(product)
+    for ket in (product, *eig_hermitian(rho).eigenvectors):
+        assert not ket.amplitudes.flags.writeable
+        # The checked constructor accepts it unchanged.
+        assert np.array_equal(StateVector(ket.amplitudes).amplitudes, ket.amplitudes)

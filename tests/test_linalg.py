@@ -16,6 +16,7 @@ from qgas.errors import (
 )
 from qgas.linalg import (
     HermitianMatrix,
+    StateVector,
     eig_hermitian,
     identity,
     make_vector,
@@ -377,8 +378,12 @@ class TestBitIdentityWithNumpyHelpers:
     def test_tensor_vector_matches_np_kron(self, d1, d2, data):
         a = data.draw(complex_arrays(d1))
         b = data.draw(complex_arrays(d2))
-        product = tensor_vector(linalg.StateVector(a), linalg.StateVector(b)).amplitudes
-        assert identical(product, np.kron(a, b))
+        assert identical(linalg.kron(a, b), np.kron(a, b))
+        # tensor_vector takes kets, which are checked unit vectors.
+        u, v = data.draw(unit_vectors(d1)), data.draw(unit_vectors(d2))
+        product = tensor_vector(u, v).amplitudes
+        assert identical(product, np.kron(u.amplitudes, v.amplitudes))
+        assert not product.flags.writeable
 
     @given(st.integers(1, 8).flatmap(unit_vectors))
     def test_projector_matches_the_np_outer_form(self, v):
@@ -414,6 +419,9 @@ class TestBitIdentityWithNumpyHelpers:
             "dims 2 and 3",
         ),
         (lambda: make_vector([np.nan, 1]), NonFiniteError, "vector amplitudes must be finite"),
+        (lambda: StateVector([np.nan, 0]), NonFiniteError, "vector amplitudes must be finite"),
+        (lambda: StateVector(np.eye(2)), DimMismatchError, "shape (2, 2) is not one-dimensional"),
+        (lambda: StateVector([3, 0]), NotNormalizedError, "norm 3.0 differs from 1 beyond 1e-12"),
         (lambda: HermitianMatrix(np.zeros((0, 0))), NonSquareError, "dimension must be at least 1"),
         (lambda: identity(0), NonSquareError, "dimension must be at least 1"),
         (lambda: HermitianMatrix(np.zeros((2, 3))), NonSquareError, "shape (2, 3) is not square"),
@@ -433,7 +441,8 @@ class TestBitIdentityWithNumpyHelpers:
             "keep must be 'first' or 'second'",
         ),
     ],
-    ids=["add-dims", "sub-dims", "inner-dims", "nan-ket", "empty-matrix", "identity-0",
+    ids=["add-dims", "sub-dims", "inner-dims", "nan-ket", "nan-raw-ket", "two-dimensional-ket",
+         "long-raw-ket", "empty-matrix", "identity-0",
          "two-by-three", "one-dimensional", "nan-product", "imaginary-residue", "keep-third"],
 )
 def test_input_checks(call, cls, message):

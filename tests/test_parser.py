@@ -419,7 +419,7 @@ class TestTokens:
             ("a-b", [("NAME", "a", 1), ("-", "-", 2), ("NAME", "b", 3)]),
             (
                 "ket(1) # comment",
-                [("NAME", "ket", 1), ("(", "(", 4), ("NUMBER", "1", 5), (")", ")", 6)],
+                [("NAME", "ket", 1), ("KET", "(1)", 4)],
             ),
             ("a\x0b\tb", [("NAME", "a", 1), ("NAME", "b", 4)]),
             ("٣.٥", [("NUMBER", "٣.٥", 1)]),

@@ -119,9 +119,10 @@ class TestTypes:
             ProjectiveInstrument((("a", half), ("b", half)))
 
     def test_nan_elements_rejected(self):
-        # StateVector(...) checks nothing, so NaN can reach an element through
-        # its projector; it fails the check a number would fail, as a state does.
-        nan = linalg.projector_from_vector(linalg.StateVector([np.nan, 0]))
+        # A HermitianMatrix and a StateVector reject NaN as they are built, so
+        # NaN reaches an element only as a derived matrix that linalg._hermitian
+        # wraps unchecked; it fails the check a number would fail, as a state does.
+        nan = linalg._hermitian(np.full((2, 2), np.nan, dtype=complex))
         with pytest.raises(NotPovmError, match=r"^element a is not PSD \(nan\)$"):
             Povm((("a", nan),))
         with pytest.raises(NotProjectiveError, match=r"^a not idempotent \(nan\)$"):
