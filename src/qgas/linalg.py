@@ -10,9 +10,8 @@ Tolerance policy: inputs are validated at 1e-12 (HERMITIAN_TOL) while
 derived quantities are trusted to 1e-9 (DERIVED_TOL), two decades of slack
 between input exactness and accumulated arithmetic.  A ``HermitianMatrix``
 checks its entries as it is built, except the few symmetrised results that
-``_hermitian`` wraps because they derive only from checked values; a
-``StateVector`` checks its amplitudes likewise, except the eigenvectors and
-ket products that ``_ket`` wraps.
+``_hermitian`` wraps because they derive only from checked values; every
+``StateVector`` checks its amplitudes likewise.
 
 At these sizes numpy's Python-level N-d helpers (``np.kron``, ``np.outer``,
 ``np.linalg.norm``, ``np.max``, ``np.all``, ``np.stack``) cost more than
@@ -156,15 +155,6 @@ def make_vector(amplitudes) -> StateVector:
     return StateVector(np.asarray(amplitudes, dtype=complex).reshape(-1))
 
 
-def _ket(arr: np.ndarray) -> StateVector:
-    """Wrap, read-only and with no check or copy, a unit vector computed only
-    from checked kets or by the eigensolver."""
-    arr.setflags(write=False)
-    ket = object.__new__(StateVector)
-    object.__setattr__(ket, "amplitudes", arr)
-    return ket
-
-
 def _hermitian(arr: np.ndarray) -> HermitianMatrix:
     """Wrap, read-only and with no check or copy, a symmetrised array computed
     only from checked matrices, unit kets or orthonormal vectors."""
@@ -235,7 +225,7 @@ def tensor(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
 
 def tensor_vector(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product of kets, same index convention as :func:`tensor`."""
-    return _ket(kron(a.amplitudes, b.amplitudes))
+    return StateVector(kron(a.amplitudes, b.amplitudes))
 
 
 def partial_trace(
@@ -297,7 +287,7 @@ def eig_hermitian(h: HermitianMatrix) -> SpectralDecomposition:
     """
     values, vectors = np.linalg.eigh(h.entries)
     order = np.argsort(-values, kind="stable")
-    kets = tuple(_ket(_fix_phase(vectors[:, k])) for k in order)
+    kets = tuple(StateVector(_fix_phase(vectors[:, k])) for k in order)
     return SpectralDecomposition(tuple(float(values[k]) for k in order), kets)
 
 

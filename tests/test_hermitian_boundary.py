@@ -5,8 +5,8 @@ guarantee it.
 ``DensityMatrix.stack``, which takes raw arrays, checks their shape where
 they enter and keeps its members as read-only rows of one symmetrised copy.
 The five results that ``linalg._hermitian`` wraps unchecked are finite and
-exactly Hermitian for any checked inputs, and the two kets that
-``linalg._ket`` wraps unchecked are finite unit vectors.
+exactly Hermitian for any checked inputs, and the ket products and
+eigenvectors that ``linalg`` derives pass the ket check.
 """
 
 import numpy as np
@@ -130,10 +130,9 @@ def test_a_density_matrix_names_the_type_it_was_given(entries, name):
 
 
 @given(st.integers(1, 4).flatmap(kets), st.integers(1, 4).flatmap(kets))
-def test_every_unchecked_ket_is_a_read_only_unit_vector(a, b):
+def test_every_derived_ket_passes_the_ket_check(a, b):
     product = tensor_vector(a, b)
     rho = projector_from_vector(product)
     for ket in (product, *eig_hermitian(rho).eigenvectors):
         assert not ket.amplitudes.flags.writeable
-        # The checked constructor accepts it unchanged.
         assert np.array_equal(StateVector(ket.amplitudes).amplitudes, ket.amplitudes)
