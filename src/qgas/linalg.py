@@ -258,6 +258,14 @@ def projector_from_vector(v: StateVector) -> HermitianMatrix:
     return _hermitian((outer + outer.conj().T) / 2)
 
 
+def _projectors(kets: np.ndarray) -> np.ndarray:
+    """The projector |v><v| of each unit-ket row v of an (n, d) array, as one
+    (n, d, d) stack from one broadcast multiply; each row is bit-identical to
+    :func:`projector_from_vector` of its ket."""
+    outer = kets[:, :, None] * kets.conj()[:, None, :]
+    return (outer + outer.conj().swapaxes(1, 2)) / 2
+
+
 def _ketbra(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """|x><y|, the products of ``np.outer(x, y.conj())``."""
     return x[:, None] * y.conj()[None, :]

@@ -29,10 +29,12 @@ So the text is rendered in three passes:
   PARTITION siblings and a chamber left unchanged reuse one digest.
 
 Each float is spelled once per report, as ``repr`` spells it rounded to 12
-decimals.  For 1.0001e-4 <= |x| < 999 that text is ``'%.12f' % x`` less its
-trailing zeros: ``round(x, 12)`` takes its digits from the same 12-decimal
-dtoa, and with at most 15 significant digits (DBL_DIG) they are the shortest
-text that round-trips, which ``repr`` prints in fixed notation in that range.
+decimals.  For |x| < 5e-13 that text is "0.0": the double nearest 5e-13 is
+below it, so such an x rounds to zero, which ``_round`` writes unsigned.
+For 1.0001e-4 <= |x| < 999 that text is ``'%.12f' % x`` less its trailing
+zeros: ``round(x, 12)`` takes its digits from the same 12-decimal dtoa, and
+with at most 15 significant digits (DBL_DIG) they are the shortest text
+that round-trips, which ``repr`` prints in fixed notation in that range.
 """
 
 from __future__ import annotations
@@ -189,6 +191,9 @@ class _Floats(dict):
     """float -> the JSON text of its ``_round``, filled as floats are met."""
 
     def __missing__(self, x: float) -> str:
+        if -5e-13 < x < 5e-13:
+            self[x] = "0.0"
+            return "0.0"
         if 1.0001e-4 <= abs(x) < 999.0:
             text = ("%.12f" % x).rstrip("0")
             text = self[x] = text + "0" if text[-1] == "." else text

@@ -65,13 +65,14 @@ from ..observers import Observer
 from . import ast
 
 _CONSTRUCTORS = {"ket", "proj", "mix", "tensor", "identity", "rotate_to"}
-# Splitting a line on _TOKEN_RE gives [gap, token, gap, ..., token, gap],
-# where every gap is whitespace.  The alternatives, in priority order: `#`
-# (the rest is a comment), eigenbasis-of, ->, ~= or ≈, a NUMBER, a NAME, a
-# KET lexeme, and any other single character, which is a punctuation token
-# or an error.  _TOKEN_PATH_RE is the same without the KET lexeme.
+# Splitting the text of a line before its first `#` (the rest is a comment)
+# on _TOKEN_RE gives [gap, token, gap, ..., token, gap], where every gap is
+# whitespace.  The alternatives, in priority order: eigenbasis-of, ->, ~= or
+# ≈, a NUMBER, a NAME, a KET lexeme, and any other single character, which is
+# a punctuation token or an error.  _TOKEN_PATH_RE is the same without the
+# KET lexeme.
 _NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_TOKENS = rf"#|eigenbasis-of|->|~=|≈|{_NUMBER}i?|[A-Za-z_][A-Za-z0-9_/]*"
+_TOKENS = rf"eigenbasis-of|->|~=|≈|{_NUMBER}i?|[A-Za-z_][A-Za-z0-9_/]*"
 # A KET lexeme runs from a `(` that ends the name `ket` (not a longer name)
 # through the first `)`, with no `(` between.  _AMPLITUDE_RE reads it as a
 # run of `(` or `,` each followed by one amplitude, [sign] NUMBER [i | (+|-)
@@ -129,12 +130,13 @@ def _ket_amplitudes(lexeme: str) -> tuple[complex, ...] | None:
 
 
 def _tokenize_line(text: str, line_no: int, pattern: re.Pattern | None = None) -> list[Token]:
-    """The tokens of a line.  ``pattern`` is given only to lex a line again by
-    the token path when a KET lexeme is not a well-formed ket body."""
+    """The tokens of a line before its first `#`, then EOL at the line's end.
+    ``pattern`` is given only to lex a line again by the token path when a
+    KET lexeme is not a well-formed ket body."""
     # tuple.__new__ builds each Token without the NamedTuple's Python-level __new__.
     tokens: list[Token] = []
     col = 1
-    parts = iter((pattern or _TOKEN_RE).split(text))
+    parts = iter((pattern or _TOKEN_RE).split(text.partition("#")[0]))
     for gap, raw in zip(parts, parts):
         col += len(gap)
         kind = _FIXED_KINDS.get(raw)
@@ -142,8 +144,6 @@ def _tokenize_line(text: str, line_no: int, pattern: re.Pattern | None = None) -
             kind = "NAME"
         if kind is not None:
             tokens.append(_tuple_new(Token, (kind, raw, line_no, col, 0.0, False)))
-        elif raw == "#":
-            break
         elif raw[0] == "(":  # a KET lexeme, the only other token starting so
             amplitudes = _ket_amplitudes(raw)
             if amplitudes is None:
@@ -637,8 +637,9 @@ _STATEMENTS = {
 def parse(text: str) -> ast.Protocol:
     """Parse scenario text into a Protocol; raises ProtocolError subclasses."""
     parser = _Parser()
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        parser.parse_line(_tokenize_line(line.rstrip("\r"), line_no))
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, line in enumerate(lines, start=1):
+        parser.parse_line(_tokenize_line(line, line_no))
     if parser.header is None:
         raise HeaderMissingError("the script must contain a HEADER line", 1, 1)
     if not parser.saw_operation:

@@ -5,8 +5,9 @@ to gas contents.  A state is a :class:`QuantumContents` holding one density
 matrix: ``mix(...)`` and ``tensor(...)`` evaluate each term and build one
 matrix from them, since every verdict reads the matrix and none the
 decomposition it was written with; the ``proj(ket)`` terms of one mix are
-validated as one ``DensityMatrix.stack``.  One evaluated state serves every
-statement that names it.  A ``proj(ket)`` instrument element is its
+built from their kets as one stack of projectors (``linalg._projectors``)
+and validated as one ``DensityMatrix.stack``.  One evaluated state serves
+every statement that names it.  A ``proj(ket)`` instrument element is its
 projector matrix, which the instrument checks as a projector.  Unitary
 expressions give complex arrays.
 """
@@ -50,23 +51,23 @@ def eval_value(expr: ast.Expr, scope: Scope) -> Value:
         except QuantumGasError as exc:
             raise _fail(expr, f"bad ket: {exc}") from exc
     if isinstance(expr, ast.ProjExpr):
-        return QuantumContents(DensityMatrix(_unvalidated(expr, scope)))
+        return QuantumContents(DensityMatrix(linalg.projector_from_vector(_ket_of(expr, scope))))
     if isinstance(expr, ast.MixExpr):
         weights, terms = [], []
         for weight, term in expr.terms:
-            value = _unvalidated(term, scope)
-            if isinstance(value, linalg.StateVector):
+            value = _ket_of(term, scope)
+            if isinstance(value, linalg.StateVector) and not isinstance(term, ast.ProjExpr):
                 raise _fail(expr, "mix(...) terms must be states; wrap kets in proj()")
             weights.append(weight)
-            terms.append(value.assembled() if isinstance(value, QuantumContents) else value)
+            terms.append(value if isinstance(value, linalg.StateVector) else value.assembled())
         total = sum(weights)
         if abs(total - 1.0) > WEIGHT_TOL or any(w <= 0 for w in weights):
             raise _fail(expr, f"mixture weights must be convex (sum {total!r})")
         if others := [t.dim for t in terms if t.dim != terms[0].dim]:  # mix_states' error
             raise DimMismatchError(f"state dims {others[0]} != {terms[0].dim}")
-        projectors = [t.entries for t in terms if isinstance(t, linalg.HermitianMatrix)]
-        fresh = iter(DensityMatrix.stack(projectors))
-        states = [next(fresh) if isinstance(t, linalg.HermitianMatrix) else t for t in terms]
+        kets = [t.amplitudes for t in terms if isinstance(t, linalg.StateVector)]
+        fresh = iter(DensityMatrix.stack(linalg._projectors(np.array(kets))) if kets else ())
+        states = [next(fresh) if isinstance(t, linalg.StateVector) else t for t in terms]
         return QuantumContents(mix_states(weights, states))
     if isinstance(expr, ast.TensorExpr):
         left = eval_value(expr.left, scope)
@@ -86,14 +87,14 @@ def eval_value(expr: ast.Expr, scope: Scope) -> Value:
     raise _fail(expr, f"unsupported expression {type(expr).__name__}")
 
 
-def _unvalidated(expr: ast.Expr, scope: Scope) -> Value | linalg.HermitianMatrix:
-    """The value of ``expr``, but a ``proj(ket)`` as its projector, not yet a validated state."""
+def _ket_of(expr: ast.Expr, scope: Scope) -> Value:
+    """The value of ``expr``, but of a ``proj(ket)`` its ket."""
     if not isinstance(expr, ast.ProjExpr):
         return eval_value(expr, scope)
     inner = eval_value(expr.arg, scope)
     if not isinstance(inner, linalg.StateVector):
         raise _fail(expr, "proj(...) needs a ket argument")
-    return linalg.projector_from_vector(inner)
+    return inner
 
 
 def eval_projector(expr: ast.Expr, scope: Scope) -> linalg.HermitianMatrix:
@@ -108,11 +109,9 @@ def eval_projector(expr: ast.Expr, scope: Scope) -> linalg.HermitianMatrix:
         left, right = eval_projector(expr.left, scope), eval_projector(expr.right, scope)
         _check_tensor(expr, left.dim, right.dim)
         return linalg.tensor(left, right)
-    value = _unvalidated(expr, scope)
-    if isinstance(value, linalg.StateVector):
+    value = _ket_of(expr, scope)
+    if isinstance(value, linalg.StateVector):  # the instrument checks it as a projector
         return linalg.projector_from_vector(value)
-    if isinstance(value, linalg.HermitianMatrix):
-        return value  # proj(ket): the instrument checks it as a projector
     return value.assembled().matrix
 
 

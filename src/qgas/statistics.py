@@ -379,11 +379,19 @@ def support_projector(rho: DensityMatrix) -> HermitianMatrix:
 
 
 def _span_projectors(vectors: np.ndarray, groups) -> list[HermitianMatrix]:
-    """For each group of consecutive rows of ``vectors``, the symmetrised sum
-    of |v><v| over its rows; every |v><v| comes from one broadcast multiply."""
-    outer = vectors[:, :, None] * vectors[:, None, :].conj()
-    sums = np.array([outer[group[0]:group[-1] + 1].sum(axis=0) for group in groups])
-    return [linalg._hermitian(m) for m in (sums + sums.conj().swapaxes(1, 2)) / 2]
+    """For each group of rows of ``vectors``, the projector onto their span.
+    A group of one row is that row of one ``linalg._projectors`` stack of
+    all the rows; a larger group, a degenerate eigencluster, is the
+    symmetrised sum of its rows' |v><v|."""
+    stack = linalg._projectors(vectors)
+    spans = []
+    for group in groups:
+        if len(group) == 1:
+            spans.append(stack[group[0]])
+        else:
+            summed = sum(linalg._ketbra(vectors[k], vectors[k]) for k in group)
+            spans.append((summed + summed.conj().T) / 2)
+    return [linalg._hermitian(m) for m in spans]
 
 
 def _positive_part(decomp: SpectralDecomposition):

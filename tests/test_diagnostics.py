@@ -111,6 +111,18 @@ SYNTAX = [
         7, 20, "violation, satisfied, or not_applicable",
     ),
     ("expect-subject", Q + "EXPECT heat ~= 0.5\n", 2, 8, "Q_total or verdict"),
+    ("ket-cut-by-comment", Q + "DEFINE_STATE a ket(1, # 0)\n", 2, 27, "a number"),
+    # Only LF, CRLF and a lone CR end a line; the other breaks of
+    # str.splitlines() are whitespace inside it.
+    *(
+        (name, Q + f"DEFINE_STATE a ket(1, 0){end}DEFINE_STATE b ket(0, 1))\n",
+         3, 25, "end of line")
+        for name, end in [
+            ("line-end-lf", "\n"), ("line-end-crlf", "\r\n"), ("line-end-cr", "\r"),
+            *((f"no-line-end-{ord(c):x}", c + "\n")
+              for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+        ]
+    ),
 ]
 
 

@@ -178,6 +178,21 @@ def test_runs_check_observers_once_at_the_boundary(monkeypatch):
         assert calls == [obs.name for obs in report.result.observers], name
 
 
+def test_reports_round_no_value_that_spells_zero(monkeypatch):
+    # The speller writes "0.0" for |x| < 5e-13 before it would call _round.
+    report = execute(parse(pinned_script("deep_protocol", 1)))
+    rounded = []
+
+    def recorded(x):
+        rounded.append(x)
+        return round_(x)
+
+    round_ = interpreter._round
+    monkeypatch.setattr(interpreter, "_round", recorded)
+    assert sha256(report.to_json()) == GENERATED["deep_protocol", 1]
+    assert not [x for x in rounded if abs(x) < 5e-13]
+
+
 def test_fast_float_spelling_matches_repr_of_the_rounded_value(monkeypatch):
     units = [UnitsConfig(), UnitsConfig("absolute", boltzmann_constant=1.380649e-23)]
     reports = [execute(parse(text)) for text, _ in pinned_cases().values()]

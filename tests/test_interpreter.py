@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -269,9 +270,14 @@ class TestWriter:
         assert floats[value] == json.dumps(interpreter._round(value))
         assert floats[value] == json.dumps(interpreter._round(value))  # memoised
 
-    @pytest.mark.parametrize("value", [9.5e-05, 8192.544229225])
+    @pytest.mark.parametrize(
+        "value",
+        [9.5e-05, 8192.544229225, math.nextafter(5e-13, 0), 5e-13, 4.9e-13, 5.1e-13, 0.0,
+         5e-324, math.nan, math.inf],
+    )
     def test_floats_past_the_fixed_range_are_spelled_by_repr(self, value):
-        # '%.12f' would write 0.000095 and 8192.544229225001.
+        # '%.12f' would write 0.000095 and 8192.544229225001; below 5e-13 in
+        # magnitude the text is "0.0" without _round.
         for x in (value, -value):
             assert interpreter._Floats()[x] == json.dumps(interpreter._round(x))
 

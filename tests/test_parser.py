@@ -421,6 +421,14 @@ class TestTokens:
                 "ket(1) # comment",
                 [("NAME", "ket", 1), ("KET", "(1)", 4)],
             ),
+            (
+                "ket(1, 0)  # the up state, ket(0, 1) is down",
+                [("NAME", "ket", 1), ("KET", "(1, 0)", 4)],
+            ),
+            (
+                "ket(1, # 0)",
+                [("NAME", "ket", 1), ("(", "(", 4), ("NUMBER", "1", 5), (",", ",", 6)],
+            ),
             ("a\x0b\tb", [("NAME", "a", 1), ("NAME", "b", 4)]),
             ("٣.٥", [("NUMBER", "٣.٥", 1)]),
         ],

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import load_workloads, random_unitary
 from qgas import linalg, statistics
 from qgas.errors import DimMismatchError, ExecutionError, NotPovmError, NotProjectiveError
-from qgas.protocol import execute, parse
+from qgas.protocol import ast, execute, parse, semantics
 from qgas.scenarios import BUNDLED, scenario_text
 from qgas.statistics import (
     PROBABILITY_FLOOR,
@@ -24,6 +24,7 @@ from qgas.statistics import (
     ProjectiveInstrument,
     apply_instrument,
     eigen_instrument,
+    mix_states,
     outcome_probability,
 )
 
@@ -243,3 +244,50 @@ def test_a_mix_of_two_dimensions_fails_as_mix_states_does(states, message, col):
         execute(parse(text))
     line = text.count("\n", 0, text.index("DEFINE_STATE s")) + 1
     assert str(err.value) == f"line {line}, col {col}: {message}"
+
+
+def per_cluster_sums(rho: DensityMatrix) -> list[bytes]:
+    """The bytes of each eigenprojector as a slice-sum over its cluster's
+    |v><v|, symmetrised: the formula eigen_instrument used for every cluster."""
+    decomp = linalg.eig_hermitian(rho.matrix)
+    vectors = np.array([v.amplitudes for v in decomp.eigenvectors])
+    outer = vectors[:, :, None] * vectors[:, None, :].conj()
+    sums = np.array([outer[c[0]:c[-1] + 1].sum(axis=0) for c in decomp.clusters()])
+    return [m.tobytes() for m in (sums + sums.conj().swapaxes(1, 2)) / 2]
+
+
+class TestProjectorStacks:
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 4, 8]), n=st.integers(1, 8))
+    def test_mix_terms_are_the_projectors_of_their_kets_to_the_bit(self, seed, dim, n):
+        rng = np.random.default_rng(seed)
+        kets = [linalg.StateVector(random_unitary(rng, dim)[:, 0]) for _ in range(n - 1)]
+        kets.append(linalg.StateVector(np.eye(dim)[-1]))  # real, with zero amplitudes
+        stack = linalg._projectors(np.array([k.amplitudes for k in kets]))
+        singles = [linalg.projector_from_vector(k).entries for k in kets]
+        assert [m.tobytes() for m in stack] == [m.tobytes() for m in singles]
+        # The mix, as semantics evaluates it and from the states of each projector.
+        weights = [1 / n] * n
+        scope = {f"k{i}": k for i, k in enumerate(kets)}
+        expr = ast.MixExpr(tuple(
+            (w, ast.ProjExpr(ast.NameRef(name, line=1, col=1), line=1, col=1))
+            for w, name in zip(weights, scope)
+        ), line=1, col=1)
+        mixed = semantics.eval_value(expr, scope).assembled()
+        expected = mix_states(weights, DensityMatrix.stack(singles))
+        assert mixed.matrix.entries.tobytes() == expected.matrix.entries.tobytes()
+        assert mixed.eigenvalues == expected.eigenvalues
+
+    @pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
+    @pytest.mark.parametrize(
+        "spectrum",
+        [[0.5, 0.3, 0.2], [1 / 3, 1 / 3, 1 / 3], [0.5, 0.25, 0.25]],
+        ids=["non-degenerate", "fully-degenerate", "mixed"],
+    )
+    def test_eigen_instrument_projectors_are_the_per_cluster_sums_to_the_bit(
+        self, spectrum, rotated
+    ):
+        u = random_unitary(np.random.default_rng(7), 3) if rotated else np.eye(3)
+        rho = DensityMatrix(linalg.HermitianMatrix((u * spectrum) @ u.conj().T))
+        projectors = [p.entries.tobytes() for _, p in eigen_instrument(rho).elements]
+        assert projectors == per_cluster_sums(rho)
+        assert len(projectors) == len(set(np.round(spectrum, 9)))
