@@ -221,7 +221,8 @@ def _digest_texts(views: Iterable[GasContents], floats: _Floats) -> list[str]:
         if isinstance(view, QuantumContents):
             states.append(view.assembled())
             continue
-        bag = _ITEM.join(f"{_escape(n)}: {floats[w]}" for n, w in sorted(view.weights.items()))
+        weights = view.weights
+        bag = _ITEM.join([f"{_escape(n)}: {floats[weights[n]]}" for n in sorted(weights)])
         species = f"{{\n         {bag}\n        }}" if bag else "{}"
         texts.append(f'{{\n        "kind": "classical",\n        "species": {species}\n       }}')
     if states:

@@ -7,10 +7,15 @@ after the name `ket` through its `)`, holding 1 to ``ast.MAX_DIM`` finite
 complex literals, is one KET token whose value is the amplitudes.  Any
 other body is lexed token by token, and only that token path reports
 errors, so a malformed ket gets the same diagnostic at the same column
-either way.  Statement keywords are matched exactly, in uppercase; a number
-must be finite (`1e999` is rejected where it is written); chamber and
-partition fractions must exceed 1e-9, the tolerance within which chamber
-fractions must sum to 1.  No script asks for more than ``ast.MAX_DIM``
+either way.  Likewise the permeability map of a line that starts with the
+keyword `CLASSICAL_SEPARATE`, everything after the keyword, is one MAP
+token whose value is its (species, verdict) pairs when it is one or more
+`<species>=transmitted|reflected` pairs naming no species twice; any other
+map is lexed token by token, and only that path reports its errors.
+Statement keywords are matched exactly, in uppercase; a number must be
+finite (`1e999` is rejected where it is written); chamber and partition
+fractions must exceed 1e-9, the tolerance within which chamber fractions
+must sum to 1.  No script asks for more than ``ast.MAX_DIM``
 (32): a larger HEADER dim, ket or DEFINE_INSTRUMENT line is rejected at the
 token that asks (and by semantics a larger tensor product, at its
 expression); library calls are not bounded.  OBSERVER lines become
@@ -85,6 +90,13 @@ _TOKEN_PATH_RE = re.compile(rf"({_TOKENS}|\S)")
 _AMPLITUDE_RE = re.compile(
     rf"[(,]\s*(?:([+-])\s*)?({_NUMBER})(?:(i)|\s*([+-])\s*({_NUMBER})i)?\s*|([^)])"
 )
+# A MAP lexeme is the rest of a line that starts with _SEPARATE, before its
+# `#`: _MAP_RE must match all of it, a run of gap, NAME, `=` and verdict with
+# gaps where the token path allows them, and _PAIR_RE then reads its pairs.
+_SEPARATE = "CLASSICAL_SEPARATE"
+_PAIR = r"\s+([A-Za-z_][A-Za-z0-9_/]*)\s*=\s*(transmitted|reflected)"
+_MAP_RE = re.compile(rf"(?:{_PAIR})+\s*")
+_PAIR_RE = re.compile(_PAIR)
 # Kinds of the tokens that are spelled one way; punctuation is its own kind.
 _FIXED_KINDS = {"eigenbasis-of": "EIG", "->": "->", "~=": "~", "≈": "~"}
 _FIXED_KINDS.update((c, c) for c in "(),*+-=")
@@ -99,11 +111,12 @@ _NORMAL_NKT = "particles whose product with the temperature is a finite normal f
 
 
 class Token(NamedTuple):
-    kind: str  # NAME NUMBER KET ( ) , * + - = -> ~ EIG EOL
+    kind: str  # NAME NUMBER KET MAP ( ) , * + - = -> ~ EIG EOL
     text: str
     line: int
     col: int
-    value: float | tuple[complex, ...] = 0.0  # a KET's value is its amplitudes
+    # A KET's value is its amplitudes, and a MAP's its (species, verdict) pairs.
+    value: float | tuple[complex, ...] | tuple[tuple[str, str], ...] = 0.0
     imaginary: bool = False
 
 
@@ -129,10 +142,31 @@ def _ket_amplitudes(lexeme: str) -> tuple[complex, ...] | None:
     return tuple(amplitudes)
 
 
+def _map_tokens(text: str, line_no: int) -> list[Token] | None:
+    """The keyword, MAP and EOL tokens of a CLASSICAL_SEPARATE line, or None
+    unless its map is well formed and names no species twice."""
+    body = text.partition("#")[0][len(_SEPARATE):]
+    if _MAP_RE.fullmatch(body) is None:
+        return None
+    pairs = tuple(_PAIR_RE.findall(body))
+    if len(dict(pairs)) != len(pairs):
+        return None
+    return [
+        _tuple_new(Token, ("NAME", _SEPARATE, line_no, 1, 0.0, False)),
+        _tuple_new(Token, ("MAP", body, line_no, len(_SEPARATE) + 1, pairs, False)),
+        _tuple_new(Token, ("EOL", "", line_no, len(text) + 1, 0.0, False)),
+    ]
+
+
 def _tokenize_line(text: str, line_no: int, pattern: re.Pattern | None = None) -> list[Token]:
-    """The tokens of a line before its first `#`, then EOL at the line's end.
+    """The tokens of a line before its first `#`, then EOL at the line's end;
+    a well-formed CLASSICAL_SEPARATE line is its keyword, a MAP token and EOL.
     ``pattern`` is given only to lex a line again by the token path when a
     KET lexeme is not a well-formed ket body."""
+    if text.startswith(_SEPARATE):
+        mapped = _map_tokens(text, line_no)
+        if mapped is not None:
+            return mapped
     # tuple.__new__ builds each Token without the NamedTuple's Python-level __new__.
     tokens: list[Token] = []
     col = 1
@@ -541,6 +575,9 @@ class _Parser:
         return ast.SeparateStmt(instrument, line=keyword.line, col=keyword.col)
 
     def parse_classical_separate(self, cur: _Cursor, keyword: Token) -> ast.ClassicalSeparateStmt:
+        lexeme = cur.accept("MAP")
+        if lexeme is not None:
+            return ast.ClassicalSeparateStmt(lexeme.value, line=keyword.line, col=keyword.col)
         permeability = {}
         while not cur.at_end():
             species = cur.expect_name("<species>=transmitted|reflected")
