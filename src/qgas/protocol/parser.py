@@ -7,11 +7,11 @@ after the name `ket` through its `)`, holding 1 to ``ast.MAX_DIM`` finite
 complex literals, is one KET token whose value is the amplitudes.  Any
 other body is lexed token by token, and only that token path reports
 errors, so a malformed ket gets the same diagnostic at the same column
-either way.  Likewise the permeability map of a line that starts with the
-keyword `CLASSICAL_SEPARATE`, everything after the keyword, is one MAP
-token whose value is its (species, verdict) pairs when it is one or more
-`<species>=transmitted|reflected` pairs naming no species twice; any other
-map is lexed token by token, and only that path reports its errors.
+either way.  An operation line holding no expression, after the first
+operation, is parsed whole with no tokens when it fits its keyword's shape
+in ``_SHAPES`` and passes the token path's checks.  Any other line is lexed
+token by token, and only that path reports errors.  Blank and comment-only
+lines are not lexed.
 Statement keywords are matched exactly, in uppercase; a number must be
 finite (`1e999` is rejected where it is written); chamber and partition
 fractions must exceed 1e-9, the tolerance within which chamber fractions
@@ -74,10 +74,11 @@ _CONSTRUCTORS = {"ket", "proj", "mix", "tensor", "identity", "rotate_to"}
 # on _TOKEN_RE gives [gap, token, gap, ..., token, gap], where every gap is
 # whitespace.  The alternatives, in priority order: eigenbasis-of, ->, ~= or
 # ≈, a NUMBER, a NAME, a KET lexeme, and any other single character, which is
-# a punctuation token or an error.  _TOKEN_PATH_RE is the same without the
-# KET lexeme.
-_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_TOKENS = rf"eigenbasis-of|->|~=|≈|{_NUMBER}i?|[A-Za-z_][A-Za-z0-9_/]*"
+# a punctuation token or an error.  _TOKEN_PATH_RE is the same without the KET
+# lexeme.  A NUMBER reads a digit run one way only, so a missed shape fails fast.
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_NAME = r"[A-Za-z_][A-Za-z0-9_/]*"
+_TOKENS = rf"eigenbasis-of|->|~=|≈|{_NUMBER}i?|{_NAME}"
 # A KET lexeme runs from a `(` that ends the name `ket` (not a longer name)
 # through the first `)`, with no `(` between.  _AMPLITUDE_RE reads it as a
 # run of `(` or `,` each followed by one amplitude, [sign] NUMBER [i | (+|-)
@@ -90,13 +91,25 @@ _TOKEN_PATH_RE = re.compile(rf"({_TOKENS}|\S)")
 _AMPLITUDE_RE = re.compile(
     rf"[(,]\s*(?:([+-])\s*)?({_NUMBER})(?:(i)|\s*([+-])\s*({_NUMBER})i)?\s*|([^)])"
 )
-# A MAP lexeme is the rest of a line that starts with _SEPARATE, before its
-# `#`: _MAP_RE must match all of it, a run of gap, NAME, `=` and verdict with
-# gaps where the token path allows them, and _PAIR_RE then reads its pairs.
-_SEPARATE = "CLASSICAL_SEPARATE"
-_PAIR = r"\s+([A-Za-z_][A-Za-z0-9_/]*)\s*=\s*(transmitted|reflected)"
-_MAP_RE = re.compile(rf"(?:{_PAIR})+\s*")
-_PAIR_RE = re.compile(_PAIR)
+# Operation keyword -> the shape of the rest of a well-formed line that holds
+# no expression, read by _Parser.parse_whole; the key is the line's first
+# word by _WORD_RE.  A shape needs a gap wherever the token path would
+# otherwise read one token, so each NAME and NUMBER it matches is the token
+# lexed there.
+_WORD_RE = re.compile(r"[^\s#]*")
+_END = r"\s*(?:#.*)?"
+_PAIR = rf"\s+{_NAME}\s*=\s*(?:transmitted|reflected)"
+_TARGET = rf"((?:\s+{_NAME})*)(?:\s*->\s*({_NAME}))?{_END}"  # [<position> ...] [-> <name>]
+_MIX = rf"\s+(distinguishing|free){_TARGET}"
+_SHAPES = {word: re.compile(shape) for word, shape in (
+    ("SEPARATE", rf"\s+({_NAME}){_END}"),
+    ("CLASSICAL_SEPARATE", rf"((?:{_PAIR})+){_END}"),
+    ("MIX", _MIX),
+    ("CLASSICAL_MIX", _MIX),
+    ("PARTITION", rf"\s+({_NAME})((?:\s+{_NUMBER}){{2,}})\s*->\s*({_NAME}(?:\s+{_NAME})*){_END}"),
+    ("REMOVE_PARTITION", _TARGET),
+    ("CLAIM_CYCLE", _END),
+)}
 # Kinds of the tokens that are spelled one way; punctuation is its own kind.
 _FIXED_KINDS = {"eigenbasis-of": "EIG", "->": "->", "~=": "~", "≈": "~"}
 _FIXED_KINDS.update((c, c) for c in "(),*+-=")
@@ -111,12 +124,11 @@ _NORMAL_NKT = "particles whose product with the temperature is a finite normal f
 
 
 class Token(NamedTuple):
-    kind: str  # NAME NUMBER KET MAP ( ) , * + - = -> ~ EIG EOL
+    kind: str  # NAME NUMBER KET ( ) , * + - = -> ~ EIG EOL
     text: str
     line: int
     col: int
-    # A KET's value is its amplitudes, and a MAP's its (species, verdict) pairs.
-    value: float | tuple[complex, ...] | tuple[tuple[str, str], ...] = 0.0
+    value: float | tuple[complex, ...] = 0.0  # a KET's value is its amplitudes
     imaginary: bool = False
 
 
@@ -142,31 +154,10 @@ def _ket_amplitudes(lexeme: str) -> tuple[complex, ...] | None:
     return tuple(amplitudes)
 
 
-def _map_tokens(text: str, line_no: int) -> list[Token] | None:
-    """The keyword, MAP and EOL tokens of a CLASSICAL_SEPARATE line, or None
-    unless its map is well formed and names no species twice."""
-    body = text.partition("#")[0][len(_SEPARATE):]
-    if _MAP_RE.fullmatch(body) is None:
-        return None
-    pairs = tuple(_PAIR_RE.findall(body))
-    if len(dict(pairs)) != len(pairs):
-        return None
-    return [
-        _tuple_new(Token, ("NAME", _SEPARATE, line_no, 1, 0.0, False)),
-        _tuple_new(Token, ("MAP", body, line_no, len(_SEPARATE) + 1, pairs, False)),
-        _tuple_new(Token, ("EOL", "", line_no, len(text) + 1, 0.0, False)),
-    ]
-
-
 def _tokenize_line(text: str, line_no: int, pattern: re.Pattern | None = None) -> list[Token]:
-    """The tokens of a line before its first `#`, then EOL at the line's end;
-    a well-formed CLASSICAL_SEPARATE line is its keyword, a MAP token and EOL.
+    """The tokens of a line before its first `#`, then EOL at the line's end.
     ``pattern`` is given only to lex a line again by the token path when a
     KET lexeme is not a well-formed ket body."""
-    if text.startswith(_SEPARATE):
-        mapped = _map_tokens(text, line_no)
-        if mapped is not None:
-            return mapped
     # tuple.__new__ builds each Token without the NamedTuple's Python-level __new__.
     tokens: list[Token] = []
     col = 1
@@ -311,8 +302,6 @@ class _Parser:
         self.saw_body = False
 
     def parse_line(self, tokens: list[Token]) -> None:
-        if tokens[0].kind == "EOL":
-            return
         cur = _Cursor(tokens)
         keyword = cur.expect_name("a statement keyword")
         word = keyword.text
@@ -575,9 +564,6 @@ class _Parser:
         return ast.SeparateStmt(instrument, line=keyword.line, col=keyword.col)
 
     def parse_classical_separate(self, cur: _Cursor, keyword: Token) -> ast.ClassicalSeparateStmt:
-        lexeme = cur.accept("MAP")
-        if lexeme is not None:
-            return ast.ClassicalSeparateStmt(lexeme.value, line=keyword.line, col=keyword.col)
         permeability = {}
         while not cur.at_end():
             species = cur.expect_name("<species>=transmitted|reflected")
@@ -652,6 +638,37 @@ class _Parser:
         )
         return ast.ExpectVerdict(observer.text, outcome.text, line=keyword.line, col=keyword.col)
 
+    def parse_whole(self, word: str, line: str, line_no: int) -> ast.Statement | None:
+        """The statement of an operation line read without tokens, or None unless
+        it fits its shape in ``_SHAPES`` and passes the token path's checks."""
+        match = _SHAPES[word].fullmatch(line, len(word))
+        if match is None:
+            return None
+        # Positions spelled out: built with ``**``, each node held 47 bytes more.
+        if word == "PARTITION":
+            fractions, names = tuple(map(float, match[2].split())), tuple(match[3].split())
+            fit = len(names) == len(fractions) and _FRACTION_TOL < min(fractions)
+            if fit and max(fractions) < 1 and abs(sum(fractions) - 1.0) <= _FRACTION_TOL:
+                return ast.PartitionStmt(match[1], fractions, names, line=line_no, col=1)
+        elif word.endswith("MIX"):
+            chambers, classical = tuple(match[2].split()), word == "CLASSICAL_MIX"
+            distinguishing = match[1] == "distinguishing"
+            return ast.MixStmt(distinguishing, chambers, match[3], classical, line=line_no, col=1)
+        elif word == "REMOVE_PARTITION":
+            return ast.RemovePartitionStmt(tuple(match[1].split()), match[2], line=line_no, col=1)
+        elif word == "CLASSICAL_SEPARATE":
+            # The map fits its shape: with `=` as a gap, its words are species and verdict in turn.
+            words = match[1].replace("=", " ").split()
+            if len(set(words[::2])) == len(words) // 2:
+                pairs = tuple(zip(words[::2], words[1::2]))
+                return ast.ClassicalSeparateStmt(pairs, line=line_no, col=1)
+        elif word == "SEPARATE":
+            if self.names.get(match[1]) == "instrument":
+                return ast.SeparateStmt(match[1], line=line_no, col=1)
+        else:
+            return ast.ClaimCycleStmt(line=line_no, col=1)
+        return None
+
 
 # Statement keyword, exactly as written -> the method parsing the rest of the line.
 _STATEMENTS = {
@@ -676,6 +693,15 @@ def parse(text: str) -> ast.Protocol:
     parser = _Parser()
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for line_no, line in enumerate(lines, start=1):
+        word = _WORD_RE.match(line)[0]
+        # After the first operation, the checks of HEADER and chambers are made.
+        if word in _SHAPES and parser.saw_operation:
+            statement = parser.parse_whole(word, line, line_no)
+            if statement is not None:
+                parser.statements.append(statement)
+                continue
+        elif not word and line.lstrip()[:1] in ("", "#"):  # blank or comment only
+            continue
         parser.parse_line(_tokenize_line(line, line_no))
     if parser.header is None:
         raise HeaderMissingError("the script must contain a HEADER line", 1, 1)

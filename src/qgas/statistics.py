@@ -154,6 +154,9 @@ class Povm:
     _noun = "element"
 
     def __post_init__(self):
+        for _, mat in self.elements:
+            if not isinstance(mat, HermitianMatrix):
+                raise self._error(f"a HermitianMatrix is needed, not {type(mat).__name__}")
         if not self.elements:
             raise self._error(f"at least one {self._noun} is needed")
         labels = [label for label, _ in self.elements]

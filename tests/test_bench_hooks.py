@@ -7,9 +7,15 @@ break ``perfbench/run.py --trace 1`` without failing any other test.  So
 would a refactor that stops calling a function whose span a per-layer
 metric reads: that metric would read 0.  The tracer module is loaded from
 its file and never modified here.
+
+The tracer counts a layer's ``*.calls`` over its public module functions, so
+the parser keeps ``parse`` as its one public function: a helper named
+without an underscore would move ``protocol.parser.calls`` with no change
+in work.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 from qgas.protocol import execute, interpreter, parse, parser
@@ -76,3 +82,13 @@ def test_every_live_per_layer_metric_fires_on_the_bundled_scenarios():
         tracer.uninstall()
     names = {span[tracing.NAME] for span in tracer.spans}
     assert LIVE_METRIC_SPANS <= names, sorted(LIVE_METRIC_SPANS - names)
+
+
+def test_parse_is_the_parsers_one_public_function():
+    public = [
+        name
+        for name, obj in vars(parser).items()
+        if inspect.isfunction(obj) and obj.__module__ == parser.__name__
+        and not name.startswith("_")
+    ]
+    assert public == ["parse"]

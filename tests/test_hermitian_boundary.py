@@ -6,7 +6,9 @@ guarantee it.
 they enter and keeps its members as read-only rows of one symmetrised copy.
 The five results that ``linalg._hermitian`` wraps unchecked are finite and
 exactly Hermitian for any checked inputs, and the ket products and
-eigenvectors that ``linalg`` derives pass the ket check.
+eigenvectors that ``linalg`` derives pass the ket check.  A
+``DensityMatrix``, ``Povm`` or ``ProjectiveInstrument`` given something
+other than a ``HermitianMatrix`` names its type in the class's own error.
 """
 
 import numpy as np
@@ -20,6 +22,8 @@ from qgas.errors import (
     DimMismatchError,
     NonSquareError,
     NotDensityMatrixError,
+    NotPovmError,
+    NotProjectiveError,
 )
 from qgas.linalg import (
     StateVector,
@@ -30,6 +34,8 @@ from qgas.linalg import (
 )
 from qgas.statistics import (
     DensityMatrix,
+    Povm,
+    ProjectiveInstrument,
     apply_unitary,
     eigen_instrument,
     mix_states,
@@ -126,6 +132,24 @@ def test_every_unchecked_site_yields_a_finite_hermitian_matrix(inputs):
 def test_a_density_matrix_names_the_type_it_was_given(entries, name):
     with pytest.raises(NotDensityMatrixError) as err:
         DensityMatrix(entries)
+    assert str(err.value) == f"a HermitianMatrix is needed, not {name}"
+
+
+UP = linalg.HermitianMatrix(np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "cls, error, elements, name",
+    [
+        (Povm, NotPovmError, (("a", np.eye(2)),), "ndarray"),
+        (ProjectiveInstrument, NotProjectiveError, (("a", [[1, 0], [0, 1]]),), "list"),
+        (ProjectiveInstrument, NotProjectiveError, (("a", UP), ("b", np.diag([0, 1]))), "ndarray"),
+    ],
+    ids=["povm-array", "instrument-list", "instrument-second-element"],
+)
+def test_an_instrument_names_the_element_type_it_was_given(cls, error, elements, name):
+    with pytest.raises(error) as err:
+        cls(elements)
     assert str(err.value) == f"a HermitianMatrix is needed, not {name}"
 
 
