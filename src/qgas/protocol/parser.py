@@ -175,6 +175,8 @@ def _tokenize_line(text: str, line_no: int, pattern: re.Pattern | None = None) -
                 return _tokenize_line(text, line_no, _TOKEN_PATH_RE)
             tokens.append(_tuple_new(Token, ("KET", raw, line_no, col, amplitudes, False)))
         elif len(raw) > 1 or raw.isdecimal():  # NUMBER, the only other multi-char kind
+            if not gap and tokens and tokens[-1][0] == "NUMBER":  # 1.51.5 is no pair
+                raise ScenarioSyntaxError(line_no, col, "a gap between two numbers")
             imaginary = raw[-1] == "i"
             value = float(raw[:-1] if imaginary else raw)
             if value == math.inf:

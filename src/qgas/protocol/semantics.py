@@ -4,9 +4,10 @@ A DEFINE_STATE expression evaluates to a ket, a plain ``StateVector``, or
 to gas contents.  A state is a :class:`QuantumContents` holding one density
 matrix: ``mix(...)`` and ``tensor(...)`` evaluate each term and build one
 matrix from them, since every verdict reads the matrix and none the
-decomposition it was written with; the ``proj(ket)`` terms of one mix are
-built from their kets as one stack of projectors (``linalg._projectors``)
-and validated as one ``DensityMatrix.stack``.  One evaluated state serves
+decomposition it was written with.  The ``proj(ket)`` terms of one mix are
+built from their kets as one stack of projectors (``linalg._projectors``),
+every term is added in order by ``mix_states``' sum, and only the mixture
+is validated, as one ``DensityMatrix``.  One evaluated state serves
 every statement that names it.  A ``proj(ket)`` instrument element is its
 projector matrix, which the instrument checks as a projector.  Unitary
 expressions give complex arrays.
@@ -18,7 +19,7 @@ import numpy as np
 
 from .. import linalg
 from ..errors import DimMismatchError, ExecutionError, QuantumGasError
-from ..statistics import DensityMatrix, ProjectiveInstrument, eigen_instrument, mix_states
+from ..statistics import DensityMatrix, ProjectiveInstrument, _mixture, eigen_instrument
 from ..thermo import WEIGHT_TOL, QuantumContents
 from . import ast
 
@@ -61,14 +62,18 @@ def eval_value(expr: ast.Expr, scope: Scope) -> Value:
             weights.append(weight)
             terms.append(value if isinstance(value, linalg.StateVector) else value.assembled())
         total = sum(weights)
-        if abs(total - 1.0) > WEIGHT_TOL or any(w <= 0 for w in weights):
+        if not (abs(total - 1.0) <= WEIGHT_TOL and all(w > 0 for w in weights)):  # NaN fails
             raise _fail(expr, f"mixture weights must be convex (sum {total!r})")
-        if others := [t.dim for t in terms if t.dim != terms[0].dim]:  # mix_states' error
-            raise DimMismatchError(f"state dims {others[0]} != {terms[0].dim}")
+        dim = terms[0].dim
+        if others := [t.dim for t in terms if t.dim != dim]:  # mix_states' error
+            raise DimMismatchError(f"state dims {others[0]} != {dim}")
         kets = [t.amplitudes for t in terms if isinstance(t, linalg.StateVector)]
-        fresh = iter(DensityMatrix.stack(linalg._projectors(np.array(kets))) if kets else ())
-        states = [next(fresh) if isinstance(t, linalg.StateVector) else t for t in terms]
-        return QuantumContents(mix_states(weights, states))
+        projectors = iter(linalg._projectors(np.array(kets).reshape(-1, dim)))
+        matrices = [
+            next(projectors) if isinstance(t, linalg.StateVector) else t.matrix.entries
+            for t in terms
+        ]
+        return QuantumContents(_mixture(weights, matrices))
     if isinstance(expr, ast.TensorExpr):
         left = eval_value(expr.left, scope)
         right = eval_value(expr.right, scope)

@@ -271,11 +271,19 @@ def mix_states(weights: Sequence[float], states: Sequence[DensityMatrix]) -> Den
     if not abs(sum(weights) - 1.0) <= ZERO_TOL:
         raise NotConvexError(f"weights sum to {sum(weights)!r}")
     dim = states[0].dim
-    acc = np.zeros((dim, dim), dtype=complex)
-    for w, state in zip(weights, states):
+    for state in states:
         if state.dim != dim:
             raise DimMismatchError(f"state dims {state.dim} != {dim}")
-        acc += w * state.matrix.entries
+    return _mixture(weights, [state.matrix.entries for state in states])
+
+
+def _mixture(weights: Sequence[float], matrices: Sequence[np.ndarray]) -> DensityMatrix:
+    """The sum of w * M over raw Hermitian (d, d) arrays, added in order from
+    zeros and validated once.  The caller checks the weights and dims, and
+    builds each M only from checked matrices or unit kets."""
+    acc = np.zeros(matrices[0].shape, dtype=complex)
+    for w, matrix in zip(weights, matrices):
+        acc += w * matrix
     return DensityMatrix(linalg._hermitian(acc))
 
 

@@ -10,13 +10,13 @@ import pytest
 from qgas import linalg
 from qgas.errors import ExecutionError, IncompatibleReductionError
 from qgas.observers import Observer
-from qgas.protocol import ast, engine
+from qgas.protocol import ast, engine, semantics
 from qgas.protocol.engine import run_protocol
 from qgas.protocol.interpreter import execute
 from qgas.protocol.parser import parse
 from qgas.scenarios import scenario_text
 from qgas.statistics import DensityMatrix
-from qgas.thermo import ClassicalContents
+from qgas.thermo import ClassicalContents, QuantumContents
 
 PRELUDE = (
     "HEADER dim=2 temperature=1.0 particles=1.0\n"
@@ -226,6 +226,23 @@ def test_mixture_weights_checked_once_at_the_mix(weight):
         execute(parse(text))
     assert "mixture weights must be convex" in str(err.value)
     assert (err.value.line, err.value.column) == (4, 16)
+
+
+@pytest.mark.parametrize("proj", [True, False], ids=["proj-terms", "state-terms"])
+def test_a_nan_mixture_weight_fails_the_convex_check_at_the_mix(proj):
+    # Built in code: the parser reads no NaN.
+    kets = {"a": linalg.make_vector([1, 0]), "b": linalg.make_vector([0, 1])}
+    states = {n: QuantumContents(DensityMatrix(linalg.projector_from_vector(k)))
+              for n, k in kets.items()}
+
+    def term(name):
+        ref = ast.NameRef(name, line=4, col=1)
+        return ast.ProjExpr(ref, line=4, col=1) if proj else ref
+
+    expr = ast.MixExpr(((math.nan, term("a")), (1.0, term("b"))), line=4, col=16)
+    with pytest.raises(ExecutionError) as err:
+        semantics.eval_value(expr, kets if proj else states)
+    assert str(err.value) == "line 4, col 16: mixture weights must be convex (sum nan)"
 
 
 def test_step_that_leaves_the_container_half_empty_is_refused():

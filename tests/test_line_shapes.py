@@ -196,7 +196,8 @@ NEAR_MISSES = [
     ("PARTITION gas 0.5 0.5 -> a b c",
      (SYNTAX, "line 6, col 23: expected one name per fraction"), False),
     ("PARTITION gas 0.5i 0.5 -> a b", (SYNTAX, "line 6, col 15: expected a real number"), False),
-    ("PARTITION gas 0.50.5 -> a b", ("PartitionStmt", 6, 1, "gas", HALVES, ("a", "b")), False),
+    ("PARTITION gas 0.50.5 -> a b",
+     (SYNTAX, "line 6, col 19: expected a gap between two numbers"), False),
     ("MIX free->gas", ("MixStmt", 6, 1, False, (), "gas", False), True),
     ("MIX freegas", (SYNTAX, "line 6, col 5: expected distinguishing or free"), False),
     ("MIX free a ket(1)", (SYNTAX, "line 6, col 15: expected a chamber position"), False),

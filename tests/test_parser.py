@@ -322,6 +322,27 @@ class TestFiniteNumbers:
         assert protocol.statements[0].tol == 5e-324
 
 
+class TestGluedNumbers:
+    @pytest.mark.parametrize(
+        "text, line, col",
+        [
+            (QUANTUM_HEADER + "EXPECT Q_total ~= 1.51.5\n", 2, 23),
+            (QUANTUM_HEADER + "EXPECT Q_total ~= 1e5.5\n", 2, 22),
+            (QUANTUM_HEADER + "EXPECT Q_total ~= 1i2\n", 2, 21),
+            (QUANTUM_HEADER + "DEFINE_STATE s ket(0.60.8)\n", 2, 24),
+        ],
+        ids=["value-tolerance", "exponent", "imaginary", "ket"],
+    )
+    def test_a_number_glued_to_a_number_is_rejected_at_the_second(self, text, line, col):
+        err = syntax_error(text)
+        assert (err.line, err.column) == (line, col)
+        assert err.expected == "a gap between two numbers"
+
+    def test_numbers_apart_are_two_numbers(self):
+        statement = parse(QUANTUM_HEADER + "EXPECT Q_total ~= 1.51 .5\n").statements[0]
+        assert (statement.value, statement.tol) == (1.51, 0.5)
+
+
 class TestIdentityBound:
     @pytest.mark.parametrize(
         "text, line, col, expected",

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import load_workloads, random_unitary
+from conftest import load_workloads, random_density, random_unitary
 from qgas import linalg, statistics
 from qgas.errors import DimMismatchError, ExecutionError, NotPovmError, NotProjectiveError
 from qgas.protocol import ast, execute, parse, semantics
@@ -27,6 +27,7 @@ from qgas.statistics import (
     mix_states,
     outcome_probability,
 )
+from qgas.thermo import WEIGHT_TOL, QuantumContents
 
 
 def pairwise_check(elements, projective: bool) -> None:
@@ -204,13 +205,13 @@ def validations(monkeypatch, texts) -> tuple[int, int]:
 
 @pytest.mark.parametrize(
     "workload, matrices, most_calls",
-    [("bundled_suite", 62, 40), ("deep_protocol", 177, 31)],
+    [("bundled_suite", 58, 30), ("deep_protocol", 145, 27)],
 )
 def test_every_matrix_is_still_validated_in_fewer_stacks(
     monkeypatch, workload, matrices, most_calls
 ):
-    # The bounds are below the 42 and 59 calls that validating each
-    # proj(...) term of a mix on its own takes, over the same matrices.
+    # Validating each matrix on its own would take 58 and 145 calls.  The
+    # proj(ket) terms of a mix are not counted: only the mixture is validated.
     # The bundled count leaves out the 8 proj(ket) instrument elements:
     # the instrument checks each as a projector, and a unit trace does not
     # describe an element such as tensor(proj(k), identity(2)).
@@ -257,23 +258,33 @@ def per_cluster_sums(rho: DensityMatrix) -> list[bytes]:
 
 
 class TestProjectorStacks:
-    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 4, 8]), n=st.integers(1, 8))
-    def test_mix_terms_are_the_projectors_of_their_kets_to_the_bit(self, seed, dim, n):
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 4, 8]),
+           n=st.integers(1, 8), named=st.integers(0, 3))
+    def test_mix_terms_are_the_projectors_of_their_kets_to_the_bit(self, seed, dim, n, named):
         rng = np.random.default_rng(seed)
         kets = [linalg.StateVector(random_unitary(rng, dim)[:, 0]) for _ in range(n - 1)]
         kets.append(linalg.StateVector(np.eye(dim)[-1]))  # real, with zero amplitudes
         stack = linalg._projectors(np.array([k.amplitudes for k in kets]))
         singles = [linalg.projector_from_vector(k).entries for k in kets]
         assert [m.tobytes() for m in stack] == [m.tobytes() for m in singles]
-        # The mix, as semantics evaluates it and from the states of each projector.
-        weights = [1 / n] * n
-        scope = {f"k{i}": k for i, k in enumerate(kets)}
+        # The mix, as semantics evaluates it, with named states at random
+        # places among the proj(ket) terms, and from each term's own state.
+        values = kets + [QuantumContents(random_density(rng, dim)) for _ in range(named)]
+        values = [values[i] for i in rng.permutation(len(values))]
+        weights = rng.dirichlet(np.ones(len(values))).tolist()
+        assume(abs(sum(weights) - 1.0) <= WEIGHT_TOL)
+        scope = {f"t{i}": v for i, v in enumerate(values)}
         expr = ast.MixExpr(tuple(
-            (w, ast.ProjExpr(ast.NameRef(name, line=1, col=1), line=1, col=1))
-            for w, name in zip(weights, scope)
+            (w, ast.ProjExpr(ast.NameRef(name, line=1, col=1), line=1, col=1)
+             if isinstance(v, linalg.StateVector) else ast.NameRef(name, line=1, col=1))
+            for w, (name, v) in zip(weights, scope.items())
         ), line=1, col=1)
         mixed = semantics.eval_value(expr, scope).assembled()
-        expected = mix_states(weights, DensityMatrix.stack(singles))
+        expected = mix_states(weights, [
+            DensityMatrix(linalg.projector_from_vector(v))
+            if isinstance(v, linalg.StateVector) else v.assembled()
+            for v in values
+        ])
         assert mixed.matrix.entries.tobytes() == expected.matrix.entries.tobytes()
         assert mixed.eigenvalues == expected.eigenvalues
 
