@@ -12,9 +12,9 @@ completed cycle while another sees an open path.
 
 :class:`Observer` is the one observer type: the scenario parser builds the
 OBSERVER lines of a HEADER into it, and API callers build it directly.
-:func:`view_batch` is the one view function: it views many contents for
-one observer, taking a reducing observer's partial traces as one stack and
-validating them with one ``eigvalsh`` (``DensityMatrix.stack``);
+:func:`view_batch` is the one view function: it views many contents for one
+observer, as partial traces validated as one stack (``DensityMatrix.stack``) or
+as one weight table pooled by ``_pooled``, which the report calls too;
 :func:`view_contents` is the batch of one, checked by :meth:`Observer.check_fits`.
 """
 
@@ -26,9 +26,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import linalg, spin
-from .errors import IncompatibleReductionError, VariantMismatchError
+from .errors import IncompatibleReductionError, NotConvexError, VariantMismatchError
 from .statistics import DensityMatrix, Povm
 from .thermo import (
+    WEIGHT_TOL,
     ClassicalContents,
     CycleVerdict,
     GasChamber,
@@ -120,10 +121,10 @@ def view_batch(observer: Observer, truths: Sequence[GasContents]) -> Iterator[Ga
     """:func:`view_contents` of each ground-truth contents, in order, unchecked:
     a run calls :meth:`Observer.check_fits` once per observer, as it starts.  A
     reducing observer's partial traces are one stack, validated by one
-    ``DensityMatrix.stack``; a merging observer's weight maps are renamed as read."""
+    ``DensityMatrix.stack``; a merging observer pools one :func:`_weight_table`."""
     if observer.species_map:
-        mapping = dict(observer.species_map)
-        return (_merged(mapping, truth) for truth in truths)
+        names, pooled = _pooled(observer.species_map, *_weight_table(truths))
+        return (ClassicalContents({n: w for n, w in zip(names, r) if w}) for r in pooled)
     if observer.reduction is None or not truths:
         return iter(truths)
     d1, d2, keep = observer.reduction
@@ -132,14 +133,27 @@ def view_batch(observer: Observer, truths: Sequence[GasContents]) -> Iterator[Ga
     return (QuantumContents(state) for state in reduced)
 
 
-def _merged(mapping: dict[str, str], truth: ClassicalContents) -> ClassicalContents:
-    """The weight map with each species renamed by ``mapping``; species
-    that get one name pool their weights."""
-    merged: dict[str, float] = {}
-    for name, weight in truth.weights.items():
-        seen = mapping.get(name, name)
-        merged[seen] = merged.get(seen, 0.0) + weight
-    return ClassicalContents(merged)
+def _weight_table(truths: Sequence[ClassicalContents]) -> tuple[list[str], list[list[float]]]:
+    """The sorted species of ``truths`` and a row of weights per contents, 0.0 where absent."""
+    species = sorted(set().union(*[truth.weights for truth in truths]))
+    return species, [[truth.weights.get(name, 0.0) for name in species] for truth in truths]
+
+
+def _pooled(species_map, species: list[str], table: list[list[float]]):
+    """A merging observer's sorted names and each row's weights added into them one column
+    at a time, in order; as ``ClassicalContents`` asks, every row must sum to 1."""
+    seen = [*map(dict(species_map).get, species, species)]
+    names = sorted(set(seen))
+    at = [names.index(name) for name in seen]
+    pooled = []
+    for row in table:
+        weights = [0.0] * len(names)
+        for k, w in zip(at, row):
+            weights[k] += w
+        pooled.append(weights)
+    if not all(abs(sum(weights) - 1.0) <= WEIGHT_TOL for weights in pooled):  # NaN fails too
+        raise NotConvexError(f"pooled weights sum to {[*map(sum, pooled)]}")
+    return names, pooled
 
 
 def build_willard_povm() -> Povm:

@@ -17,7 +17,7 @@ observers are views applied when a snapshot is read.  The observers default
 to the HEADER's, and ``Observer.check_fits`` fits each to the run once, as
 it starts.  For its cycle verdict, each observer views the contents of the
 initial and final chambers in one ``view_batch`` call, each contents object
-once; the report reuses these views.  Statements dispatch through one
+once; a quantum report reuses these views.  Statements dispatch through one
 handler table; quantum and classical statements share their handlers.
 Every step must conserve the gas: the chambers' volumes still sum to
 ``CONTAINER_VOLUME`` and their particles to the header's, within relative

@@ -18,13 +18,13 @@ So the text is rendered in three passes:
   digest of one contents object (each step's Q, description and index,
   each chamber's particles, position and volume) and one closing tail;
 * once per observer: its view of each distinct contents object of the run
-  (first-seen order) and the digest text of each view.  The views of the
-  initial and final contents are the ones the engine made for the cycle
-  verdict; the rest come from one ``view_batch`` call (one stacked partial
-  trace and one stacked ``eigvalsh`` validation for a reducing observer).
-  An observer's digests round its matrices, which share one dimension, in
-  one ``round`` and hash each matrix on its own, over the same bytes a
-  single matrix gives;
+  (first-seen order) and the digest text of each view.  Classical views are
+  the rows of one weight table per run, pooled by the observer's species map.
+  Quantum views of the initial and final contents are the engine's (made for
+  the cycle verdict); the rest come from one ``view_batch`` call (one stacked
+  partial trace and one stacked ``eigvalsh`` validation for a reducing
+  observer), and their matrices are rounded in one ``round`` and hashed one
+  at a time, over the same bytes a single matrix gives;
 * then an observer's section is each text, its digest, and the tail, so
   PARTITION siblings and a chamber left unchanged reuse one digest.
 
@@ -48,8 +48,8 @@ from typing import Iterable
 import numpy as np
 
 from ..errors import NonPositiveInputError
-from ..observers import Observer, view_batch
-from ..thermo import GasContents, QuantumContents, _check_positive
+from ..observers import Observer, _pooled, _weight_table, view_batch
+from ..thermo import ClassicalContents, GasContents, _check_positive
 from . import ast
 from .engine import RunResult, run_protocol
 
@@ -212,29 +212,31 @@ def _canonical_bytes(stack: np.ndarray) -> list[bytes]:
 
 
 def _digest_texts(views: Iterable[GasContents], floats: _Floats) -> list[str]:
-    """The digest text of each contents object, in order.  The views one
-    observer makes are all classical, or all quantum of one dimension: those
-    are rounded as one stack and hashed one matrix at a time."""
-    texts: list[str] = []
+    """The digest text of each of one observer's views, in order: all classical (one
+    weight table), or all quantum of one dimension, rounded as one stack and hashed."""
+    views = iter(views)
     states = []
     for view in views:
-        if isinstance(view, QuantumContents):
-            states.append(view.assembled())
-            continue
-        weights = view.weights
-        bag = _ITEM.join([f"{_escape(n)}: {floats[weights[n]]}" for n in sorted(weights)])
-        species = f"{{\n         {bag}\n        }}" if bag else "{}"
-        texts.append(f'{{\n        "kind": "classical",\n        "species": {species}\n       }}')
-    if states:
-        hashed = _canonical_bytes(np.array([rho.matrix.entries for rho in states]))
-        for rho, data in zip(states, hashed):
-            values = _ITEM.join([floats[v] for v in rho.eigenvalues])
-            texts.append(
-                f'{{\n        "eigenvalues": [\n         {values}\n        ],'
-                f'\n        "hash": "{hashlib.sha256(data).hexdigest()[:16]}",'
-                f'\n        "kind": "quantum"\n       }}'
-            )
-    return texts
+        if isinstance(view, ClassicalContents):
+            return _weight_texts(*_weight_table([view, *views]), floats)
+        states.append(view.assembled())
+    hashed = _canonical_bytes(np.array([rho.matrix.entries for rho in states]))
+    return [
+        f'{{\n        "eigenvalues": [\n         {_ITEM.join([floats[v] for v in rho.eigenvalues])}'
+        f'\n        ],\n        "hash": "{hashlib.sha256(data).hexdigest()[:16]}",'
+        '\n        "kind": "quantum"\n       }'
+        for rho, data in zip(states, hashed)
+    ]
+
+
+def _weight_texts(names: list[str], table: list[list[float]], floats: _Floats) -> list[str]:
+    """The classical digest text of each row of a weight table: its nonzero weights, by name."""
+    heads = [f"{_escape(name)}: " for name in names]
+    return [
+        '{\n        "kind": "classical",\n        "species": {\n         '
+        f'{_ITEM.join([h + floats[w] for h, w in zip(heads, row) if w])}\n        }}\n       }}'
+        for row in table
+    ]
 
 
 def _expectations_text(expectations: tuple[ExpectationResult, ...]) -> str:
@@ -292,22 +294,25 @@ def _render(report: RunReport, units: UnitsConfig) -> str:
     ]
     append = out.append
     ends = result.initial_chambers + result.final_chambers
+    table = _weight_table(list(truths.values())) if header.dim is None else None
     for n, obs in enumerate(result.observers):
-        # Once per observer: the digest of its view of each contents object.
-        # The engine's views of the initial and final contents are reused;
-        # the rest are viewed in one batch, read as they are digested, and
-        # dropped with the generator whose frame holds the batch.
+        # Once per observer: the digest of its view of each contents object,
+        # a row of the run's weight table as it pools it.  Quantum views of
+        # the initial and final contents are the engine's; the rest are viewed
+        # in one batch, read as digested, and dropped with their generator.
         view = result.views[obs.name]
-        known = {
-            id(c.contents): v.contents
-            for c, v in zip(ends, view.initial_chambers + view.final_chambers)
-        }
-        views = (
-            known[key] if key in known else next(rest)
-            for rest in [view_batch(obs, [t for key, t in truths.items() if key not in known])]
-            for key in truths
-        )
-        digests = dict(zip(truths, _digest_texts(views, floats)))
+        if table:
+            pooled = _pooled(obs.species_map, *table) if obs.species_map else table
+            digests = dict(zip(truths, _weight_texts(*pooled, floats)))
+        else:
+            seen = view.initial_chambers + view.final_chambers
+            known = {id(c.contents): v.contents for c, v in zip(ends, seen)}
+            views = (
+                known[key] if key in known else next(rest)
+                for rest in [view_batch(obs, [t for key, t in truths.items() if key not in known])]
+                for key in truths
+            )
+            digests = dict(zip(truths, _digest_texts(views, floats)))
         append(f'{"," if n else ""}\n  {{\n   "name": {_escape(obs.name)},\n   "steps": [')
         for piece, key in zip(texts, keys):
             append(piece)
@@ -320,6 +325,7 @@ def _render(report: RunReport, units: UnitsConfig) -> str:
             f'\n    "claimed": {json.dumps(verdict.is_cycle_claimed)},'
             f'\n    "second_law": {_escape(verdict.status)}\n   }}\n  }}'
         )
+    table = pooled = None  # the report's peak heap is its join: hold no table there
     append(
         ("\n ]" if result.observers else "]")
         + f',\n "schema": "{SCHEMA_VERSION}",\n "units": "{units.name}"\n}}'

@@ -9,15 +9,18 @@ metric reads: that metric would read 0.  The tracer module is loaded from
 its file and never modified here.
 
 The tracer counts a layer's ``*.calls`` over its public module functions, so
-the parser keeps ``parse`` as its one public function: a helper named
-without an underscore would move ``protocol.parser.calls`` with no change
-in work.
+the parser, the observers and the interpreter keep today's public functions:
+a helper named without an underscore would move ``protocol.parser.calls``,
+``observers.calls`` or ``protocol.interpreter.calls`` with no change in work.
 """
 
 import importlib.util
 import inspect
 from pathlib import Path
 
+import pytest
+
+from qgas import observers
 from qgas.protocol import execute, interpreter, parse, parser
 from qgas.scenarios import BUNDLED, scenario_text
 
@@ -84,11 +87,27 @@ def test_every_live_per_layer_metric_fires_on_the_bundled_scenarios():
     assert LIVE_METRIC_SPANS <= names, sorted(LIVE_METRIC_SPANS - names)
 
 
-def test_parse_is_the_parsers_one_public_function():
-    public = [
+def public_functions(module) -> list[str]:
+    """The module functions the tracer wraps, in definition order."""
+    return [
         name
-        for name, obj in vars(parser).items()
-        if inspect.isfunction(obj) and obj.__module__ == parser.__name__
+        for name, obj in vars(module).items()
+        if inspect.isfunction(obj) and obj.__module__ == module.__name__
         and not name.startswith("_")
     ]
-    assert public == ["parse"]
+
+
+def test_parse_is_the_parsers_one_public_function():
+    assert public_functions(parser) == ["parse"]
+
+
+@pytest.mark.parametrize(
+    "module, public",
+    [
+        (observers, ["view_contents", "view_batch", "build_willard_povm"]),
+        (interpreter, ["execute"]),
+    ],
+    ids=["observers", "protocol.interpreter"],
+)
+def test_traced_layers_keep_their_public_functions(module, public):
+    assert public_functions(module) == public

@@ -211,6 +211,34 @@ def report_scripts():
     yield "no_steps", chambers
     yield "no_expect", chambers + "REMOVE_PARTITION upper lower -> whole\n"
     yield "no_observer", chambers.replace("OBSERVER lab full\n", "") + "MIX free\n"
+    # The same shapes for a classical run, whose report is one weight table.
+    classical = (
+        "HEADER classical temperature=1.0 particles=1.0\n"
+        "OBSERVER lab classical\n"
+        "CLASSICAL_CHAMBER upper 0.5 argon=1\n"
+        "CLASSICAL_CHAMBER lower 0.5 argon=1\n"
+    )
+    yield "classical_no_steps", classical
+    yield "classical_no_expect", classical + "REMOVE_PARTITION upper lower -> whole\n"
+    yield "classical_no_observer", (
+        classical.replace("OBSERVER lab classical\n", "") + "CLASSICAL_MIX free -> whole\n"
+    )
+    # Species maps that swap two names, rename onto a true species, and pool;
+    # a weight below 1.0001e-4 is spelled by repr.
+    yield "classical_species_maps", (
+        "HEADER classical temperature=1.0 particles=1.0\n"
+        "OBSERVER exact classical\n"
+        "OBSERVER swap classical x=z z=x\n"
+        "OBSERVER onto classical a=b\n"
+        "OBSERVER pool classical a=g x=g z=g\n"
+        "CLASSICAL_CHAMBER left 0.5 a=0.00005 b=0.29995 x=0.3 z=0.4\n"
+        "CLASSICAL_CHAMBER right 0.5 b=0.6 z=0.4\n"
+        "CLASSICAL_MIX free -> gas\n"
+        "CLASSICAL_SEPARATE a=reflected b=transmitted x=reflected z=transmitted\n"
+        "CLASSICAL_MIX free -> gas\n"
+        "PARTITION gas 0.25 0.75 -> upper lower\n"
+        "CLAIM_CYCLE\n"
+    )
     for path in sorted(FIXTURES.glob("*.qg")):
         yield path.name, path.read_text()
 
@@ -296,15 +324,23 @@ class TestWriter:
 
 @pytest.mark.parametrize("name", ["peres_tatiana", "jaynes_johann", "jaynes_marie_completed"])
 def test_each_view_of_a_contents_object_is_digested_once(name, monkeypatch):
-    # Engine and report together view each (observer, contents object) pair
-    # once: the report reuses the engine's views of the initial and final
-    # chambers, and the engine views a contents object held twice once.
-    calls, digested = [], []
-    digest_texts = interpreter._digest_texts
+    # The engine views each (observer, contents object) pair of the initial
+    # and final chambers once, for the cycle verdict.  A quantum report
+    # reuses those views and views the rest of the step contents in one
+    # batch.  A classical report views nothing: its views are the rows of
+    # one weight table of the step contents, pooled once per merging
+    # observer.  Either way each (observer, contents object) is digested once.
+    calls = {engine: [], interpreter: []}
+    pooled, digested = [], []
+    digest_texts, weight_texts, pool = (
+        interpreter._digest_texts, interpreter._weight_texts, interpreter._pooled
+    )
 
-    def counting(view_batch):
+    def counting(module):
+        view_batch = module.view_batch
+
         def counted(observer, truths):
-            calls.extend((observer.name, id(contents)) for contents in truths)
+            calls[module].extend((observer.name, id(contents)) for contents in truths)
             return view_batch(observer, truths)
         return counted
 
@@ -313,18 +349,38 @@ def test_each_view_of_a_contents_object_is_digested_once(name, monkeypatch):
         digested.extend(views)
         return digest_texts(views, floats)
 
+    def counting_rows(names, table, floats):
+        digested.extend(table)
+        return weight_texts(names, table, floats)
+
+    def counting_pool(species_map, species, table):
+        pooled.append((species_map, len(table)))
+        return pool(species_map, species, table)
+
     for module in (engine, interpreter):
-        monkeypatch.setattr(module, "view_batch", counting(module.view_batch))
+        monkeypatch.setattr(module, "view_batch", counting(module))
     monkeypatch.setattr(interpreter, "_digest_texts", counting_digests)
+    monkeypatch.setattr(interpreter, "_weight_texts", counting_rows)
+    monkeypatch.setattr(interpreter, "_pooled", counting_pool)
     report = run_bundled(name)
     payload = report.to_json_dict()
     result = report.result
     steps = result.steps
     distinct = {id(c.contents) for step in steps for c in step.chambers}
     assert len(distinct) < sum(len(step.chambers) for step in steps)
-    viewed = distinct | {id(c.contents) for c in result.initial_chambers + result.final_chambers}
-    assert len(calls) == len(set(calls)) == len(result.observers) * len(viewed)
-    assert len(digested) == len(result.observers) * len(distinct)
+    ends = {id(c.contents) for c in result.initial_chambers + result.final_chambers}
+    observers = result.observers
+    assert len(calls[engine]) == len(set(calls[engine])) == len(observers) * len(ends)
+    if result.header.dim is None:
+        assert calls[interpreter] == []
+        merging = [obs.species_map for obs in observers if obs.species_map]
+        assert merging and [species_map for species_map, _ in pooled if species_map] == merging
+        assert {rows for _, rows in pooled} == {len(distinct)}
+    else:
+        both = calls[engine] + calls[interpreter]
+        assert len(both) == len(set(both)) == len(observers) * len(distinct | ends)
+        assert pooled == []
+    assert len(digested) == len(observers) * len(distinct)
 
     # PARTITION siblings hold one contents object, so they show one digest.
     (k,) = [i for i, step in enumerate(steps) if step.description.startswith("partition")]

@@ -1,3 +1,5 @@
+import json
+import math
 import re
 
 import numpy as np
@@ -8,10 +10,10 @@ from hypothesis import strategies as st
 from conftest import BLEND_SEPARATION_HEAT, LN2, P_MINUS, P_PLUS, random_bag, random_density
 from qgas import linalg, spin
 from qgas.errors import IncompatibleReductionError, VariantMismatchError
-from qgas.observers import Observer, build_willard_povm, view_contents
+from qgas.observers import Observer, _pooled, _weight_table, build_willard_povm, view_contents
 from qgas.protocol import execute
 from qgas.protocol.engine import run_protocol
-from qgas.protocol.interpreter import RunReport
+from qgas.protocol.interpreter import RunReport, _digest_texts, _Floats, _round, _weight_texts
 from qgas.protocol.parser import parse
 from qgas.scenarios import BUNDLED, scenario_text
 from qgas.statistics import DensityMatrix, mix_states, outcome_probability
@@ -124,6 +126,90 @@ class TestViewContents:
             [(share, view_contents(coarse, bag)) for share, bag in zip(shares, bags)]
         )
         assert contents_equal(pool_first, view_first, tol=1e-12)
+
+
+# Species names whose sorted order differs from the order they are drawn in.
+SPECIES_NAMES = st.lists(
+    st.text(alphabet="abxz_", min_size=1, max_size=3), min_size=1, max_size=20, unique=True
+)
+
+
+@st.composite
+def weight_maps(draw, names: list[str]) -> dict[str, float]:
+    """Positive weights over ``names`` summing to 1, some below 1.0001e-4 (the
+    report spells those by ``repr``)."""
+    raw = [draw(st.one_of(st.floats(1e-7, 1e-4), st.floats(1e-3, 1.0))) for _ in names]
+    total = math.fsum(raw)
+    return {name: w / total for name, w in zip(names, raw)}
+
+
+@st.composite
+def species_maps(draw, names: list[str]) -> dict[str, str]:
+    """A map over ``names`` that pools some into groups, renames some onto
+    another true species, keeps some as identity pairs, leaves the rest
+    unmapped, and may swap two names; its keys come in a drawn order."""
+    mapping = {}
+    for name in names:
+        kind = draw(st.sampled_from(["unmapped", "pool", "pool", "onto", "identity"]))
+        if kind == "pool":
+            mapping[name] = draw(st.sampled_from(["g", "gx"]))
+        elif kind == "onto":
+            mapping[name] = draw(st.sampled_from(names))
+        elif kind == "identity":
+            mapping[name] = name
+    if len(names) > 1 and draw(st.booleans()):
+        x, z = draw(st.permutations(names))[:2]
+        mapping[x], mapping[z] = z, x
+    return {name: mapping[name] for name in draw(st.permutations(list(mapping)))}
+
+
+def hexes(weights) -> dict[str, str]:
+    return {name: float.hex(w) for name, w in weights.items()}
+
+
+class TestWeightTable:
+    """A classical view pools its weights in sorted species order, whether it
+    is made one contents at a time or as a row of a run's weight table."""
+
+    @pytest.mark.parametrize("order", [["a", "b", "c", "d"], ["c", "b", "a", "d"]])
+    def test_a_pooled_weight_does_not_depend_on_insertion_order(self, order):
+        # Added in insertion order, a, b, c gave 0.6000000000000001 and
+        # c, b, a gave 0.6.  Sorted order adds a, b, c for both.
+        weights = {"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.4}
+        observer = Observer.classical("x", {name: "x" for name in order[:3]})
+        seen = view_contents(observer, ClassicalContents({n: weights[n] for n in order}))
+        assert hexes(seen.weights) == hexes({"d": 0.4, "x": 0.1 + 0.2 + 0.3})
+
+    @given(st.data())
+    def test_shuffled_maps_give_the_same_view_to_the_bit(self, data):
+        names = data.draw(SPECIES_NAMES)
+        weights = data.draw(weight_maps(names))
+        mapping = data.draw(species_maps(names))
+        seen = view_contents(Observer.classical("o", mapping), ClassicalContents(weights))
+        shuffled = {n: weights[n] for n in data.draw(st.permutations(names))}
+        remapped = {n: mapping[n] for n in data.draw(st.permutations(list(mapping)))}
+        again = view_contents(Observer.classical("o", remapped), ClassicalContents(shuffled))
+        assert hexes(again.weights) == hexes(seen.weights)
+
+    @given(st.data())
+    def test_each_pooled_row_is_its_contents_view(self, data):
+        names = data.draw(SPECIES_NAMES)
+        held = st.lists(st.sampled_from(names), min_size=1, unique=True)
+        truths = [
+            ClassicalContents(data.draw(weight_maps(subset)))
+            for subset in data.draw(st.lists(held, min_size=1, max_size=6))
+        ]
+        observer = Observer.classical("o", data.draw(species_maps(names)))
+        seen_names, pooled = _pooled(observer.species_map, *_weight_table(truths))
+        texts = _weight_texts(seen_names, pooled, _Floats())
+        for truth, row, text in zip(truths, pooled, texts, strict=True):
+            view = view_contents(observer, truth)
+            assert hexes({n: w for n, w in zip(seen_names, row) if w}) == hexes(view.weights)
+            assert text == _digest_texts([view], _Floats())[0]
+            assert json.loads(text) == {
+                "kind": "classical",
+                "species": {n: _round(w) for n, w in view.weights.items()},
+            }
 
 
 DIM4 = "HEADER dim=4 temperature=1.0 particles=1.0\n"
