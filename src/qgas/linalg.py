@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -121,6 +121,12 @@ class StateVector:
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, StateVector)
+            and np.array_equal(self.amplitudes, other.amplitudes)
+        )
+
     def inner(self, other: "StateVector") -> complex:
         """<self|other>."""
         if self.dim != other.dim:
@@ -133,10 +139,24 @@ class StateVector:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues in descending order with an orthonormal eigenbasis."""
+    """Eigenvalues in descending order with an orthonormal eigenbasis, kept as
+    the rows of one read-only (d, d) array ``vectors`` in the same order;
+    equal when the eigenvalues and the rows are."""
 
     eigenvalues: tuple[float, ...]
-    eigenvectors: tuple[StateVector, ...]
+    vectors: np.ndarray = field(repr=False)
+
+    @cached_property
+    def eigenvectors(self) -> tuple[StateVector, ...]:
+        """The rows as checked kets, built when first read."""
+        return tuple(StateVector(row) for row in self.vectors)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, SpectralDecomposition)
+            and self.eigenvalues == other.eigenvalues
+            and np.array_equal(self.vectors, other.vectors)
+        )
 
     def clusters(self) -> list[list[int]]:
         """Indices grouped into degenerate clusters (gaps below DEGENERACY_GAP)."""
@@ -276,14 +296,6 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the first non-negligible component is real positive."""
-    for x in vec:
-        if abs(x) > 1e-6:
-            return vec * (np.conj(x) / abs(x))
-    return vec
-
-
 def eig_hermitian(h: HermitianMatrix) -> SpectralDecomposition:
     """Spectral decomposition by LAPACK (``numpy.linalg.eigh``).
 
@@ -291,12 +303,20 @@ def eig_hermitian(h: HermitianMatrix) -> SpectralDecomposition:
     solver's order).  The basis inside a degenerate cluster (gap below 1e-9)
     is whatever orthonormal basis the solver returns, so tests must not
     assert a particular basis inside a cluster.  Each eigenvector's phase is
-    fixed by making its first non-negligible component real positive.
+    fixed by making its first component of modulus above 1e-6 real positive:
+    one broadcast multiply of the rows by conj(x) / |x| of each row's x.  The
+    moduli are ``np.hypot``'s, the bits of ``abs`` of one complex scalar (the
+    complex ``abs`` of an array may round its last bit differently).
     """
     values, vectors = np.linalg.eigh(h.entries)
     order = np.argsort(-values, kind="stable")
-    kets = tuple(StateVector(_fix_phase(vectors[:, k])) for k in order)
-    return SpectralDecomposition(tuple(float(values[k]) for k in order), kets)
+    rows = vectors.T[order]
+    moduli = np.hypot(rows.real, rows.imag)
+    # A unit row of d <= 1e12 entries has one of modulus at least 1/sqrt(d).
+    at = np.arange(len(rows)), (moduli > 1e-6).argmax(axis=1)
+    rows *= (rows[at].conj() / moduli[at])[:, None]
+    rows.setflags(write=False)
+    return SpectralDecomposition(tuple(values[order].tolist()), rows)
 
 
 def two_state_rotation(a: StateVector, b: StateVector) -> np.ndarray:

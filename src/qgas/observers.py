@@ -16,6 +16,8 @@ OBSERVER lines of a HEADER into it, and API callers build it directly.
 observer, as partial traces validated as one stack (``DensityMatrix.stack``) or
 as one weight table pooled by ``_pooled``, which the report calls too;
 :func:`view_contents` is the batch of one, checked by :meth:`Observer.check_fits`.
+The report reads quantum views as arrays instead (``_view_stack``): the same
+partial traces and checks, with no ``DensityMatrix`` or contents object.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import linalg, spin
 from .errors import IncompatibleReductionError, NotConvexError, VariantMismatchError
-from .statistics import DensityMatrix, Povm
+from .statistics import DensityMatrix, Povm, _checked_stack
 from .thermo import (
     WEIGHT_TOL,
     ClassicalContents,
@@ -131,6 +133,27 @@ def view_batch(observer: Observer, truths: Sequence[GasContents]) -> Iterator[Ga
     stack = np.array([truth.assembled().matrix.entries for truth in truths])
     reduced = DensityMatrix.stack(linalg.partial_traces(stack, (d1, d2), keep))
     return (QuantumContents(state) for state in reduced)
+
+
+def _view_stack(
+    observer: Observer, truths: dict, known: dict[object, DensityMatrix]
+) -> tuple[np.ndarray, list[tuple[float, ...]]]:
+    """The matrices of an observer's views of quantum ``truths``, in order, as
+    one (n, d, d) stack, and their descending spectra, with no view object: a
+    view given in ``known`` (same keys) is spliced in as a row; the rest are
+    the truths' own for a full observer, else their partial traces, checked
+    as ``DensityMatrix.stack`` checks them."""
+    rest = [truth.assembled() for key, truth in truths.items() if key not in known]
+    rows = ((rho.matrix.entries, rho.eigenvalues) for rho in rest)
+    if rest and observer.reduction:
+        d1, d2, keep = observer.reduction
+        stack = np.array([rho.matrix.entries for rho in rest])
+        rows = zip(*_checked_stack(linalg.partial_traces(stack, (d1, d2), keep)))
+    pairs = [
+        (known[key].matrix.entries, known[key].eigenvalues) if key in known else next(rows)
+        for key in truths
+    ]
+    return np.array([matrix for matrix, _ in pairs]), [spectrum for _, spectrum in pairs]
 
 
 def _weight_table(truths: Sequence[ClassicalContents]) -> tuple[list[str], list[list[float]]]:

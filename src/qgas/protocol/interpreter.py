@@ -20,11 +20,13 @@ So the text is rendered in three passes:
 * once per observer: its view of each distinct contents object of the run
   (first-seen order) and the digest text of each view.  Classical views are
   the rows of one weight table per run, pooled by the observer's species map.
-  Quantum views of the initial and final contents are the engine's (made for
-  the cycle verdict); the rest come from one ``view_batch`` call (one stacked
-  partial trace and one stacked ``eigvalsh`` validation for a reducing
-  observer), and their matrices are rounded in one ``round`` and hashed one
-  at a time, over the same bytes a single matrix gives;
+  Quantum views are one stack of matrices and their spectra, with no view
+  object (``_view_stack``): the engine's views of the initial and final
+  contents (made for the cycle verdict) are spliced in as rows, and the rest
+  are the truths' matrices and kept spectra for a full observer, or for a
+  reducing one their partial traces, validated by one stacked ``eigvalsh``.
+  The stack is rounded in one ``round`` and each matrix hashed on its own,
+  over the same bytes a single matrix gives;
 * then an observer's section is each text, its digest, and the tail, so
   PARTITION siblings and a chamber left unchanged reuse one digest.
 
@@ -43,13 +45,12 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from ..errors import NonPositiveInputError
-from ..observers import Observer, _pooled, _weight_table, view_batch
-from ..thermo import ClassicalContents, GasContents, _check_positive
+from ..observers import Observer, _pooled, _view_stack, _weight_table
+from ..thermo import GasContents, _check_positive
 from . import ast
 from .engine import RunResult, run_protocol
 
@@ -203,29 +204,18 @@ class _Floats(dict):
         return text
 
 
-def _canonical_bytes(stack: np.ndarray) -> list[bytes]:
-    """The hashed bytes of each matrix in a stack, rounded in one call."""
+def _state_texts(stack: np.ndarray, spectra: list[tuple], floats: _Floats) -> list[str]:
+    """The quantum digest text of each matrix of a stack (n, d, d) with its
+    spectrum: the matrices rounded as one stack, each hashed on its own."""
     rounded = stack.round(10)
     re = np.where(rounded.real == 0, 0.0, rounded.real)
     im = np.where(rounded.imag == 0, 0.0, rounded.imag)
-    return [r.tobytes() + i.tobytes() for r, i in zip(re, im)]
-
-
-def _digest_texts(views: Iterable[GasContents], floats: _Floats) -> list[str]:
-    """The digest text of each of one observer's views, in order: all classical (one
-    weight table), or all quantum of one dimension, rounded as one stack and hashed."""
-    views = iter(views)
-    states = []
-    for view in views:
-        if isinstance(view, ClassicalContents):
-            return _weight_texts(*_weight_table([view, *views]), floats)
-        states.append(view.assembled())
-    hashed = _canonical_bytes(np.array([rho.matrix.entries for rho in states]))
     return [
-        f'{{\n        "eigenvalues": [\n         {_ITEM.join([floats[v] for v in rho.eigenvalues])}'
-        f'\n        ],\n        "hash": "{hashlib.sha256(data).hexdigest()[:16]}",'
+        f'{{\n        "eigenvalues": [\n         {_ITEM.join([floats[v] for v in spectrum])}'
+        f'\n        ],\n        "hash": '
+        f'"{hashlib.sha256(r.tobytes() + i.tobytes()).hexdigest()[:16]}",'
         '\n        "kind": "quantum"\n       }'
-        for rho, data in zip(states, hashed)
+        for spectrum, r, i in zip(spectra, re, im)
     ]
 
 
@@ -306,13 +296,8 @@ def _render(report: RunReport, units: UnitsConfig) -> str:
             digests = dict(zip(truths, _weight_texts(*pooled, floats)))
         else:
             seen = view.initial_chambers + view.final_chambers
-            known = {id(c.contents): v.contents for c, v in zip(ends, seen)}
-            views = (
-                known[key] if key in known else next(rest)
-                for rest in [view_batch(obs, [t for key, t in truths.items() if key not in known])]
-                for key in truths
-            )
-            digests = dict(zip(truths, _digest_texts(views, floats)))
+            known = {id(c.contents): v.contents.assembled() for c, v in zip(ends, seen)}
+            digests = dict(zip(truths, _state_texts(*_view_stack(obs, truths, known), floats)))
         append(f'{"," if n else ""}\n  {{\n   "name": {_escape(obs.name)},\n   "steps": [')
         for piece, key in zip(texts, keys):
             append(piece)

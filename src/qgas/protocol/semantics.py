@@ -145,7 +145,7 @@ def _as_ket(expr: ast.Expr, scope: Scope) -> linalg.StateVector:
     decomp = linalg.eig_hermitian(value.assembled().matrix)
     if decomp.eigenvalues[0] < 1.0 - 1e-9:
         raise _fail(expr, "rotate_to endpoints must be kets or pure states")
-    return decomp.eigenvectors[0]
+    return linalg.StateVector(decomp.vectors[0])
 
 
 def eval_instrument(stmt: ast.DefineInstrument, scope: Scope) -> ProjectiveInstrument:

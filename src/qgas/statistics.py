@@ -75,6 +75,21 @@ def _validated_spectra(stack: np.ndarray) -> list[tuple[float, ...]]:
     return [tuple(spectrum) for spectrum in spectra[:, ::-1].tolist()]
 
 
+def _checked_stack(stack: np.ndarray) -> tuple[np.ndarray, list[tuple[float, ...]]]:
+    """The checks of :meth:`DensityMatrix.stack` on a nonempty complex array
+    (n, d, d): square, each member a density matrix (``_validated_spectra``),
+    then Hermitian within 1e-12.  Returns a symmetrised read-only copy of the
+    stack and each member's descending spectrum."""
+    linalg._check_square(stack.shape[1:])
+    spectra = _validated_spectra(stack)
+    for asymmetry in linalg._asymmetries(stack):
+        if not asymmetry <= linalg.HERMITIAN_TOL:
+            raise NotDensityMatrixError(f"asymmetry {asymmetry:.3e} exceeds 1e-12")
+    stack = (stack + stack.conj().swapaxes(1, 2)) / 2
+    stack.setflags(write=False)
+    return stack, spectra
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Positive semidefinite Hermitian matrix with unit trace.
@@ -117,13 +132,7 @@ class DensityMatrix:
         stack = np.asarray(entries, dtype=complex)
         if not len(stack):
             return ()
-        linalg._check_square(stack.shape[1:])
-        spectra = _validated_spectra(stack)
-        for asymmetry in linalg._asymmetries(stack):
-            if not asymmetry <= linalg.HERMITIAN_TOL:
-                raise NotDensityMatrixError(f"asymmetry {asymmetry:.3e} exceeds 1e-12")
-        stack = (stack + stack.conj().swapaxes(1, 2)) / 2
-        stack.setflags(write=False)
+        stack, spectra = _checked_stack(stack)
         states = []
         for matrix, spectrum in zip(stack, spectra):
             state = object.__new__(cls)
@@ -385,8 +394,8 @@ def coarse_grain(povm: Povm, grouping: Sequence[tuple[str, Sequence[str]]]) -> P
 
 def support_projector(rho: DensityMatrix) -> HermitianMatrix:
     """Projector onto the span of eigenvectors with eigenvalue above ZERO_TOL."""
-    positive = _positive_part(eig_hermitian(rho.matrix))
-    return _span_projectors(np.array([v for _, v in positive]), [range(len(positive))])[0]
+    _, vectors = _positive_part(eig_hermitian(rho.matrix))
+    return _span_projectors(vectors, [range(len(vectors))])[0]
 
 
 def _span_projectors(vectors: np.ndarray, groups) -> list[HermitianMatrix]:
@@ -405,12 +414,11 @@ def _span_projectors(vectors: np.ndarray, groups) -> list[HermitianMatrix]:
     return [linalg._hermitian(m) for m in spans]
 
 
-def _positive_part(decomp: SpectralDecomposition):
-    return [
-        (value, vec.amplitudes)
-        for value, vec in zip(decomp.eigenvalues, decomp.eigenvectors)
-        if value > ZERO_TOL
-    ]
+def _positive_part(decomp: SpectralDecomposition) -> tuple[tuple[float, ...], np.ndarray]:
+    """The eigenvalues above ZERO_TOL and their eigenvector rows: a prefix, as
+    the eigenvalues descend."""
+    count = sum(value > ZERO_TOL for value in decomp.eigenvalues)
+    return decomp.eigenvalues[:count], decomp.vectors[:count]
 
 
 def verify_orthogonality_theorem(
@@ -457,11 +465,11 @@ def verify_orthogonality_theorem(
         ),
     )
 
-    e_pairs = _positive_part(eig_hermitian(e_mat))
-    check("E eigenvalues lie in (0, 1]", max((value - 1.0 for value, _ in e_pairs), default=0.0))
-    earlier_name, earlier = "E", [v for _, v in e_pairs]
+    e_values, earlier = _positive_part(eig_hermitian(e_mat))
+    check("E eigenvalues lie in (0, 1]", max((value - 1.0 for value in e_values), default=0.0))
+    earlier_name = "E"
     for name, state in (("phi", phi), ("psi", psi)):
-        vectors = [v for _, v in _positive_part(eig_hermitian(state.matrix))]
+        _, vectors = _positive_part(eig_hermitian(state.matrix))
         check(
             f"{name} eigenvectors orthogonal to {earlier_name} eigenvectors",
             max((abs(np.vdot(v, w)) for v in vectors for w in earlier), default=0.0),
@@ -499,6 +507,5 @@ def eigen_instrument(rho: DensityMatrix) -> ProjectiveInstrument:
     identity; projector labels are e0, e1, ... in descending eigenvalue order.
     """
     decomp = eig_hermitian(rho.matrix)
-    vectors = np.array([v.amplitudes for v in decomp.eigenvectors])
-    projectors = _span_projectors(vectors, decomp.clusters())
+    projectors = _span_projectors(decomp.vectors, decomp.clusters())
     return ProjectiveInstrument(tuple((f"e{i}", p) for i, p in enumerate(projectors)))

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from qgas import linalg, spin
+from qgas.observers import _weight_table
+from qgas.protocol.interpreter import _Floats, _state_texts, _weight_texts
 from qgas.statistics import DensityMatrix
 from qgas.thermo import ClassicalContents
 
@@ -38,6 +40,17 @@ def subprocess_env() -> dict[str, str]:
     """Environment for a child Python process that imports qgas from this checkout."""
     inherited = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": SRC + (os.pathsep + inherited if inherited else "")}
+
+
+def digest_text(view) -> str:
+    """The report's digest text of one observer's view of a contents object,
+    digested on its own."""
+    if isinstance(view, ClassicalContents):
+        (text,) = _weight_texts(*_weight_table([view]), _Floats())
+    else:
+        rho = view.assembled()
+        (text,) = _state_texts(rho.matrix.entries[None], [rho.eigenvalues], _Floats())
+    return text
 
 
 SQRT2 = np.sqrt(2.0)

@@ -18,8 +18,10 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import load_workloads
 from qgas import observers
 from qgas.protocol import execute, interpreter, parse, parser
 from qgas.scenarios import BUNDLED, scenario_text
@@ -85,6 +87,34 @@ def test_every_live_per_layer_metric_fires_on_the_bundled_scenarios():
         tracer.uninstall()
     names = {span[tracing.NAME] for span in tracer.spans}
     assert LIVE_METRIC_SPANS <= names, sorted(LIVE_METRIC_SPANS - names)
+
+
+@pytest.mark.parametrize("workload, eigs", [("bundled_suite", 1), ("deep_protocol", 4)])
+def test_eig_calls_count_every_eigendecomposition(monkeypatch, workload, eigs):
+    # linalg.eig_calls counts the tracer's eig_hermitian spans.  It counts every
+    # LAPACK eigendecomposition only while eig_hermitian is the one caller of
+    # np.linalg.eigh, however the library reaches it.
+    if workload == "bundled_suite":
+        texts = [scenario_text(name) for name in BUNDLED]
+    else:
+        texts = [text for _, text in load_workloads().deep_protocol(1).scripts]
+    tracing = load_tracing()
+    solved = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        solved.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for text in texts:
+            interpreter.execute(parser.parse(text)).to_json()
+    finally:
+        tracer.uninstall()
+    assert tracing.run_totals(tracer.spans)["linalg.eig_calls"] == len(solved) == eigs
 
 
 def public_functions(module) -> list[str]:

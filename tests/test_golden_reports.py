@@ -30,11 +30,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import load_workloads, subprocess_env
+from conftest import digest_text, load_workloads, subprocess_env
 from qgas import observers
 from qgas.observers import view_contents
 from qgas.protocol import execute, interpreter, parse
-from qgas.protocol.interpreter import UnitsConfig, _digest_texts, _Floats
+from qgas.protocol.interpreter import UnitsConfig
 from qgas.scenarios import BUNDLED, scenario_text
 
 GOLDEN = json.loads(
@@ -136,7 +136,7 @@ def test_batched_digests_match_one_pair_at_a_time(name):
     for obs, observer in zip(report.result.observers, payload["observers"]):
         for step, rendered in zip(steps, observer["steps"]):
             for chamber, shown in zip(step.chambers, rendered["chambers"], strict=True):
-                (alone,) = _digest_texts([view_contents(obs, chamber.contents)], _Floats())
+                alone = digest_text(view_contents(obs, chamber.contents))
                 assert shown["contents_digest"] == json.loads(alone)
 
 

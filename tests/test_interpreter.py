@@ -3,16 +3,27 @@ import math
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BLEND_SEPARATION_HEAT, LN2, P_MINUS, P_PLUS, load_workloads
+from conftest import (
+    BLEND_SEPARATION_HEAT,
+    LN2,
+    P_MINUS,
+    P_PLUS,
+    digest_text,
+    load_workloads,
+    random_density,
+)
 from qgas.errors import ExecutionError, NotOrthogonalError
+from qgas.observers import Observer, view_contents
 from qgas.protocol import engine, interpreter
 from qgas.protocol.interpreter import UnitsConfig, execute
 from qgas.protocol.parser import parse
 from qgas.scenarios import BUNDLED, scenario_text
+from qgas.thermo import QuantumContents
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -326,28 +337,31 @@ class TestWriter:
 def test_each_view_of_a_contents_object_is_digested_once(name, monkeypatch):
     # The engine views each (observer, contents object) pair of the initial
     # and final chambers once, for the cycle verdict.  A quantum report
-    # reuses those views and views the rest of the step contents in one
-    # batch.  A classical report views nothing: its views are the rows of
-    # one weight table of the step contents, pooled once per merging
-    # observer.  Either way each (observer, contents object) is digested once.
+    # splices those views in and views the rest of the step contents as one
+    # stack (``_view_stack``).  A classical report views nothing: its views
+    # are the rows of one weight table of the step contents, pooled once per
+    # merging observer.  Either way each (observer, contents object) is
+    # digested once.
     calls = {engine: [], interpreter: []}
     pooled, digested = [], []
-    digest_texts, weight_texts, pool = (
-        interpreter._digest_texts, interpreter._weight_texts, interpreter._pooled
+    view_batch, view_stack = engine.view_batch, interpreter._view_stack
+    state_texts, weight_texts, pool = (
+        interpreter._state_texts, interpreter._weight_texts, interpreter._pooled
     )
 
-    def counting(module):
-        view_batch = module.view_batch
+    def counting_views(observer, truths):
+        calls[engine].extend((observer.name, id(contents)) for contents in truths)
+        return view_batch(observer, truths)
 
-        def counted(observer, truths):
-            calls[module].extend((observer.name, id(contents)) for contents in truths)
-            return view_batch(observer, truths)
-        return counted
+    def counting_stack(observer, truths, known):
+        calls[interpreter].extend(
+            (observer.name, id(contents)) for key, contents in truths.items() if key not in known
+        )
+        return view_stack(observer, truths, known)
 
-    def counting_digests(views, floats):
-        views = list(views)
-        digested.extend(views)
-        return digest_texts(views, floats)
+    def counting_states(stack, spectra, floats):
+        digested.extend(stack)
+        return state_texts(stack, spectra, floats)
 
     def counting_rows(names, table, floats):
         digested.extend(table)
@@ -357,9 +371,9 @@ def test_each_view_of_a_contents_object_is_digested_once(name, monkeypatch):
         pooled.append((species_map, len(table)))
         return pool(species_map, species, table)
 
-    for module in (engine, interpreter):
-        monkeypatch.setattr(module, "view_batch", counting(module))
-    monkeypatch.setattr(interpreter, "_digest_texts", counting_digests)
+    monkeypatch.setattr(engine, "view_batch", counting_views)
+    monkeypatch.setattr(interpreter, "_view_stack", counting_stack)
+    monkeypatch.setattr(interpreter, "_state_texts", counting_states)
     monkeypatch.setattr(interpreter, "_weight_texts", counting_rows)
     monkeypatch.setattr(interpreter, "_pooled", counting_pool)
     report = run_bundled(name)
@@ -392,3 +406,25 @@ def test_each_view_of_a_contents_object_is_digested_once(name, monkeypatch):
     for observer in payload["observers"]:
         digests = [observer["steps"][k]["chambers"][i]["contents_digest"] for i in siblings]
         assert all(d == digests[0] for d in digests)
+
+
+@given(
+    st.sampled_from([(2, 2), (2, 4), (4, 2)]),
+    st.sampled_from(["first", "second"]),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_a_reducing_observers_stacked_digests_are_its_views_digests(dims, keep, seed, data):
+    # d = 4 and 8, both kept factors: the report splices the views it was
+    # given in as rows and views the rest as one stack; each digest is that
+    # of the view_contents(...) result digested alone.
+    rng = np.random.default_rng(seed)
+    dim = dims[0] * dims[1]
+    ranks = data.draw(st.lists(st.integers(1, dim), min_size=1, max_size=6))
+    truths = {key: QuantumContents(random_density(rng, dim, rank)) for key, rank in enumerate(ranks)}
+    observer = Observer.quantum("o", (*dims, keep))
+    given_views = data.draw(st.sets(st.sampled_from(list(truths))))
+    known = {key: view_contents(observer, truths[key]).assembled() for key in given_views}
+    stack, spectra = interpreter._view_stack(observer, truths, known)
+    texts = interpreter._state_texts(stack, spectra, interpreter._Floats())
+    assert texts == [digest_text(view_contents(observer, truth)) for truth in truths.values()]

@@ -191,6 +191,84 @@ class TestEig:
             assert np.allclose(eig_hermitian(h).eigenvalues, expected, atol=1e-10)
 
 
+def fix_phase(vec: np.ndarray) -> np.ndarray:
+    """The per-column phase fix ``eig_hermitian`` replaced, kept as the
+    reference: the first component above 1e-6 in modulus made real positive."""
+    for x in vec:
+        if abs(x) > 1e-6:
+            return vec * (np.conj(x) / abs(x))
+    return vec
+
+
+def hexes(rows) -> list[list[str]]:
+    return [[float.hex(x) for x in np.asarray(row).view(float).tolist()] for row in rows]
+
+
+@st.composite
+def eigenproblems(draw):
+    """A Hermitian matrix of d from 1 to 32 with clustered eigenvalues, and
+    often an eigenbasis with a first component just below or just above 1e-6
+    in modulus: a Givens rotation by sin = m of rows 0 and 1 of the identity,
+    then a random unitary on the rest, leaves m in row 0 of column 1 and 0 in
+    row 0 of every later column."""
+    dim = draw(st.integers(1, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=dim))
+    levels = draw(st.lists(st.floats(-10, 10), min_size=len(sizes), max_size=len(sizes)))
+    values = np.resize([v for v, n in zip(levels, sizes) for _ in range(n)], dim)
+    basis = random_unitary(rng, dim)
+    if dim > 1 and draw(st.booleans()):
+        values[1] = 20.0  # alone in its cluster, so the solver keeps column 1
+        basis = np.eye(dim, dtype=complex)
+        basis[2:, 2:] = random_unitary(rng, dim - 2) if dim > 2 else basis[2:, 2:]
+        side = draw(st.sampled_from([-1.0, 1.0]))
+        m = 1e-6 * (1 + side * draw(st.floats(1e-7, 1e-2)))
+        givens = np.eye(dim, dtype=complex)
+        c = np.sqrt(1 - m * m)
+        givens[:2, :2] = [[c, -m], [m, c]]
+        basis = givens @ basis
+    return HermitianMatrix(basis @ np.diag(values) @ basis.conj().T)
+
+
+class TestEigenvectorRows:
+    @given(eigenproblems())
+    def test_each_row_is_the_per_column_phase_fix_to_the_bit(self, h):
+        values, vectors = np.linalg.eigh(h.entries)
+        order = np.argsort(-values, kind="stable")
+        decomp = eig_hermitian(h)
+        assert hexes(decomp.vectors) == hexes(fix_phase(vectors[:, k]) for k in order)
+        assert decomp.eigenvalues == tuple(float(values[k]) for k in order)
+        assert decomp.vectors.shape == (h.dim, h.dim) and not decomp.vectors.flags.writeable
+        kets = decomp.eigenvectors
+        assert all(type(ket) is StateVector for ket in kets)
+        assert hexes(ket.amplitudes for ket in kets) == hexes(decomp.vectors)
+        assert kets == tuple(StateVector(row) for row in decomp.vectors)
+        assert decomp.eigenvectors is kets  # built once, when first read
+
+    def test_eigenvectors_are_checked_kets(self):
+        decomp = linalg.SpectralDecomposition((1.0, 0.0), np.array([[1, 0], [0, 2]], complex))
+        with pytest.raises(NotNormalizedError):
+            decomp.eigenvectors
+
+
+class TestEquality:
+    def test_kets_compare_by_amplitudes(self):
+        assert StateVector([1, 0]) == StateVector([1, 0])
+        assert StateVector([1, 0]) != StateVector([0, 1])
+        assert StateVector([1, 0]) != StateVector([1, 0, 0])
+        assert StateVector([1]) != np.array([1.0])
+
+    def test_decompositions_compare_by_eigenvalues_and_rows(self):
+        h = tau_matrix()
+        assert eig_hermitian(h) == eig_hermitian(HermitianMatrix(h.entries.copy()))
+        assert eig_hermitian(h) != eig_hermitian(identity(4) * 0.25)
+        rows = eig_hermitian(h).vectors
+        shifted = linalg.SpectralDecomposition((2.0, 1.0, 0.0, 0.0), rows)
+        assert shifted != eig_hermitian(h)
+        assert shifted == linalg.SpectralDecomposition((2.0, 1.0, 0.0, 0.0), rows.copy())
+        assert eig_hermitian(h) != eig_hermitian(h).eigenvalues
+
+
 class TestProjector:
     def test_z_plus(self):
         assert projector_from_vector(make_vector([1, 0])).isclose(spin.z_plus(), 1e-15)

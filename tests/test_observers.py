@@ -7,13 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BLEND_SEPARATION_HEAT, LN2, P_MINUS, P_PLUS, random_bag, random_density
+from conftest import (
+    BLEND_SEPARATION_HEAT,
+    LN2,
+    P_MINUS,
+    P_PLUS,
+    digest_text,
+    random_bag,
+    random_density,
+)
 from qgas import linalg, spin
 from qgas.errors import IncompatibleReductionError, VariantMismatchError
 from qgas.observers import Observer, _pooled, _weight_table, build_willard_povm, view_contents
 from qgas.protocol import execute
 from qgas.protocol.engine import run_protocol
-from qgas.protocol.interpreter import RunReport, _digest_texts, _Floats, _round, _weight_texts
+from qgas.protocol.interpreter import RunReport, _Floats, _round, _weight_texts
 from qgas.protocol.parser import parse
 from qgas.scenarios import BUNDLED, scenario_text
 from qgas.statistics import DensityMatrix, mix_states, outcome_probability
@@ -205,7 +213,7 @@ class TestWeightTable:
         for truth, row, text in zip(truths, pooled, texts, strict=True):
             view = view_contents(observer, truth)
             assert hexes({n: w for n, w in zip(seen_names, row) if w}) == hexes(view.weights)
-            assert text == _digest_texts([view], _Floats())[0]
+            assert text == digest_text(view)
             assert json.loads(text) == {
                 "kind": "classical",
                 "species": {n: _round(w) for n, w in view.weights.items()},
