@@ -1,6 +1,7 @@
 import importlib.util
 import os
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,20 @@ def load_workloads():
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def bits(node):
+    """A parse-tree node as nested tuples, its kind, line and column first,
+    floats by ``float.hex`` and complex numbers as pairs of them."""
+    if isinstance(node, float):
+        return node.hex()
+    if isinstance(node, complex):
+        return node.real.hex(), node.imag.hex()
+    if isinstance(node, tuple):
+        return tuple(map(bits, node))
+    if is_dataclass(node):
+        return (type(node).__name__, *(bits(getattr(node, f.name)) for f in fields(node)))
+    return node
 
 
 def subprocess_env() -> dict[str, str]:

@@ -12,11 +12,10 @@ lines parsed whole.
 """
 
 import time
-from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
-from conftest import load_workloads
+from conftest import bits, load_workloads
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -37,18 +36,6 @@ def prelude(instrument: str = "z") -> str:
         "CHAMBER gas 1 up\n"
         "CLAIM_CYCLE\n"
     )
-
-
-def bits(node):
-    """A node as nested tuples, its kind, line and column first and floats by
-    ``float.hex``."""
-    if isinstance(node, float):
-        return node.hex()
-    if isinstance(node, tuple):
-        return tuple(map(bits, node))
-    if is_dataclass(node):
-        return (type(node).__name__, *(bits(getattr(node, f.name)) for f in fields(node)))
-    return node
 
 
 def outcome(text: str):
