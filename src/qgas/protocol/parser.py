@@ -7,11 +7,12 @@ after the name `ket` through its `)`, holding 1 to ``ast.MAX_DIM`` finite
 complex literals, is one KET token whose value is the amplitudes.  Any
 other body is lexed token by token, and only that token path reports
 errors, so a malformed ket gets the same diagnostic at the same column
-either way.  An operation line holding no expression, after the first
-operation, is parsed whole with no tokens when it fits its keyword's shape
-in ``_SHAPES`` and passes the token path's checks.  Any other line is lexed
-token by token, and only that path reports errors.  Blank and comment-only
-lines are not lexed.
+either way.  An operation line holding no expression is one entry of the
+table ``_LINES``; after the first operation, such a line is parsed whole
+with no tokens when it fits its shape in ``_SHAPES`` and passes the entry's
+check, and any other is read from tokens by ``_Parser.walk``, which alone
+reports its errors, from the same entry.  Blank and comment-only lines are
+not lexed.
 Statement keywords are matched exactly, in uppercase; a number must be
 finite (`1e999` is rejected where it is written); chamber and partition
 fractions must exceed 1e-9, the tolerance within which chamber fractions
@@ -58,7 +59,8 @@ import math
 import re
 import string
 from dataclasses import replace
-from typing import NamedTuple
+from itertools import zip_longest
+from typing import Callable, NamedTuple
 
 from ..errors import (
     DuplicateNameError,
@@ -91,25 +93,6 @@ _TOKEN_PATH_RE = re.compile(rf"({_TOKENS}|\S)")
 _AMPLITUDE_RE = re.compile(
     rf"[(,]\s*(?:([+-])\s*)?({_NUMBER})(?:(i)|\s*([+-])\s*({_NUMBER})i)?\s*|([^)])"
 )
-# Operation keyword -> the shape of the rest of a well-formed line that holds
-# no expression, read by _Parser.parse_whole; the key is the line's first
-# word by _WORD_RE.  A shape needs a gap wherever the token path would
-# otherwise read one token, so each NAME and NUMBER it matches is the token
-# lexed there.
-_WORD_RE = re.compile(r"[^\s#]*")
-_END = r"\s*(?:#.*)?"
-_PAIR = rf"\s+{_NAME}\s*=\s*(?:transmitted|reflected)"
-_TARGET = rf"((?:\s+{_NAME})*)(?:\s*->\s*({_NAME}))?{_END}"  # [<position> ...] [-> <name>]
-_MIX = rf"\s+(distinguishing|free){_TARGET}"
-_SHAPES = {word: re.compile(shape) for word, shape in (
-    ("SEPARATE", rf"\s+({_NAME}){_END}"),
-    ("CLASSICAL_SEPARATE", rf"((?:{_PAIR})+){_END}"),
-    ("MIX", _MIX),
-    ("CLASSICAL_MIX", _MIX),
-    ("PARTITION", rf"\s+({_NAME})((?:\s+{_NUMBER}){{2,}})\s*->\s*({_NAME}(?:\s+{_NAME})*){_END}"),
-    ("REMOVE_PARTITION", _TARGET),
-    ("CLAIM_CYCLE", _END),
-)}
 # Kinds of the tokens that are spelled one way; punctuation is its own kind.
 _FIXED_KINDS = {"eigenbasis-of": "EIG", "->": "->", "~=": "~", "≈": "~"}
 _FIXED_KINDS.update((c, c) for c in "(),*+-=")
@@ -117,8 +100,6 @@ _NAME_START = frozenset(string.ascii_letters + "_")
 _tuple_new = tuple.__new__
 # Volume fractions must exceed this, and fractions must sum to 1 within it.
 _FRACTION_TOL = 1e-9
-_FLOOR = f"a fraction above {_FRACTION_TOL:g}"
-_REPEATED = "a species not named before on this line"
 _AT_MOST_DIM = f"a dimension of at most {ast.MAX_DIM}"
 _NORMAL_NKT = "particles whose product with the temperature is a finite normal float"
 
@@ -205,26 +186,14 @@ class _Cursor:
             return token
         return None
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
+    def expect(self, kind: str, what: str | None = None, words: tuple[str, ...] = ()) -> Token:
+        """A token of ``kind``, spelled as one of ``words`` if any; anything
+        else is reported as ``what``."""
         token = self.tokens[self.index]
-        if token.kind != kind:
+        if token.kind != kind or words and token.text not in words:
             raise ScenarioSyntaxError(token.line, token.col, what or kind)
         self.index += 1  # kind is never EOL: expect_end() checks the end
         return token
-
-    def expect_name(self, what: str = "a name") -> Token:
-        return self.expect("NAME", what)
-
-    def expect_word(self, words: tuple[str, ...], what: str) -> Token:
-        """A NAME spelled as one of ``words``; anything else is reported as ``what``."""
-        token = self.tokens[self.index]
-        if token.kind != "NAME" or token.text not in words:
-            raise ScenarioSyntaxError(token.line, token.col, what)
-        self.index += 1
-        return token
-
-    def at_end(self) -> bool:
-        return self.tokens[self.index].kind == "EOL"
 
     def expect_end(self) -> None:
         token = self.peek()
@@ -265,29 +234,116 @@ def _complex_literal(cur: _Cursor) -> complex:
     return value
 
 
-def _key_value(cur: _Cursor, key: str) -> None:
-    cur.expect_word((key,), f"{key}=<value>")
-    cur.expect("=")
-
-
-def _fraction(cur: _Cursor, what: str, expected: str, whole: bool) -> float:
-    """A volume fraction in (0, 1), or (0, 1] if ``whole``, above the floor."""
-    fraction, token = _signed_number(cur, what)
+def _fraction_fault(fraction: float, expected: str, whole: bool) -> str | None:
+    """``expected`` outside (0, 1), or (0, 1] if ``whole``, else the floor, or None."""
     if not 0 < fraction <= 1 or (fraction == 1 and not whole):
-        raise ScenarioSyntaxError(token.line, token.col, expected)
-    if fraction <= _FRACTION_TOL:
-        raise ScenarioSyntaxError(token.line, token.col, _FLOOR)
-    return fraction
+        return expected
+    return f"a fraction above {_FRACTION_TOL:g}" if fraction <= _FRACTION_TOL else None
 
 
-def _positions_and_target(cur: _Cursor) -> tuple[tuple[str, ...], str | None]:
-    """The ``[<position> ...] [-> <name>]`` tail of MIX and REMOVE_PARTITION."""
-    chambers = []
-    while not cur.at_end():
-        if cur.accept("->"):
-            return tuple(chambers), cur.expect_name("a chamber name").text
-        chambers.append(cur.expect_name("a chamber position").text)
-    return tuple(chambers), None
+# Each operation whose line holds no expression is one entry of _LINES: its
+# fields, build(texts, line, col) of its node (positions spelled out: with
+# ``**``, each node held 47 bytes more), and check(parser, node, complete), None
+# or the first fault: (expected text, the index of the token read or None for
+# the keyword[, error class]).  A field is a regex fragment, whose group is its
+# text on a line read whole, and steps for _Parser.walk.  A fragment has a gap
+# where the token path would otherwise read one token, and its NUMBER reads a
+# digit run one way only, so a line that misses its shape fails fast.
+_WORD_RE = re.compile(r"[^\s#]*")
+_END = r"\s*(?:#.*)?"
+_ANY = frozenset({"NAME", "NUMBER", "KET", "EOL", *_FIXED_KINDS.values()})  # every token kind
+
+
+class _Field(NamedTuple):
+    pattern: str
+    steps: tuple[tuple[str, str, tuple[str, ...]], ...]  # (kind, expected text, words)
+    more: frozenset[str] | set[str] = _ANY  # the kinds of token that start the steps again
+    once: bool = True
+
+
+def _pairs(key: str, value: str, words: tuple[str, ...] = ()) -> _Field:
+    steps = (("NAME", key, ()), ("=", "=", ()), ("NAME", value, words))
+    return _Field(rf"((?:\s+{_NAME}\s*=\s*(?:{'|'.join(words) or _NAME}))*)", steps,
+                  _ANY - {"EOL"}, once=False)
+
+
+def _pairs_of(text: str) -> tuple[tuple[str, str | None], ...]:
+    """The <key>=<value> pairs of a text; a key read without its value pairs with None."""
+    return tuple(zip_longest(*[iter(text.replace("=", " ").split())] * 2))
+
+
+def _repeated_fault(parser: _Parser, pairs: tuple[tuple[str, str | None], ...], complete: bool):
+    if len(dict(pairs)) < len(pairs):  # at the first key named before, three tokens a pair
+        i = next(i for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))
+        return "a species not named before on this line", 3 * i
+    return None
+
+
+def _partition_fault(parser: _Parser, node: ast.PartitionStmt, complete: bool):
+    for i, fraction in enumerate(node.fractions):
+        if fault := _fraction_fault(fraction, "fractions in (0, 1)", whole=False):
+            return fault, 1 + i
+    if complete and len(node.fractions) < 2:
+        return "at least two fractions", None
+    if complete and len(node.names) != len(node.fractions):
+        return "one name per fraction", 1 + len(node.fractions)  # at the `->`
+    if complete and abs(sum(node.fractions) - 1.0) > _FRACTION_TOL:
+        return "fractions summing to 1", None
+    return None
+
+
+_POSITIONS = _Field(rf"((?:\s+{_NAME})*)", (("NAME", "a chamber position", ()),),
+                    _ANY - {"EOL", "->"}, once=False)
+_TARGET = _Field(rf"(?:\s*->\s*({_NAME}))?",  # an optional `-> <name>`
+                 (("->", "", ()), ("NAME", "a chamber name", ())), {"->"})
+
+
+def _mix(classical: bool) -> tuple:
+    mode = _Field(r"\s+(distinguishing|free)",
+                  (("NAME", "distinguishing or free", ("distinguishing", "free")),))
+    return (mode, _POSITIONS, _TARGET), lambda t, line, col: ast.MixStmt(
+        t[0] == "distinguishing", tuple(t[1].split()), t[2] or None, classical, line=line, col=col
+    ), None
+
+
+_LINES = {
+    "SEPARATE": (
+        (_Field(rf"\s+({_NAME})", (("NAME", "a defined instrument name", ()),)),),
+        lambda t, line, col: ast.SeparateStmt(t[0], line=line, col=col),
+        lambda parser, node, complete: None
+        if not complete or parser.names.get(node.instrument) == "instrument"
+        else (f"instrument {node.instrument!r} is not defined", 0, UndefinedNameError),
+    ),
+    "CLASSICAL_SEPARATE": (
+        (_pairs("<species>=transmitted|reflected", "transmitted or reflected",
+                ("transmitted", "reflected")),),
+        lambda t, line, col: ast.ClassicalSeparateStmt(_pairs_of(t[0]), line=line, col=col),
+        lambda parser, node, complete: ("a permeability map", None)
+        if complete and not node.permeability
+        else _repeated_fault(parser, node.permeability, complete),
+    ),
+    "MIX": _mix(classical=False),
+    "CLASSICAL_MIX": _mix(classical=True),
+    "PARTITION": (
+        (_Field(rf"\s+({_NAME})", (("NAME", "a chamber position", ()),)),
+         _Field(rf"((?:\s+{_NUMBER})*)", (("NUMBER", "a fraction", ()),),
+                {"NUMBER", "+", "-"}, once=False),
+         _Field(r"()\s*->\s*", (("->", "'->' and new chamber names", ()),)),
+         _Field(rf"((?:{_NAME}(?:\s+{_NAME})*)?)", (("NAME", "a chamber name", ()),),
+                _ANY - {"EOL"}, once=False)),
+        lambda t, line, col: ast.PartitionStmt(
+            t[0], tuple(map(float, t[1].split())), tuple(t[3].split()), line=line, col=col),
+        _partition_fault,
+    ),
+    "REMOVE_PARTITION": ((_POSITIONS, _TARGET), lambda t, line, col: ast.RemovePartitionStmt(
+        tuple(t[0].split()), t[1] or None, line=line, col=col), None),
+    "CLAIM_CYCLE": ((), lambda t, line, col: ast.ClaimCycleStmt(line=line, col=col), None),
+}
+_SHAPES = {  # keyword -> the whole-line pattern of the rest of its line
+    word: re.compile("".join(f.pattern for f in entry[0]) + _END) for word, entry in _LINES.items()
+}
+_OBSERVER_MAP = ((_pairs("<true-species>=<seen-species>", "the observed species name"),),
+                 lambda t, line, col: _pairs_of(t[0]), _repeated_fault)
 
 
 _CHAMBERS = (ast.ChamberStmt, ast.ClassicalChamberStmt)
@@ -305,7 +361,7 @@ class _Parser:
 
     def parse_line(self, tokens: list[Token]) -> None:
         cur = _Cursor(tokens)
-        keyword = cur.expect_name("a statement keyword")
+        keyword = cur.expect("NAME", "a statement keyword")
         word = keyword.text
         if word == "HEADER":
             self.parse_header(cur, keyword)
@@ -353,7 +409,7 @@ class _Parser:
         if self.header is not None:
             raise ScenarioSyntaxError(keyword.line, keyword.col, "a single HEADER line")
         dim: int | None = None
-        if cur.expect_word(("dim", "classical"), "dim=<int> or classical").text == "dim":
+        if cur.expect("NAME", "dim=<int> or classical", ("dim", "classical")).text == "dim":
             cur.expect("=")
             number = cur.expect("NUMBER", "an integer dimension")
             if number.imaginary or number.value != int(number.value) or number.value < 1:
@@ -361,9 +417,11 @@ class _Parser:
             if number.value > ast.MAX_DIM:
                 raise ScenarioSyntaxError(number.line, number.col, _AT_MOST_DIM)
             dim = int(number.value)
-        _key_value(cur, "temperature")
+        cur.expect("NAME", "temperature=<value>", ("temperature",))
+        cur.expect("=")
         temperature, t_token = _signed_number(cur)
-        _key_value(cur, "particles")
+        cur.expect("NAME", "particles=<value>", ("particles",))
+        cur.expect("=")
         particles, n_token = _signed_number(cur)
         cur.expect_end()
         if temperature <= 0:
@@ -377,12 +435,12 @@ class _Parser:
         )
 
     def parse_observer(self, cur: _Cursor) -> Observer:
-        name = cur.expect_name("an observer name")
+        name = cur.expect("NAME", "an observer name")
         if any(obs.name == name.text for obs in self.observers):
             raise DuplicateNameError(
                 f"observer {name.text!r} already declared", name.line, name.col
             )
-        mode = cur.expect_word(("full", "reduce", "classical"), "full, reduce, or classical")
+        mode = cur.expect("NAME", "full, reduce, or classical", ("full", "reduce", "classical"))
         dim = self.header.dim
         if (mode.text == "classical") != (dim is None):
             fits = "classical in a classical" if dim is None else "full or reduce in a quantum"
@@ -392,20 +450,13 @@ class _Parser:
         if mode.text == "reduce":
             d1 = cur.expect("NUMBER", "first factor dimension")
             d2 = cur.expect("NUMBER", "second factor dimension")
-            keep = cur.expect_word(("first", "second"), "first or second")
+            keep = cur.expect("NAME", "first or second", ("first", "second"))
             if any(t.imaginary or t.value != int(t.value) or t.value < 1 for t in (d1, d2)):
                 raise ScenarioSyntaxError(d1.line, d1.col, "positive integer factor dims")
             if int(d1.value) * int(d2.value) != dim:
                 raise ScenarioSyntaxError(d1.line, d1.col, f"factor dims multiplying to {dim}")
             return Observer.quantum(name.text, (int(d1.value), int(d2.value), keep.text))
-        mapping = {}
-        while not cur.at_end():
-            source = cur.expect_name("<true-species>=<seen-species>")
-            if source.text in mapping:
-                raise ScenarioSyntaxError(source.line, source.col, _REPEATED)
-            cur.expect("=")
-            mapping[source.text] = cur.expect_name("the observed species name").text
-        return Observer.classical(name.text, mapping)
+        return Observer.classical(name.text, dict(self.walk(cur, mode, _OBSERVER_MAP)))
 
     # -- expressions -----------------------------------------------------------
 
@@ -443,12 +494,13 @@ class _Parser:
                     terms.append(self.parse_mix_term(cur))
                 cur.expect(")")
                 return ast.MixExpr(tuple(terms), line=token.line, col=token.col)
-            if word == "tensor":
+            if word in ("tensor", "rotate_to"):
                 left = self.parse_expr(cur)
                 cur.expect(",")
                 right = self.parse_expr(cur)
                 cur.expect(")")
-                return ast.TensorExpr(left, right, line=token.line, col=token.col)
+                node = ast.TensorExpr if word == "tensor" else ast.RotateToExpr
+                return node(left, right, line=token.line, col=token.col)
             if word == "identity":
                 number = cur.expect("NUMBER", "a dimension")
                 if number.imaginary or number.value != int(number.value):
@@ -465,12 +517,6 @@ class _Parser:
                     )
                 cur.expect(")")
                 return ast.IdentityExpr(int(number.value), line=token.line, col=token.col)
-            if word == "rotate_to":
-                source = self.parse_expr(cur)
-                cur.expect(",")
-                target = self.parse_expr(cur)
-                cur.expect(")")
-                return ast.RotateToExpr(source, target, line=token.line, col=token.col)
         if word not in self.names:
             raise UndefinedNameError(f"name {word!r} is not defined", token.line, token.col)
         return ast.NameRef(word, line=token.line, col=token.col)
@@ -481,13 +527,6 @@ class _Parser:
         return weight, self.parse_expr(cur)
 
     # -- definitions -----------------------------------------------------------
-
-    def defined(self, cur: _Cursor, kind: str) -> str:
-        """A name that a DEFINE_STATE or DEFINE_INSTRUMENT line gave ``kind``."""
-        name = cur.expect_name(f"a defined {kind} name")
-        if self.names.get(name.text) != kind:
-            raise UndefinedNameError(f"{kind} {name.text!r} is not defined", name.line, name.col)
-        return name.text
 
     def _define(self, name: Token, kind: str) -> str:
         if name.text in self.names:
@@ -500,14 +539,14 @@ class _Parser:
         return name.text
 
     def parse_define_state(self, cur: _Cursor, keyword: Token) -> ast.DefineState:
-        name = cur.expect_name("a state name")
+        name = cur.expect("NAME", "a state name")
         expr = self.parse_expr(cur)
         return ast.DefineState(
             self._define(name, "state"), expr, line=keyword.line, col=keyword.col
         )
 
     def parse_define_instrument(self, cur: _Cursor, keyword: Token) -> ast.DefineInstrument:
-        name = cur.expect_name("an instrument name")
+        name = cur.expect("NAME", "an instrument name")
         if cur.peek().kind == "EIG":
             eig = self.parse_expr(cur)
             assert isinstance(eig, ast.EigenbasisExpr)
@@ -516,11 +555,11 @@ class _Parser:
                 line=keyword.line, col=keyword.col,
             )
         elements = []
-        while not cur.at_end():
+        while cur.peek().kind != "EOL":
             if len(elements) == ast.MAX_DIM:
                 extra = cur.peek()
                 raise ScenarioSyntaxError(extra.line, extra.col, f"at most {ast.MAX_DIM} elements")
-            label = cur.expect_name("<outcome-label>=<projector-expr>")
+            label = cur.expect("NAME", "<outcome-label>=<projector-expr>")
             cur.expect("=")
             elements.append((label.text, self.parse_expr(cur)))
         if not elements:
@@ -540,16 +579,23 @@ class _Parser:
     def parse_chamber(
         self, cur: _Cursor, keyword: Token
     ) -> ast.ChamberStmt | ast.ClassicalChamberStmt:
-        position = cur.expect_name("a chamber position")
-        fraction = _fraction(cur, "a volume fraction", "a fraction in (0, 1]", whole=True)
+        position = cur.expect("NAME", "a chamber position")
+        fraction, token = _signed_number(cur, "a volume fraction")
+        fault = _fraction_fault(fraction, "a fraction in (0, 1]", whole=True)
+        if fault is not None:
+            raise ScenarioSyntaxError(token.line, token.col, fault)
         if keyword.text == "CHAMBER":
-            state = self.defined(cur, "state")
+            state = cur.expect("NAME", "a defined state name")
+            if self.names.get(state.text) != "state":
+                raise UndefinedNameError(
+                    f"state {state.text!r} is not defined", state.line, state.col
+                )
             return ast.ChamberStmt(
-                position.text, fraction, state, line=keyword.line, col=keyword.col
+                position.text, fraction, state.text, line=keyword.line, col=keyword.col
             )
         bag = []
-        while not cur.at_end():
-            species = cur.expect_name("<species>=<weight>")
+        while cur.peek().kind != "EOL":
+            species = cur.expect("NAME", "<species>=<weight>")
             cur.expect("=")
             weight, w_token = _signed_number(cur, "a species weight")
             if weight <= 0:
@@ -561,115 +607,74 @@ class _Parser:
             position.text, fraction, tuple(bag), line=keyword.line, col=keyword.col
         )
 
-    def parse_separate(self, cur: _Cursor, keyword: Token) -> ast.SeparateStmt:
-        instrument = self.defined(cur, "instrument")
-        return ast.SeparateStmt(instrument, line=keyword.line, col=keyword.col)
-
-    def parse_classical_separate(self, cur: _Cursor, keyword: Token) -> ast.ClassicalSeparateStmt:
-        permeability = {}
-        while not cur.at_end():
-            species = cur.expect_name("<species>=transmitted|reflected")
-            if species.text in permeability:
-                raise ScenarioSyntaxError(species.line, species.col, _REPEATED)
-            cur.expect("=")
-            verdict = cur.expect_word(("transmitted", "reflected"), "transmitted or reflected")
-            permeability[species.text] = verdict.text
-        if not permeability:
-            raise ScenarioSyntaxError(keyword.line, keyword.col, "a permeability map")
-        return ast.ClassicalSeparateStmt(
-            tuple(permeability.items()), line=keyword.line, col=keyword.col
-        )
-
-    def parse_mix(self, cur: _Cursor, keyword: Token) -> ast.MixStmt:
-        mode = cur.expect_word(("distinguishing", "free"), "distinguishing or free")
-        chambers, into = _positions_and_target(cur)
-        return ast.MixStmt(
-            mode.text == "distinguishing", chambers, into, keyword.text == "CLASSICAL_MIX",
-            line=keyword.line, col=keyword.col,
-        )
-
     def parse_rotate(self, cur: _Cursor, keyword: Token) -> ast.RotateStmt:
-        chamber = cur.expect_name("a chamber position")
+        chamber = cur.expect("NAME", "a chamber position")
         unitary = self.parse_expr(cur)
         return ast.RotateStmt(chamber.text, unitary, line=keyword.line, col=keyword.col)
 
-    def parse_partition(self, cur: _Cursor, keyword: Token) -> ast.PartitionStmt:
-        chamber = cur.expect_name("a chamber position")
-        fractions = []
-        while cur.peek().kind in ("NUMBER", "+", "-"):
-            fractions.append(_fraction(cur, "a fraction", "fractions in (0, 1)", whole=False))
-        arrow = cur.expect("->", "'->' and new chamber names")
-        names = []
-        while not cur.at_end():
-            names.append(cur.expect_name("a chamber name").text)
-        if len(fractions) < 2:
-            raise ScenarioSyntaxError(keyword.line, keyword.col, "at least two fractions")
-        if len(names) != len(fractions):
-            raise ScenarioSyntaxError(arrow.line, arrow.col, "one name per fraction")
-        if abs(sum(fractions) - 1.0) > _FRACTION_TOL:
-            raise ScenarioSyntaxError(keyword.line, keyword.col, "fractions summing to 1")
-        return ast.PartitionStmt(
-            chamber.text, tuple(fractions), tuple(names),
-            line=keyword.line, col=keyword.col,
-        )
-
-    def parse_remove_partition(self, cur: _Cursor, keyword: Token) -> ast.RemovePartitionStmt:
-        chambers, into = _positions_and_target(cur)
-        return ast.RemovePartitionStmt(chambers, into, line=keyword.line, col=keyword.col)
-
-    def parse_claim_cycle(self, cur: _Cursor, keyword: Token) -> ast.ClaimCycleStmt:
-        return ast.ClaimCycleStmt(line=keyword.line, col=keyword.col)
-
     def parse_expect(self, cur: _Cursor, keyword: Token) -> ast.Statement:
-        if cur.expect_word(("Q_total", "verdict"), "Q_total or verdict").text == "Q_total":
+        if cur.expect("NAME", "Q_total or verdict", ("Q_total", "verdict")).text == "Q_total":
             cur.expect("~", "'~=' (or the ≈ glyph)")
             value, _ = _signed_number(cur, "the expected total heat")
             tol = 1e-4
-            if not cur.at_end():
+            if cur.peek().kind != "EOL":
                 tol, t_token = _signed_number(cur, "a tolerance")
                 if tol <= 0:
                     raise ScenarioSyntaxError(t_token.line, t_token.col, "a positive tolerance")
             return ast.ExpectTotalHeat(value, tol, line=keyword.line, col=keyword.col)
-        observer = cur.expect_name("an observer name")
+        observer = cur.expect("NAME", "an observer name")
         if not any(obs.name == observer.text for obs in self.observers):
             raise UndefinedNameError(
                 f"observer {observer.text!r} is not declared", observer.line, observer.col
             )
-        outcome = cur.expect_word(
-            ("violation", "satisfied", "not_applicable"), "violation, satisfied, or not_applicable"
-        )
+        outcome = cur.expect("NAME", "violation, satisfied, or not_applicable",
+                             ("violation", "satisfied", "not_applicable"))
         return ast.ExpectVerdict(observer.text, outcome.text, line=keyword.line, col=keyword.col)
 
-    def parse_whole(self, word: str, line: str, line_no: int) -> ast.Statement | None:
-        """The statement of an operation line read without tokens, or None unless
-        it fits its shape in ``_SHAPES`` and passes the token path's checks."""
-        match = _SHAPES[word].fullmatch(line, len(word))
+    def walk(self, cur: _Cursor, keyword: Token, entry: tuple | None = None) -> object:
+        """The node of a shaped line, by its keyword's entry or ``entry``, from tokens.
+        A field's text is its names and signed numbers.  The first token that
+        does not fit fails, unless the check finds a fault in what was read
+        before it; the check then runs on the whole line."""
+        fields, build, check = entry or _LINES[keyword.text]
+        read: list[list[str]] = [[] for _ in fields]
+        anchors: list[Token] = []
+        failure = None
+        try:
+            for field, texts in zip(fields, read):
+                while cur.tokens[cur.index].kind in field.more:
+                    for kind, what, words in field.steps:
+                        if kind == "NUMBER":
+                            value, token = _signed_number(cur, what)
+                            texts.append(repr(value))
+                        else:
+                            token = cur.expect(kind, what, words)
+                            if kind == "NAME":
+                                texts.append(token.text)
+                        anchors.append(token)
+                    if field.once:
+                        break
+        except ScenarioSyntaxError as err:
+            failure = err
+        node = build([" ".join(texts) for texts in read], keyword.line, keyword.col)
+        if fault := check and check(self, node, failure is None):
+            what, anchor, *error = fault  # a fault not of syntax names its class
+            at = keyword if anchor is None else anchors[anchor]
+            failure = error[0](what, at.line, at.col) if error else ScenarioSyntaxError(
+                at.line, at.col, what)
+        if failure is not None:
+            raise failure
+        return node
+
+    def parse_whole(self, word: str, text: str, line_no: int) -> ast.Statement | None:
+        """The statement of a shaped line read with no tokens, or None unless it
+        matches its pattern in ``_SHAPES`` and passes its check."""
+        match = _SHAPES[word].fullmatch(text, len(word))
         if match is None:
             return None
-        # Positions spelled out: built with ``**``, each node held 47 bytes more.
-        if word == "PARTITION":
-            fractions, names = tuple(map(float, match[2].split())), tuple(match[3].split())
-            fit = len(names) == len(fractions) and _FRACTION_TOL < min(fractions)
-            if fit and max(fractions) < 1 and abs(sum(fractions) - 1.0) <= _FRACTION_TOL:
-                return ast.PartitionStmt(match[1], fractions, names, line=line_no, col=1)
-        elif word.endswith("MIX"):
-            chambers, classical = tuple(match[2].split()), word == "CLASSICAL_MIX"
-            distinguishing = match[1] == "distinguishing"
-            return ast.MixStmt(distinguishing, chambers, match[3], classical, line=line_no, col=1)
-        elif word == "REMOVE_PARTITION":
-            return ast.RemovePartitionStmt(tuple(match[1].split()), match[2], line=line_no, col=1)
-        elif word == "CLASSICAL_SEPARATE":
-            # The map fits its shape: with `=` as a gap, its words are species and verdict in turn.
-            words = match[1].replace("=", " ").split()
-            if len(set(words[::2])) == len(words) // 2:
-                pairs = tuple(zip(words[::2], words[1::2]))
-                return ast.ClassicalSeparateStmt(pairs, line=line_no, col=1)
-        elif word == "SEPARATE":
-            if self.names.get(match[1]) == "instrument":
-                return ast.SeparateStmt(match[1], line=line_no, col=1)
-        else:
-            return ast.ClaimCycleStmt(line=line_no, col=1)
-        return None
+        _, build, check = _LINES[word]
+        node = build(match.groups(), line_no, 1)
+        return None if check and check(self, node, True) else node
 
 
 # Statement keyword, exactly as written -> the method parsing the rest of the line.
@@ -678,15 +683,9 @@ _STATEMENTS = {
     "DEFINE_INSTRUMENT": _Parser.parse_define_instrument,
     "CHAMBER": _Parser.parse_chamber,
     "CLASSICAL_CHAMBER": _Parser.parse_chamber,
-    "SEPARATE": _Parser.parse_separate,
-    "CLASSICAL_SEPARATE": _Parser.parse_classical_separate,
-    "MIX": _Parser.parse_mix,
-    "CLASSICAL_MIX": _Parser.parse_mix,
     "ROTATE": _Parser.parse_rotate,
-    "PARTITION": _Parser.parse_partition,
-    "REMOVE_PARTITION": _Parser.parse_remove_partition,
-    "CLAIM_CYCLE": _Parser.parse_claim_cycle,
     "EXPECT": _Parser.parse_expect,
+    **dict.fromkeys(_LINES, _Parser.walk),
 }
 
 

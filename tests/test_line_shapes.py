@@ -220,6 +220,20 @@ NEAR_MISSES = [
      (SYNTAX, "line 6, col 33: expected ="), False),
     ("CLASSICAL_SEPARATE a=reflected b=transmitted\xa0*",
      (SYNTAX, "line 6, col 46: expected <species>=transmitted|reflected"), False),
+    # The order of checks: a lexing error beats an earlier syntax error, a
+    # fraction is checked as it is read, a line's checks come before its end,
+    # and a species named twice fails before its verdict is read.
+    ("PARTITION gas 0.5 0.5 a b $", (SYNTAX, "line 6, col 27: expected a token, not '$'"), False),
+    ("SEPARATE nope 1e999", (SYNTAX, "line 6, col 15: expected a finite number"), False),
+    ("SEPARATE nope extra",
+     ("UndefinedNameError", "line 6, col 10: instrument 'nope' is not defined"), False),
+    ("PARTITION gas 1.5 0.5 a b", (SYNTAX, "line 6, col 15: expected fractions in (0, 1)"), False),
+    ("PARTITION gas -0.5 1.5 -> a b",
+     (SYNTAX, "line 6, col 16: expected fractions in (0, 1)"), False),
+    ("PARTITION gas 0.5 x", (SYNTAX, "line 6, col 19: expected '->' and new chamber names"), False),
+    ("PARTITION gas 0.2 0.2 -> a", (SYNTAX, "line 6, col 23: expected one name per fraction"), False),
+    ("CLASSICAL_SEPARATE a=reflected a=x",
+     (SYNTAX, "line 6, col 32: expected a species not named before on this line"), False),
 ]
 
 
