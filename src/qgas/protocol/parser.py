@@ -281,7 +281,7 @@ def _repeated_fault(parser: _Parser, pairs: tuple[tuple[str, str | None], ...], 
 
 def _partition_fault(parser: _Parser, node: ast.PartitionStmt, complete: bool):
     for i, fraction in enumerate(node.fractions):
-        if fault := _fraction_fault(fraction, "fractions in (0, 1)", whole=False):
+        if fault := _fraction_fault(fraction, "fractions in (0, 1)", False):
             return fault, 1 + i
     if complete and len(node.fractions) < 2:
         return "at least two fractions", None
@@ -328,7 +328,7 @@ _LINES = {
         (_Field(rf"\s+({_NAME})", (("NAME", "a chamber position", ()),)),
          _Field(rf"((?:\s+{_NUMBER})*)", (("NUMBER", "a fraction", ()),),
                 {"NUMBER", "+", "-"}, once=False),
-         _Field(r"()\s*->\s*", (("->", "'->' and new chamber names", ()),)),
+         _Field(r"()\s*->\s*", (("->", "'->' and new chamber names", ()),)),  # no text
          _Field(rf"((?:{_NAME}(?:\s+{_NAME})*)?)", (("NAME", "a chamber name", ()),),
                 _ANY - {"EOL"}, once=False)),
         lambda t, line, col: ast.PartitionStmt(

@@ -2,13 +2,14 @@
 
 After a script's first operation, a SEPARATE, CLASSICAL_SEPARATE, MIX,
 CLASSICAL_MIX, PARTITION, REMOVE_PARTITION or CLAIM_CYCLE line that fits its
-shape in the parser's ``_SHAPES`` and passes the token path's checks becomes
-its statement with no tokens.  The token path (``_tokenize_line`` read by
-``_Parser.parse_line``) is what it must agree with: the same statement, floats
-to the bit, line and column included, and for any other line the same
-outcome, which only the token path produces.  The token path is reached here
-by emptying ``_SHAPES``; ``_Parser.parse_whole`` is wrapped to count the
-lines parsed whole.
+shape in the parser's ``_SHAPES`` and passes its ``_LINES`` entry's check
+becomes its statement with no tokens.  The token path (``_tokenize_line``
+read by ``_Parser.parse_line``, which reads such a line's fields with
+``_Parser.walk``) is what it must agree with: the same statement, floats to
+the bit, line and column included, and for any other line the same outcome,
+which only the token path produces.  The token path is reached here by
+emptying ``_SHAPES``; ``_Parser.parse_whole`` is wrapped to count the lines
+parsed whole.
 """
 
 import time
