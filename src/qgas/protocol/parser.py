@@ -4,15 +4,14 @@ One statement per line, `#` starts a comment, tokens are separated by
 whitespace or punctuation.  Every diagnostic carries the 1-based line and
 column of the offending token.  A well-formed ket body, from the `(` right
 after the name `ket` through its `)`, holding 1 to ``ast.MAX_DIM`` finite
-complex literals, is one KET token whose value is the amplitudes.  Any
-other body is lexed token by token, and only that token path reports
-errors, so a malformed ket gets the same diagnostic at the same column
-either way.  An operation line holding no expression is one entry of the
-table ``_LINES``; after the first operation, such a line is parsed whole
-with no tokens when it fits its shape in ``_SHAPES`` and passes the entry's
-check, and any other is read from tokens by ``_Parser.walk``, which alone
-reports its errors, from the same entry.  Blank and comment-only lines are
-not lexed.
+complex literals, is one KET token whose value is the amplitudes, and after
+the first operation a line of an operation holding no expression, one entry
+of the table ``_LINES``, is parsed whole with no tokens when it fits its
+shape in ``_SHAPES`` and passes the entry's check.  Anything else is lexed
+token by token, where ``_Parser.walk`` reads such a line from the same
+entry, and only that token path reports errors, so a malformed ket or line
+gets the same diagnostic at the same column either way.  Blank and
+comment-only lines are not lexed.
 Statement keywords are matched exactly, in uppercase; a number must be
 finite (`1e999` is rejected where it is written); chamber and partition
 fractions must exceed 1e-9, the tolerance within which chamber fractions
@@ -258,7 +257,7 @@ class _Field(NamedTuple):
     pattern: str
     steps: tuple[tuple[str, str, tuple[str, ...]], ...]  # (kind, expected text, words)
     more: frozenset[str] | set[str] = _ANY  # the kinds of token that start the steps again
-    once: bool = True
+    once: bool = True  # read the steps at most once
 
 
 def _pairs(key: str, value: str, words: tuple[str, ...] = ()) -> _Field:
