@@ -38,7 +38,14 @@ from .errors import (
     VariantMismatchError,
 )
 from .statistics import PROBABILITY_FLOOR, ProjectiveInstrument, apply_instrument
-from .thermo import ClassicalContents, GasChamber, GasContents, QuantumContents, isothermal_heat
+from .thermo import (
+    ClassicalContents,
+    GasChamber,
+    GasContents,
+    QuantumContents,
+    _sum_in_order,
+    isothermal_heat,
+)
 
 
 @dataclass(frozen=True)
@@ -124,8 +131,8 @@ def mix(
         only = chambers[0]
         return (only if not label else replace(only, label=label)), 0.0
     t = _check_same_temperature(chambers)
-    total_v = sum(c.volume for c in chambers)
-    total_n = sum(c.particles for c in chambers)
+    total_v = _sum_in_order(c.volume for c in chambers)
+    total_n = _sum_in_order(c.particles for c in chambers)
     heat = 0.0
     if distinguishing:
         for i, a in enumerate(chambers):
@@ -163,7 +170,7 @@ def classical_separate(
         groups[permeability[name]][name] = w
     parts = []
     for verdict, bag in groups.items():
-        p = sum(bag.values())
+        p = _sum_in_order(bag.values())
         if p >= PROBABILITY_FLOOR:
             parts.append((verdict, p, ClassicalContents({name: w / p for name, w in bag.items()})))
     return _split(chamber, parts)

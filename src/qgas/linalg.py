@@ -42,7 +42,7 @@ DERIVED_TOL = 1e-9
 DEGENERACY_GAP = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HermitianMatrix:
     """Immutable dim x dim complex matrix, checked finite, square and Hermitian
     within 1e-12 as it is built, and kept symmetrised in a read-only array."""
@@ -98,7 +98,7 @@ class HermitianMatrix:
         return f"HermitianMatrix(dim={self.dim})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateVector:
     """Unit-norm complex vector (a ket), checked finite, one-dimensional and
     of norm 1 within 1e-12 as it is built, and kept in a read-only array."""
@@ -141,7 +141,9 @@ class StateVector:
 class SpectralDecomposition:
     """Eigenvalues in descending order with an orthonormal eigenbasis, kept as
     the rows of one read-only (d, d) array ``vectors`` in the same order;
-    equal when the eigenvalues and the rows are."""
+    equal when the eigenvalues and the rows are.  Unlike the matrix records
+    it has no ``__slots__``: ``cached_property`` keeps ``eigenvectors`` in
+    the instance ``__dict__``."""
 
     eigenvalues: tuple[float, ...]
     vectors: np.ndarray = field(repr=False)

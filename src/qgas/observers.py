@@ -98,7 +98,7 @@ class Observer:
         return Observer(name, "classical", None, tuple((species_map or {}).items()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObserverView:
     """What one observer makes of a finished run: the chambers as they see
     them at start and end, and their cycle verdict.  Only these differ

@@ -50,6 +50,7 @@ from ..thermo import (
     GasChamber,
     HeatLedger,
     QuantumContents,
+    _sum_in_order,
     audit_cycle,
     contents_equal,
 )
@@ -62,7 +63,7 @@ class _StepError(QuantumGasError):
     """A step's error, raised without a position: ``run`` places it at the statement."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepTrace:
     index: int
     description: str
@@ -223,8 +224,8 @@ class _Engine:
             for name, w in stmt.species:
                 if not 0 < w < math.inf:
                     raise _StepError(f"species {name!r} weight {w!r} is not finite and > 0")
-            scale = max(weights) if sum(weights) == math.inf else 1.0  # the sum overflows
-            total = sum(w / scale for w in weights)
+            scale = max(weights) if _sum_in_order(weights) == math.inf else 1.0  # it overflows
+            total = _sum_in_order(w / scale for w in weights)
             merged: dict[str, float] = {}
             for name, w in stmt.species:
                 merged[name] = merged.get(name, 0.0) + w / scale / total

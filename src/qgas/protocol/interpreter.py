@@ -30,6 +30,14 @@ So the text is rendered in three passes:
 * then an observer's section is each text, its digest, and the tail, so
   PARTITION siblings and a chamber left unchanged reuse one digest.
 
+A report's heap peaks at the final join, where the pieces and the text made
+of them are alive together.  So ``_render`` drops all else it built before
+the join: the table of spelled floats, which also keeps every float it
+spelled, the weight table, the last observer's pooled table and digests,
+the step template and the contents ids.  What stays is the run itself,
+whose kept records (chambers, steps, contents, matrices, views) are
+slotted, with no instance ``__dict__``.
+
 Each float is spelled once per report, as ``repr`` spells it rounded to 12
 decimals.  For |x| < 5e-13 that text is "0.0": the double nearest 5e-13 is
 below it, so such an x rounds to zero, which ``_round`` writes unsigned.
@@ -310,7 +318,9 @@ def _render(report: RunReport, units: UnitsConfig) -> str:
             f'\n    "claimed": {json.dumps(verdict.is_cycle_claimed)},'
             f'\n    "second_law": {_escape(verdict.status)}\n   }}\n  }}'
         )
-    table = pooled = None  # the report's peak heap is its join: hold no table there
+    # The heap peaks at the join (see the module docstring): past this line
+    # only ``out`` and the run are alive, no table of the render.
+    truths = texts = keys = floats = table = pooled = digests = None
     append(
         ("\n ]" if result.observers else "]")
         + f',\n "schema": "{SCHEMA_VERSION}",\n "units": "{units.name}"\n}}'

@@ -90,7 +90,7 @@ def _checked_stack(stack: np.ndarray) -> tuple[np.ndarray, list[tuple[float, ...
     return stack, spectra
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DensityMatrix:
     """Positive semidefinite Hermitian matrix with unit trace.
 

@@ -21,7 +21,9 @@ divides them by the header's N T and may scale them to absolute units.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .errors import (
     NonPositiveInputError,
@@ -35,6 +37,13 @@ VOLUME_REL_TOL = 1e-9
 SECOND_LAW_TOL = 1e-9
 
 
+def _sum_in_order(values) -> float:
+    """The floats added left to right from 0.0.  The built-in ``sum`` compensates
+    its float sums from Python 3.12 on, and a report value would change its
+    last bits with the interpreter; this keeps the bits of every version."""
+    return reduce(operator.add, values, 0.0)
+
+
 def _check_positive(**values: float) -> None:
     """Each named value must be finite and > 0."""
     for name, value in values.items():
@@ -42,7 +51,7 @@ def _check_positive(**values: float) -> None:
             raise NonPositiveInputError(f"{name} must be finite and > 0, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuantumContents:
     """The density matrix of the particles' internal degree of freedom.
 
@@ -78,7 +87,7 @@ class QuantumContents:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassicalContents:
     """The weight of each classical species, one entry per name.
 
@@ -118,7 +127,7 @@ class ClassicalContents:
 GasContents = QuantumContents | ClassicalContents
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GasChamber:
     """A labeled volume of ideal gas at fixed temperature.
 
@@ -137,7 +146,7 @@ class GasChamber:
         _check_positive(volume=self.volume, temperature=self.temperature, particles=self.particles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerStep:
     description: str
     heat: float
@@ -163,7 +172,7 @@ class HeatLedger:
         return math.fsum(step.heat for step in self.steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleVerdict:
     """Outcome of auditing a claimed cycle: three observed facts, the rest derived.
 

@@ -156,6 +156,13 @@ class TestMix:
         assert heat == 0.0
         assert merged.volume == pytest.approx(1.0)
 
+    def test_totals_add_left_to_right(self):
+        # The built-in sum, compensated from Python 3.12 on, would give 1.0.
+        gas = ClassicalContents({"argon": 1.0})
+        chambers = [GasChamber(0.1, 1.0, 0.1, gas, f"c{k}") for k in range(10)]
+        merged, _ = mix(chambers, distinguishing=False)
+        assert merged.volume == merged.particles == 0.9999999999999999
+
     def test_single_chamber_is_noop(self):
         only = quantum_chamber(0.7, [(1.0, spin.z_plus())], label="only")
         merged, heat = mix([only], distinguishing=True)
@@ -284,6 +291,15 @@ class TestClassical:
         for c in result.chambers:
             assert c.volume == pytest.approx(0.5)
             assert len(c.contents.weights) == 1
+
+    def test_group_weight_adds_left_to_right(self):
+        # Ten weights of 0.1 add to 0.9999999999999999 in order, not to the
+        # 1.0 of the built-in sum's compensated form (Python 3.12 on).
+        bag = {f"s{k}": 0.1 for k in range(10)}
+        (only,) = classical_separate(
+            classical_chamber(1.0, bag), dict.fromkeys(bag, "transmitted")
+        ).chambers
+        assert only.volume == 0.9999999999999999
 
     def test_mixing_separated_species(self):
         a = classical_chamber(0.5, {"argon_a": 1.0}, label="upper")
