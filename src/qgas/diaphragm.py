@@ -37,13 +37,13 @@ from .errors import (
     UnknownSpeciesError,
     VariantMismatchError,
 )
+from .linalg import _sum_in_order
 from .statistics import PROBABILITY_FLOOR, ProjectiveInstrument, apply_instrument
 from .thermo import (
     ClassicalContents,
     GasChamber,
     GasContents,
     QuantumContents,
-    _sum_in_order,
     isothermal_heat,
 )
 

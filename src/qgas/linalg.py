@@ -23,8 +23,9 @@ floating-point operations in the same order, so results are bit-identical.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -40,6 +41,13 @@ from .errors import (
 HERMITIAN_TOL = 1e-12
 DERIVED_TOL = 1e-9
 DEGENERACY_GAP = 1e-9
+
+
+def _sum_in_order(values) -> float:
+    """The floats added left to right from 0.0, with the same bits on every Python
+    (the built-in ``sum`` compensates float sums from 3.12 on).  Each float sum
+    that makes a report value, decides a check or spells a diagnostic adds here."""
+    return reduce(operator.add, values, 0.0)
 
 
 @dataclass(frozen=True, slots=True)

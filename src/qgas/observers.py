@@ -12,12 +12,14 @@ completed cycle while another sees an open path.
 
 :class:`Observer` is the one observer type: the scenario parser builds the
 OBSERVER lines of a HEADER into it, and API callers build it directly.
-:func:`view_batch` is the one view function: it views many contents for one
-observer, as partial traces validated as one stack (``DensityMatrix.stack``) or
-as one weight table pooled by ``_pooled``, which the report calls too;
-:func:`view_contents` is the batch of one, checked by :meth:`Observer.check_fits`.
-The report reads quantum views as arrays instead (``_view_stack``): the same
-partial traces and checks, with no ``DensityMatrix`` or contents object.
+``_views`` is the one view pass: each observer's views of a sequence of
+distinct contents, as rows built from one base per call.  Classical rows are
+one weight table, pooled by ``_pooled`` for an observer that merges species;
+quantum rows are one stack of matrices with their spectra, the truths' own
+or their partial traces validated by one stacked ``eigvalsh``.  The report
+digests the rows; :func:`view_batch` turns them into contents objects for
+the cycle verdict, and :func:`view_contents` is its batch of one, checked by
+:meth:`Observer.check_fits`.
 """
 
 from __future__ import annotations
@@ -121,39 +123,37 @@ def view_contents(observer: Observer, truth: GasContents) -> GasContents:
 
 def view_batch(observer: Observer, truths: Sequence[GasContents]) -> Iterator[GasContents]:
     """:func:`view_contents` of each ground-truth contents, in order, unchecked:
-    a run calls :meth:`Observer.check_fits` once per observer, as it starts.  A
-    reducing observer's partial traces are one stack, validated by one
-    ``DensityMatrix.stack``; a merging observer pools one :func:`_weight_table`."""
-    if observer.species_map:
-        names, pooled = _pooled(observer.species_map, *_weight_table(truths))
-        return (ClassicalContents({n: w for n, w in zip(names, r) if w}) for r in pooled)
-    if observer.reduction is None or not truths:
+    a run calls :meth:`Observer.check_fits` once per observer, as it starts.
+    An observer that resolves everything gets the truths themselves; else
+    its rows from :func:`_views` become contents objects."""
+    if not (observer.reduction or observer.species_map):
         return iter(truths)
-    d1, d2, keep = observer.reduction
-    stack = np.array([truth.assembled().matrix.entries for truth in truths])
-    reduced = DensityMatrix.stack(linalg.partial_traces(stack, (d1, d2), keep))
-    return (QuantumContents(state) for state in reduced)
+    (rows,) = _views([observer], truths)
+    if observer.species_map:
+        names, pooled = rows
+        return (ClassicalContents({n: w for n, w in zip(names, r) if w}) for r in pooled)
+    return map(QuantumContents, DensityMatrix._members(*rows))
 
 
-def _view_stack(
-    observer: Observer, truths: dict, known: dict[object, DensityMatrix]
-) -> tuple[np.ndarray, list[tuple[float, ...]]]:
-    """The matrices of an observer's views of quantum ``truths``, in order, as
-    one (n, d, d) stack, and their descending spectra, with no view object: a
-    view given in ``known`` (same keys) is spliced in as a row; the rest are
-    the truths' own for a full observer, else their partial traces, checked
-    as ``DensityMatrix.stack`` checks them."""
-    rest = [truth.assembled() for key, truth in truths.items() if key not in known]
-    rows = ((rho.matrix.entries, rho.eigenvalues) for rho in rest)
-    if rest and observer.reduction:
-        d1, d2, keep = observer.reduction
-        stack = np.array([rho.matrix.entries for rho in rest])
-        rows = zip(*_checked_stack(linalg.partial_traces(stack, (d1, d2), keep)))
-    pairs = [
-        (known[key].matrix.entries, known[key].eigenvalues) if key in known else next(rows)
-        for key in truths
-    ]
-    return np.array([matrix for matrix, _ in pairs]), [spectrum for _, spectrum in pairs]
+def _views(observers: Sequence[Observer], truths: Sequence[GasContents]) -> Iterator[tuple]:
+    """Each observer's views of distinct ``truths``, in order, as rows built from
+    one base per call: (sorted species, weight rows) of one ``_weight_table``,
+    pooled for a merging observer; or an (n, d, d) stack and its spectra, the
+    truths' own or partial traces checked as ``DensityMatrix.stack`` checks."""
+    if observers[0].kind == "classical":
+        species, table = _weight_table(truths)
+        for obs in observers:
+            yield _pooled(obs.species_map, species, table) if obs.species_map else (species, table)
+        return
+    states = [truth.assembled() for truth in truths]
+    stack = np.array([rho.matrix.entries for rho in states])
+    spectra = [rho.eigenvalues for rho in states]
+    for obs in observers:
+        if obs.reduction and states:
+            d1, d2, keep = obs.reduction
+            yield _checked_stack(linalg.partial_traces(stack, (d1, d2), keep))
+        else:
+            yield stack, spectra
 
 
 def _weight_table(truths: Sequence[ClassicalContents]) -> tuple[list[str], list[list[float]]]:
@@ -174,8 +174,9 @@ def _pooled(species_map, species: list[str], table: list[list[float]]):
         for k, w in zip(at, row):
             weights[k] += w
         pooled.append(weights)
-    if not all(abs(sum(weights) - 1.0) <= WEIGHT_TOL for weights in pooled):  # NaN fails too
-        raise NotConvexError(f"pooled weights sum to {[*map(sum, pooled)]}")
+    totals = [*map(linalg._sum_in_order, pooled)]
+    if not all(abs(total - 1.0) <= WEIGHT_TOL for total in totals):  # NaN fails too
+        raise NotConvexError(f"pooled weights sum to {totals}")
     return names, pooled
 
 

@@ -17,8 +17,11 @@ observers are views applied when a snapshot is read.  The observers default
 to the HEADER's, and ``Observer.check_fits`` fits each to the run once, as
 it starts.  For its cycle verdict, each observer views the contents of the
 initial and final chambers in one ``view_batch`` call, each contents object
-once; a quantum report reuses these views.  Statements dispatch through one
-handler table; quantum and classical statements share their handlers.
+once: its rows of the one view pass (``observers._views``), made into the
+contents objects that ``ObserverView`` keeps.  The report makes its own
+pass, over every step's contents, and keeps no view object.  Statements
+dispatch through one handler table; quantum and classical statements share
+their handlers.
 Every step must conserve the gas: the chambers' volumes still sum to
 ``CONTAINER_VOLUME`` and their particles to the header's, within relative
 ``VOLUME_REL_TOL``.
@@ -42,6 +45,7 @@ from ..errors import (
     ProtocolError,
     QuantumGasError,
 )
+from ..linalg import _sum_in_order
 from ..observers import Observer, ObserverView, view_batch
 from ..statistics import ProjectiveInstrument, apply_unitary
 from ..thermo import (
@@ -50,7 +54,6 @@ from ..thermo import (
     GasChamber,
     HeatLedger,
     QuantumContents,
-    _sum_in_order,
     audit_cycle,
     contents_equal,
 )

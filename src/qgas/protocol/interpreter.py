@@ -17,26 +17,23 @@ So the text is rendered in three passes:
 * once per run: the steps as one template, texts that each precede the
   digest of one contents object (each step's Q, description and index,
   each chamber's particles, position and volume) and one closing tail;
-* once per observer: its view of each distinct contents object of the run
-  (first-seen order) and the digest text of each view.  Classical views are
-  the rows of one weight table per run, pooled by the observer's species map.
-  Quantum views are one stack of matrices and their spectra, with no view
-  object (``_view_stack``): the engine's views of the initial and final
-  contents (made for the cycle verdict) are spliced in as rows, and the rest
-  are the truths' matrices and kept spectra for a full observer, or for a
-  reducing one their partial traces, validated by one stacked ``eigvalsh``.
-  The stack is rounded in one ``round`` and each matrix hashed on its own,
-  over the same bytes a single matrix gives;
+* once per observer: the digest text of its view of each distinct contents
+  object of the run (first-seen order), read from its rows of one
+  ``observers._views`` pass, with no view object: one weight table, pooled
+  by the observer's species map, or one stack of matrices and their spectra
+  (the truths' own, or a reducing observer's partial traces validated by one
+  stacked ``eigvalsh``).  A stack is rounded in one ``round`` and each matrix
+  hashed on its own, over the same bytes a single matrix gives;
 * then an observer's section is each text, its digest, and the tail, so
   PARTITION siblings and a chamber left unchanged reuse one digest.
 
 A report's heap peaks at the final join, where the pieces and the text made
 of them are alive together.  So ``_render`` drops all else it built before
 the join: the table of spelled floats, which also keeps every float it
-spelled, the weight table, the last observer's pooled table and digests,
-the step template and the contents ids.  What stays is the run itself,
-whose kept records (chambers, steps, contents, matrices, views) are
-slotted, with no instance ``__dict__``.
+spelled, the view pass with the weight table or stack it holds, the last
+observer's rows and digests, the step template and the contents ids.  What
+stays is the run itself, whose kept records (chambers, steps, contents,
+matrices, views) are slotted, with no instance ``__dict__``.
 
 Each float is spelled once per report, as ``repr`` spells it rounded to 12
 decimals.  For |x| < 5e-13 that text is "0.0": the double nearest 5e-13 is
@@ -57,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NonPositiveInputError
-from ..observers import Observer, _pooled, _view_stack, _weight_table
+from ..observers import Observer, _views
 from ..thermo import GasContents, _check_positive
 from . import ast
 from .engine import RunResult, run_protocol
@@ -291,26 +288,17 @@ def _render(report: RunReport, units: UnitsConfig) -> str:
         '\n "observers": ['
     ]
     append = out.append
-    ends = result.initial_chambers + result.final_chambers
-    table = _weight_table(list(truths.values())) if header.dim is None else None
-    for n, obs in enumerate(result.observers):
-        # Once per observer: the digest of its view of each contents object,
-        # a row of the run's weight table as it pools it.  Quantum views of
-        # the initial and final contents are the engine's; the rest are viewed
-        # in one batch, read as digested, and dropped with their generator.
-        view = result.views[obs.name]
-        if table:
-            pooled = _pooled(obs.species_map, *table) if obs.species_map else table
-            digests = dict(zip(truths, _weight_texts(*pooled, floats)))
-        else:
-            seen = view.initial_chambers + view.final_chambers
-            known = {id(c.contents): v.contents.assembled() for c, v in zip(ends, seen)}
-            digests = dict(zip(truths, _state_texts(*_view_stack(obs, truths, known), floats)))
+    # Once per observer: the digest of its view of each contents object, read
+    # from its rows of one ``_views`` pass over the run's distinct contents.
+    digest = _state_texts if header.dim is not None else _weight_texts
+    views = _views(result.observers, list(truths.values()))
+    for n, (obs, rows) in enumerate(zip(result.observers, views)):
+        digests = dict(zip(truths, digest(*rows, floats)))
         append(f'{"," if n else ""}\n  {{\n   "name": {_escape(obs.name)},\n   "steps": [')
         for piece, key in zip(texts, keys):
             append(piece)
             append(digests[key])
-        verdict = view.verdict
+        verdict = result.views[obs.name].verdict
         append(
             f'{tail}\n    "actual": {json.dumps(verdict.is_cycle_actual)},'
             f'\n    "apparent_violation_explained": '
@@ -320,7 +308,7 @@ def _render(report: RunReport, units: UnitsConfig) -> str:
         )
     # The heap peaks at the join (see the module docstring): past this line
     # only ``out`` and the run are alive, no table of the render.
-    truths = texts = keys = floats = table = pooled = digests = None
+    truths = texts = keys = floats = views = rows = digests = None
     append(
         ("\n ]" if result.observers else "]")
         + f',\n "schema": "{SCHEMA_VERSION}",\n "units": "{units.name}"\n}}'

@@ -67,6 +67,7 @@ from ..errors import (
     ScenarioSyntaxError,
     UndefinedNameError,
 )
+from ..linalg import _sum_in_order
 from ..observers import Observer
 from . import ast
 
@@ -286,7 +287,7 @@ def _partition_fault(parser: _Parser, node: ast.PartitionStmt, complete: bool):
         return "at least two fractions", None
     if complete and len(node.names) != len(node.fractions):
         return "one name per fraction", 1 + len(node.fractions)  # at the `->`
-    if complete and abs(sum(node.fractions) - 1.0) > _FRACTION_TOL:
+    if complete and abs(_sum_in_order(node.fractions) - 1.0) > _FRACTION_TOL:
         return "fractions summing to 1", None
     return None
 
@@ -397,7 +398,7 @@ class _Parser:
         """Declared chambers fill the container: their fractions sum to 1.
         A failure is reported at ``at`` or else at the last chamber."""
         chambers = [s for s in self.statements if isinstance(s, _CHAMBERS)]
-        total = sum(c.fraction for c in chambers)
+        total = _sum_in_order(c.fraction for c in chambers)
         if chambers and abs(total - 1.0) > _FRACTION_TOL:
             at = at or chambers[-1]
             raise ScenarioSyntaxError(at.line, at.col, f"fractions summing to 1, not {total!r}")

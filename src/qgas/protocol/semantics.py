@@ -61,7 +61,7 @@ def eval_value(expr: ast.Expr, scope: Scope) -> Value:
                 raise _fail(expr, "mix(...) terms must be states; wrap kets in proj()")
             weights.append(weight)
             terms.append(value if isinstance(value, linalg.StateVector) else value.assembled())
-        total = sum(weights)
+        total = linalg._sum_in_order(weights)
         if not (abs(total - 1.0) <= WEIGHT_TOL and all(w > 0 for w in weights)):  # NaN fails
             raise _fail(expr, f"mixture weights must be convex (sum {total!r})")
         dim = terms[0].dim

@@ -132,14 +132,16 @@ class DensityMatrix:
         stack = np.asarray(entries, dtype=complex)
         if not len(stack):
             return ()
-        stack, spectra = _checked_stack(stack)
-        states = []
+        return tuple(cls._members(*_checked_stack(stack)))
+
+    @classmethod
+    def _members(cls, stack: np.ndarray, spectra: list[tuple[float, ...]]):
+        """The members of a ``_checked_stack`` result, not validated again."""
         for matrix, spectrum in zip(stack, spectra):
             state = object.__new__(cls)
             object.__setattr__(state, "matrix", linalg._hermitian(matrix))
             object.__setattr__(state, "eigenvalues", spectrum)
-            states.append(state)
-        return tuple(states)
+            yield state
 
     @property
     def dim(self) -> int:
@@ -233,7 +235,7 @@ class OutcomeDistribution:
     outcomes: tuple[Outcome, ...]
 
     def __post_init__(self):
-        total = sum(o.probability for o in self.outcomes)
+        total = linalg._sum_in_order(o.probability for o in self.outcomes)
         if abs(total - 1.0) > ZERO_TOL:
             raise NotDensityMatrixError(f"outcome probabilities sum to {total!r}")
 
@@ -277,8 +279,8 @@ def mix_states(weights: Sequence[float], states: Sequence[DensityMatrix]) -> Den
         raise NotConvexError("need one weight per state")
     if not all(w >= -1e-12 for w in weights):  # NaN fails too
         raise NotConvexError(f"negative weight in {list(weights)}")
-    if not abs(sum(weights) - 1.0) <= ZERO_TOL:
-        raise NotConvexError(f"weights sum to {sum(weights)!r}")
+    if not abs((total := linalg._sum_in_order(weights)) - 1.0) <= ZERO_TOL:
+        raise NotConvexError(f"weights sum to {total!r}")
     dim = states[0].dim
     for state in states:
         if state.dim != dim:

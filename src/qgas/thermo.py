@@ -21,27 +21,19 @@ divides them by the header's N T and may scale them to absolute units.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
-from functools import reduce
 
 from .errors import (
     NonPositiveInputError,
     NotConvexError,
     VariantMismatchError,
 )
+from .linalg import _sum_in_order
 from .statistics import DensityMatrix, are_orthogonal, mix_states
 
 WEIGHT_TOL = 1e-12
 VOLUME_REL_TOL = 1e-9
 SECOND_LAW_TOL = 1e-9
-
-
-def _sum_in_order(values) -> float:
-    """The floats added left to right from 0.0.  The built-in ``sum`` compensates
-    its float sums from Python 3.12 on, and a report value would change its
-    last bits with the interpreter; this keeps the bits of every version."""
-    return reduce(operator.add, values, 0.0)
 
 
 def _check_positive(**values: float) -> None:
@@ -104,8 +96,8 @@ class ClassicalContents:
             raise NotConvexError("species bag must be nonempty")
         if not all(w > 0 for w in weights):  # NaN fails too
             raise NotConvexError(f"weights must be positive: {weights}")
-        if not abs(sum(weights) - 1.0) <= WEIGHT_TOL:
-            raise NotConvexError(f"weights sum to {sum(weights)!r}")
+        if not abs((total := _sum_in_order(weights)) - 1.0) <= WEIGHT_TOL:
+            raise NotConvexError(f"weights sum to {total!r}")
 
     @classmethod
     def merge(cls, parts) -> "ClassicalContents":

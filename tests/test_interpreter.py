@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -15,10 +16,11 @@ from conftest import (
     P_PLUS,
     digest_text,
     load_workloads,
+    random_bag,
     random_density,
 )
 from qgas.errors import ExecutionError, NotOrthogonalError
-from qgas.observers import Observer, view_contents
+from qgas.observers import Observer, _views, _weight_table, view_batch, view_contents
 from qgas.protocol import engine, interpreter
 from qgas.protocol.interpreter import UnitsConfig, execute
 from qgas.protocol.parser import parse
@@ -336,28 +338,25 @@ class TestWriter:
 @pytest.mark.parametrize("name", ["peres_tatiana", "jaynes_johann", "jaynes_marie_completed"])
 def test_each_view_of_a_contents_object_is_digested_once(name, monkeypatch):
     # The engine views each (observer, contents object) pair of the initial
-    # and final chambers once, for the cycle verdict.  A quantum report
-    # splices those views in and views the rest of the step contents as one
-    # stack (``_view_stack``).  A classical report views nothing: its views
-    # are the rows of one weight table of the step contents, pooled once per
-    # merging observer.  Either way each (observer, contents object) is
-    # digested once.
-    calls = {engine: [], interpreter: []}
-    pooled, digested = [], []
-    view_batch, view_stack = engine.view_batch, interpreter._view_stack
-    state_texts, weight_texts, pool = (
-        interpreter._state_texts, interpreter._weight_texts, interpreter._pooled
-    )
+    # and final chambers once, for the cycle verdict.  The report makes one
+    # ``_views`` pass over the distinct step contents, which builds one weight
+    # table for a classical run and none for a quantum one, and digests each
+    # (observer, contents object) pair once.
+    viewed, passes, tables, digested = [], [], [], []
+    view_batch, views, weight_table = engine.view_batch, interpreter._views, _weight_table
+    state_texts, weight_texts = interpreter._state_texts, interpreter._weight_texts
 
     def counting_views(observer, truths):
-        calls[engine].extend((observer.name, id(contents)) for contents in truths)
+        viewed.extend((observer.name, id(contents)) for contents in truths)
         return view_batch(observer, truths)
 
-    def counting_stack(observer, truths, known):
-        calls[interpreter].extend(
-            (observer.name, id(contents)) for key, contents in truths.items() if key not in known
-        )
-        return view_stack(observer, truths, known)
+    def counting_pass(observers, truths):
+        passes.append([id(contents) for contents in truths])
+        return views(observers, truths)
+
+    def counting_table(truths):
+        tables.append(len(truths))
+        return weight_table(truths)
 
     def counting_states(stack, spectra, floats):
         digested.extend(stack)
@@ -367,16 +366,12 @@ def test_each_view_of_a_contents_object_is_digested_once(name, monkeypatch):
         digested.extend(table)
         return weight_texts(names, table, floats)
 
-    def counting_pool(species_map, species, table):
-        pooled.append((species_map, len(table)))
-        return pool(species_map, species, table)
-
     monkeypatch.setattr(engine, "view_batch", counting_views)
-    monkeypatch.setattr(interpreter, "_view_stack", counting_stack)
+    report = run_bundled(name)
+    monkeypatch.setattr(interpreter, "_views", counting_pass)
+    monkeypatch.setattr("qgas.observers._weight_table", counting_table)
     monkeypatch.setattr(interpreter, "_state_texts", counting_states)
     monkeypatch.setattr(interpreter, "_weight_texts", counting_rows)
-    monkeypatch.setattr(interpreter, "_pooled", counting_pool)
-    report = run_bundled(name)
     payload = report.to_json_dict()
     result = report.result
     steps = result.steps
@@ -384,16 +379,10 @@ def test_each_view_of_a_contents_object_is_digested_once(name, monkeypatch):
     assert len(distinct) < sum(len(step.chambers) for step in steps)
     ends = {id(c.contents) for c in result.initial_chambers + result.final_chambers}
     observers = result.observers
-    assert len(calls[engine]) == len(set(calls[engine])) == len(observers) * len(ends)
-    if result.header.dim is None:
-        assert calls[interpreter] == []
-        merging = [obs.species_map for obs in observers if obs.species_map]
-        assert merging and [species_map for species_map, _ in pooled if species_map] == merging
-        assert {rows for _, rows in pooled} == {len(distinct)}
-    else:
-        both = calls[engine] + calls[interpreter]
-        assert len(both) == len(set(both)) == len(observers) * len(distinct | ends)
-        assert pooled == []
+    assert len(viewed) == len(set(viewed)) == len(observers) * len(ends)
+    ((seen,),) = [passes]
+    assert len(seen) == len(set(seen)) and set(seen) == distinct
+    assert tables == ([len(distinct)] if result.header.dim is None else [])
     assert len(digested) == len(observers) * len(distinct)
 
     # PARTITION siblings hold one contents object, so they show one digest.
@@ -408,23 +397,65 @@ def test_each_view_of_a_contents_object_is_digested_once(name, monkeypatch):
         assert all(d == digests[0] for d in digests)
 
 
-@given(
-    st.sampled_from([(2, 2), (2, 4), (4, 2)]),
-    st.sampled_from(["first", "second"]),
-    st.integers(0, 2**32 - 1),
-    st.data(),
-)
-def test_a_reducing_observers_stacked_digests_are_its_views_digests(dims, keep, seed, data):
-    # d = 4 and 8, both kept factors: the report splices the views it was
-    # given in as rows and views the rest as one stack; each digest is that
-    # of the view_contents(...) result digested alone.
+@given(st.sampled_from(["full", "reducing", "exact", "merging"]), st.integers(0, 2**32 - 1), st.data())
+def test_each_observers_rows_digest_as_its_views(kind, seed, data):
+    # One ``_views`` pass gives rows that digest as each view_contents(...)
+    # result digested alone, for every kind of observer (reducing ones at
+    # d = 4 and 8, either factor kept), and view_batch gives those views.
     rng = np.random.default_rng(seed)
-    dim = dims[0] * dims[1]
-    ranks = data.draw(st.lists(st.integers(1, dim), min_size=1, max_size=6))
-    truths = {key: QuantumContents(random_density(rng, dim, rank)) for key, rank in enumerate(ranks)}
-    observer = Observer.quantum("o", (*dims, keep))
-    given_views = data.draw(st.sets(st.sampled_from(list(truths))))
-    known = {key: view_contents(observer, truths[key]).assembled() for key in given_views}
-    stack, spectra = interpreter._view_stack(observer, truths, known)
-    texts = interpreter._state_texts(stack, spectra, interpreter._Floats())
-    assert texts == [digest_text(view_contents(observer, truth)) for truth in truths.values()]
+    count = data.draw(st.integers(1, 6))
+    if kind in ("full", "reducing"):
+        dims = data.draw(st.sampled_from([(2, 2), (2, 4), (4, 2)]))
+        keep = data.draw(st.sampled_from(["first", "second"]))
+        observer = Observer.quantum("o", (*dims, keep) if kind == "reducing" else None)
+        dim = dims[0] * dims[1]
+        truths = [
+            QuantumContents(random_density(rng, dim, data.draw(st.integers(1, dim))))
+            for _ in range(count)
+        ]
+        digest = interpreter._state_texts
+    else:
+        held = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), min_size=1, unique=True)
+        truths = [random_bag(rng, data.draw(held)) for _ in range(count)]
+        merge = {"a": "x", "b": "x", "c": "d"} if kind == "merging" else None
+        observer = Observer.classical("o", merge)
+        digest = interpreter._weight_texts
+    (rows,) = _views([observer], truths)
+    alone = [view_contents(observer, truth) for truth in truths]
+    assert digest(*rows, interpreter._Floats()) == [digest_text(view) for view in alone]
+    batch = list(view_batch(observer, truths))
+    assert batch == alone
+    if kind == "reducing":
+        assert [v.state.eigenvalues for v in batch] == [v.state.eigenvalues for v in alone]
+    elif kind in ("full", "exact"):
+        assert all(v is truth for v, truth in zip(batch, truths, strict=True))
+
+
+EMPTY_RUNS = {
+    "quantum": (
+        "HEADER dim=4 temperature=1.0 particles=1.0\n"
+        "OBSERVER tatiana reduce 2 2 first\nOBSERVER willard full\n"
+        "DEFINE_STATE up proj(tensor(ket(1, 0), ket(1, 0)))\n"
+        "DEFINE_STATE low proj(tensor(ket(0.7071067811865476, 0.7071067811865476), ket(0, 1)))\n"
+        "CHAMBER upper 0.5 up\nCHAMBER lower 0.5 low\n",
+        "b08839c576ba2b04496195b19bcb74f05eedc5df13e51b11800bbf44becc91c8",
+    ),
+    "classical": (
+        "HEADER classical temperature=1.0 particles=1.0\n"
+        "OBSERVER johann classical argon_a=argon argon_b=argon\nOBSERVER marie classical\n"
+        "CLASSICAL_CHAMBER upper 0.5 argon_a=1\nCLASSICAL_CHAMBER lower 0.5 argon_b=1\n",
+        "c144b4388eeaa9b91b71f2f8d40c2dd54e1078e6f41c22626e08c4a2ef9185f0",
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", list(EMPTY_RUNS))
+def test_a_run_without_operations_reports_no_step_contents(variant):
+    # Chambers and a reducing or merging observer but no operation: the
+    # report's view pass gets no contents, and each observer's steps are [].
+    # The variant of the pass comes from the observers, not from a contents.
+    text, sha256 = EMPTY_RUNS[variant]
+    report = execute(parse(text))
+    out = report.to_json()
+    assert [o["steps"] for o in json.loads(out)["observers"]] == [[], []]
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
