@@ -397,7 +397,11 @@ def test_each_view_of_a_contents_object_is_digested_once(name, monkeypatch):
         assert all(d == digests[0] for d in digests)
 
 
-@given(st.sampled_from(["full", "reducing", "exact", "merging"]), st.integers(0, 2**32 - 1), st.data())
+@given(
+    st.sampled_from(["full", "reducing", "exact", "merging"]),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
 def test_each_observers_rows_digest_as_its_views(kind, seed, data):
     # One ``_views`` pass gives rows that digest as each view_contents(...)
     # result digested alone, for every kind of observer (reducing ones at
